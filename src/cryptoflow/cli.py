@@ -13,25 +13,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .criteria import (
-    criterion_2x2,
-    criterion_3x3,
-    criterion_5x5_q2zero,
-    rh_5x5,
-    sufficient_5x5,
-    verify_consistency,
-)
+from .criteria import closed_forms, verify_consistency
 from .errors import CryptoflowError
 from .gbm import GbmParams, exceedance_report, gbm_path_csv, gbm_simulate
 from .model import (
+    PARAM_FIELDS,
     ModelParams,
     ModelVariant,
     Variant,
-    equilibrium,
     ignored_fields,
     validate_params,
 )
@@ -39,9 +32,7 @@ from .simulate import SimConfig, default_step, perturb_and_classify
 from .stability import classify, eigenvalues, jacobian_analytic
 from .sweep import Axis, Method, SweepSpec, export_map, run_sweep
 
-PARAM_KEYS = ("q", "q1", "q2", "tau0", "c", "c1", "c2", "c3")
-
-_FLOAT_KEYS = frozenset(PARAM_KEYS) | {
+_FLOAT_KEYS = frozenset(PARAM_FIELDS) | {
     "eps", "band", "step", "horizon", "delta", "mu", "sigma", "p0", "drop",
 }
 _INT_KEYS = frozenset({"seed", "n", "threads"})
@@ -49,7 +40,7 @@ _STR_KEYS = frozenset({"variant", "axis1", "axis2", "method", "out", "format"})
 
 DEFAULTS: dict[str, object] = {
     "variant": "full5x5",
-    **{key: getattr(ModelParams(), key) for key in PARAM_KEYS},
+    **asdict(ModelParams()),
     "eps": 1e-8,
     "band": 1e-6,
     "seed": 0,
@@ -93,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--variant",
                         choices=[v.value for v in Variant],
                         help="model variant (default full5x5)")
-    for key in PARAM_KEYS:
+    for key in PARAM_FIELDS:
         shared.add_argument(f"--{key}", type=float,
                             help=f"model parameter {key}")
     shared.add_argument("--eps", type=float, help="spectral dead band (default 1e-8)")
@@ -114,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=["csv", "json", "svg"],
                         help="sweep export format (default csv, or from --out suffix)")
     shared.add_argument("--threads", type=int,
-                        help="worker threads (default CRYPTOFLOW_THREADS or 1)")
+                        help="validated (>= 1) but has no effect; "
+                        "default CRYPTOFLOW_THREADS or 1")
     shared.add_argument("--mu", type=float, help="baseline drift per unit time")
     shared.add_argument("--sigma", type=float,
                         help="baseline volatility per unit time (default 0.0075)")
@@ -219,11 +211,11 @@ def parse_config(argv: list[str]) -> Command:
         variant = ModelVariant(Variant(merged["variant"]))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    params = ModelParams(**{key: merged[key] for key in PARAM_KEYS})
+    params = ModelParams(**{key: merged[key] for key in PARAM_FIELDS})
 
     merged["threads"] = _resolve_threads(merged["threads"])
     _validate_options(args.verb, variant, params, merged, explicit)
-    options = {key: merged[key] for key in merged if key not in PARAM_KEYS}
+    options = {key: merged[key] for key in merged if key not in PARAM_FIELDS}
     options.pop("variant")
     return Command(
         verb=args.verb,
@@ -268,19 +260,11 @@ def _validate_options(verb, variant, params, merged, explicit) -> None:
             raise UsageError("sweep requires --axis1 and --axis2")
         axis1 = _parse_axis(merged["axis1"])
         axis2 = _parse_axis(merged["axis2"])
-        covered = set()
-        for axis in (axis1, axis2):
-            if axis.name == "K":
-                covered.add("q")
-            elif axis.name == "c_over_tau0":
-                covered.update({"c", "c1", "c2"})
-            else:
-                covered.add(axis.name)
         # fields an axis will overwrite are validated per cell instead
-        spared = ModelParams(**{
-            key: (getattr(ModelParams(), key) if key in covered else getattr(params, key))
-            for key in PARAM_KEYS
-        })
+        defaults = ModelParams()
+        spared = replace(params, **{name: getattr(defaults, name)
+                                    for axis in (axis1, axis2)
+                                    for name in axis.fields(variant)})
         try:
             validate_params(spared, variant)
         except CryptoflowError as exc:
@@ -291,11 +275,9 @@ def _validate_options(verb, variant, params, merged, explicit) -> None:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     elif verb == "verify":
-        pins = {key: getattr(params, key) for key in PARAM_KEYS if key in explicit}
-        probe = ModelParams(**{**{k: getattr(ModelParams(), k) for k in PARAM_KEYS},
-                               **pins})
+        pins = {key: getattr(params, key) for key in PARAM_FIELDS if key in explicit}
         try:
-            validate_params(probe, variant)
+            validate_params(ModelParams(**pins), variant)
         except CryptoflowError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -328,25 +310,11 @@ def _emit(doc: dict, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _params_doc(params: ModelParams) -> dict:
-    return {key: getattr(params, key) for key in PARAM_KEYS}
-
-
 def _closed_form_doc(variant: ModelVariant, params: ModelParams, band: float) -> dict:
-    if variant.tag is Variant.LIQUIDITY_2X2:
-        candidates = {"criterion_2x2": lambda: criterion_2x2(params, band)}
-    elif variant.tag is Variant.SENTIMENT_3X3:
-        candidates = {"criterion_3x3": lambda: criterion_3x3(params, band)}
-    else:
-        candidates = {
-            "rh_5x5": lambda: rh_5x5(params, band),
-            "criterion_5x5_q2zero": lambda: criterion_5x5_q2zero(params, band),
-            "sufficient_5x5": lambda: sufficient_5x5(params),
-        }
     out = {}
-    for name, fn in candidates.items():
+    for name, criterion in closed_forms(variant):
         try:
-            result = fn()
+            result = criterion(params, band)
         except CryptoflowError as exc:
             out[name] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
@@ -370,7 +338,7 @@ def _run_analyze(cmd: Command) -> int:
         "version": __version__,
         "variant": cmd.variant.tag.value,
         "zeta2_denominator": cmd.variant.zeta2_denominator.value,
-        "params": _params_doc(cmd.params),
+        "params": asdict(cmd.params),
         "ignored_fields": sorted(ignored_fields(cmd.variant)),
         "eps": opts["eps"],
         "band": opts["band"],
@@ -396,8 +364,7 @@ def _run_sweep(cmd: Command) -> int:
         axis2=_parse_axis(opts["axis2"]),
         method=Method(opts["method"]),
     )
-    result = run_sweep(spec, eps=opts["eps"], band=opts["band"],
-                       threads=opts["threads"])
+    result = run_sweep(spec, eps=opts["eps"], band=opts["band"])
     fmt = opts["format"]
     if fmt is None:
         suffix = Path(opts["out"]).suffix.lstrip(".") if opts["out"] else ""
@@ -424,7 +391,7 @@ def _run_simulate(cmd: Command) -> int:
     doc = {
         "version": __version__,
         "variant": cmd.variant.tag.value,
-        "params": _params_doc(cmd.params),
+        "params": asdict(cmd.params),
         "horizon": opts["horizon"],
         "step": config.step if config.step is not None
         else default_step(cmd.variant, cmd.params),
@@ -440,7 +407,7 @@ def _run_simulate(cmd: Command) -> int:
 
 def _run_verify(cmd: Command) -> int:
     opts = cmd.options
-    pins = {key: getattr(cmd.params, key) for key in PARAM_KEYS if key in cmd.explicit}
+    pins = {key: getattr(cmd.params, key) for key in PARAM_FIELDS if key in cmd.explicit}
     try:
         report = verify_consistency(
             cmd.variant,
@@ -449,7 +416,6 @@ def _run_verify(cmd: Command) -> int:
             band=opts["band"],
             eps=opts["eps"],
             fixed=pins or None,
-            threads=opts["threads"],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -468,7 +434,7 @@ def _run_verify(cmd: Command) -> int:
         "simple_condition_agreement": report.simple_condition_agreement,
         "mismatch_list": [
             {
-                "params": _params_doc(m.params),
+                "params": asdict(m.params),
                 "criterion_verdict": m.criterion_verdict.value,
                 "spectral_verdict": m.spectral_verdict.value,
                 "margin": m.margin,

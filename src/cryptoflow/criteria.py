@@ -9,18 +9,16 @@ eigenvalue route end to end.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import DegreeOutOfRange, OutOfScope, ScalingOutOfScope
-from .model import ModelParams, ModelVariant, Variant
+from .model import AMPLITUDES, TIME_SCALES, ModelParams, ModelVariant, Variant
 from .stability import (
     DEFAULT_EPS,
     Polynomial,
-    StabilityVerdict,
     Verdict,
     classify,
     eigenvalues,
@@ -135,6 +133,27 @@ def simple_condition_5x5(params: ModelParams) -> bool:
     return 1.0 / params.c3 + 1.0 / params.tau0 > params.K
 
 
+def closed_forms(
+    variant: ModelVariant, q2_zero: bool = False
+) -> list[tuple[str, Callable[[ModelParams, float], CriterionResult | bool]]]:
+    """The closed forms that apply to a variant, by name; the first gives its verdict.
+
+    Each function takes params and a dead band.  On the full variant the
+    verdict comes from Routh--Hurwitz, or from the exact K threshold when q2
+    is held at 0 (``q2_zero``); the sufficient condition is reported as a
+    bool and never gives a verdict.  The criteria are looked up when this is
+    called, so wrappers installed on this module's names are used.
+    """
+    if variant.tag is Variant.LIQUIDITY_2X2:
+        return [("criterion_2x2", criterion_2x2)]
+    if variant.tag is Variant.SENTIMENT_3X3:
+        return [("criterion_3x3", criterion_3x3)]
+    exact = [("rh_5x5", rh_5x5), ("criterion_5x5_q2zero", criterion_5x5_q2zero)]
+    if q2_zero:
+        exact.reverse()
+    return [*exact, ("sufficient_5x5", lambda params, band: sufficient_5x5(params))]
+
+
 def hurwitz_stable(poly: Polynomial) -> bool:
     """All roots in the open left half plane, decided by Hurwitz minors.
 
@@ -197,7 +216,8 @@ _SAMPLED_FIELDS = {
     Variant.FULL_5X5: ("q", "q1", "q2", "tau0", "c3"),
 }
 
-_AMPLITUDES = frozenset({"q", "q1", "q2"})
+# Fields a variant does not sample: amplitudes off, time scales at 1.
+_UNSAMPLED = {**dict.fromkeys(AMPLITUDES, 0.0), **dict.fromkeys(TIME_SCALES, 1.0)}
 
 
 def _sample_params(
@@ -205,23 +225,16 @@ def _sample_params(
     rng: np.random.Generator,
     fixed: Mapping[str, float],
 ) -> ModelParams:
-    values: dict[str, float] = {}
+    values = dict(_UNSAMPLED)
     for name in _SAMPLED_FIELDS[variant.tag]:
         if name in fixed:
             values[name] = float(fixed[name])
         else:
-            lo, hi = AMPLITUDE_RANGE if name in _AMPLITUDES else TIME_SCALE_RANGE
+            lo, hi = AMPLITUDE_RANGE if name in AMPLITUDES else TIME_SCALE_RANGE
             values[name] = float(10.0 ** rng.uniform(np.log10(lo), np.log10(hi)))
-    if variant.tag is Variant.LIQUIDITY_2X2:
-        return ModelParams(q=values["q"], q1=0.0, q2=0.0, tau0=values["tau0"],
-                           c=values["c"], c1=1.0, c2=1.0, c3=1.0)
-    if variant.tag is Variant.SENTIMENT_3X3:
-        # the 3x3 closed form only covers c1 == c, so sample them tied
-        return ModelParams(q=values["q"], q1=values["q1"], q2=0.0,
-                           tau0=values["tau0"], c=values["c"], c1=values["c"],
-                           c2=1.0, c3=1.0)
-    return ModelParams(q=values["q"], q1=values["q1"], q2=values["q2"],
-                       tau0=values["tau0"], c=1.0, c1=1.0, c2=1.0, c3=values["c3"])
+    for name in variant.tied_clocks:
+        values[name] = values["c"]
+    return ModelParams(**values)
 
 
 def verify_consistency(
@@ -231,24 +244,20 @@ def verify_consistency(
     band: float = DEFAULT_BAND,
     eps: float = DEFAULT_EPS,
     fixed: Mapping[str, float] | None = None,
-    threads: int = 1,
 ) -> ConsistencyReport:
     """Cross-validate the variant's closed-form criterion against eigenvalues.
 
     Samples n parameter points log-uniformly (amplitudes in [1e-3, 10], time
-    scales in [1e-2, 10]), evaluates both routes, and counts disagreements.
-    Points within ``band`` of the criterion boundary or within ``eps`` of the
-    spectral boundary are excluded rather than compared.
+    scales in [1e-2, 10]), evaluates both routes point by point, and counts
+    disagreements.  Points within ``band`` of the criterion boundary or within
+    ``eps`` of the spectral boundary are excluded rather than compared.
 
     ``fixed`` pins sampled fields to given values (e.g. {"q2": 0.0} on the
     full variant selects the q2 = 0 criterion and additionally reports the
     agreement rate of the 1/c3 + 1/tau0 > K shortcut for the record).
-    ``threads`` parallelizes the evaluation without changing the result.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     fixed = dict(fixed) if fixed else {}
     allowed = set(_SAMPLED_FIELDS[variant.tag])
     unknown = set(fixed) - allowed
@@ -258,35 +267,19 @@ def verify_consistency(
             f"samplable fields are {sorted(allowed)}"
         )
 
-    q2_pinned_zero = variant.tag is Variant.FULL_5X5 and fixed.get("q2") == 0.0
-    if variant.tag is Variant.LIQUIDITY_2X2:
-        criterion_name, criterion = "criterion_2x2", criterion_2x2
-    elif variant.tag is Variant.SENTIMENT_3X3:
-        criterion_name, criterion = "criterion_3x3", criterion_3x3
-    elif q2_pinned_zero:
-        criterion_name, criterion = "criterion_5x5_q2zero", criterion_5x5_q2zero
-    else:
-        criterion_name, criterion = "rh_5x5", rh_5x5
+    # only the full variant samples q2
+    q2_pinned_zero = fixed.get("q2") == 0.0
+    criterion_name, criterion = closed_forms(variant, q2_pinned_zero)[0]
 
     rng = np.random.default_rng(seed)
-    points = [_sample_params(variant, rng, fixed) for _ in range(n)]
-
-    def evaluate(params: ModelParams) -> tuple[CriterionResult, StabilityVerdict]:
-        closed = criterion(params, band)
-        spectral = classify(eigenvalues(jacobian_analytic(variant, params)), eps)
-        return closed, spectral
-
-    if threads == 1:
-        results = [evaluate(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, points))
-
     mismatches: list[Mismatch] = []
     excluded = 0
     simple_agree = 0
     compared = 0
-    for params, (closed, spectral) in zip(points, results):
+    for _ in range(n):
+        params = _sample_params(variant, rng, fixed)
+        closed = criterion(params, band)
+        spectral = classify(eigenvalues(jacobian_analytic(variant, params)), eps)
         if abs(closed.margin) <= band or abs(spectral.max_real) <= eps:
             excluded += 1
             continue

@@ -27,7 +27,7 @@ variants drop the corresponding rows and freeze the dropped sentiments at 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -65,6 +65,14 @@ _IGNORED = {
     Variant.LIQUIDITY_2X2: frozenset({"q1", "q2", "c1", "c2", "c3"}),
 }
 
+# criterion_3x3 is derived for c1 = c and the full-variant Jacobian for
+# c = c1 = c2, so sweeps and verify samples move these clocks together.
+_TIED_CLOCKS = {
+    Variant.FULL_5X5: ("c", "c1", "c2"),
+    Variant.SENTIMENT_3X3: ("c", "c1"),
+    Variant.LIQUIDITY_2X2: ("c",),
+}
+
 
 @dataclass(frozen=True)
 class ModelVariant:
@@ -81,6 +89,11 @@ class ModelVariant:
     def labels(self) -> tuple[str, ...]:
         """State component names, in storage order."""
         return _LABELS[self.tag]
+
+    @property
+    def tied_clocks(self) -> tuple[str, ...]:
+        """Time scales that move together with c, c included."""
+        return _TIED_CLOCKS[self.tag]
 
 
 FULL_5X5 = ModelVariant(Variant.FULL_5X5)
@@ -118,6 +131,11 @@ class ModelParams:
         return 1.0 - self.K
 
 
+PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
+AMPLITUDES = ("q", "q1", "q2")
+TIME_SCALES = ("tau0", "c", "c1", "c2", "c3")
+
+
 def ignored_fields(variant: ModelVariant) -> frozenset[str]:
     """Parameter fields the given variant does not read."""
     return _IGNORED[variant.tag]
@@ -133,11 +151,11 @@ def validate_params(params: ModelParams, variant: ModelVariant) -> ModelParams:
         NonPositiveTimeScale: a time scale is zero or negative.
         NegativeAmplitude: a reaction amplitude is negative.
     """
-    for name in ("tau0", "c", "c1", "c2", "c3"):
+    for name in TIME_SCALES:
         value = getattr(params, name)
         if not value > 0.0:
             raise NonPositiveTimeScale(f"{name} must be positive, got {value}")
-    for name in ("q", "q1", "q2"):
+    for name in AMPLITUDES:
         value = getattr(params, name)
         if value < 0.0:
             raise NegativeAmplitude(f"{name} must be nonnegative, got {value}")

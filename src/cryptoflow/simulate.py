@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import BlowUp, StateOutOfDomain
 from .model import (
+    TIME_SCALES,
     ModelParams,
     ModelVariant,
     equilibrium,
@@ -100,7 +101,7 @@ class PerturbationOutcome:
 
 def default_step(variant: ModelVariant, params: ModelParams) -> float:
     """Fastest time scale the variant reads, divided by 20."""
-    scales = {"tau0", "c", "c1", "c2", "c3"} - ignored_fields(variant)
+    scales = set(TIME_SCALES) - ignored_fields(variant)
     return min(getattr(params, name) for name in scales) / 20.0
 
 

@@ -10,20 +10,14 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
 
 import numpy as np
 
 from . import __version__
-from .criteria import (
-    DEFAULT_BAND,
-    criterion_2x2,
-    criterion_3x3,
-    rh_5x5,
-)
+from .criteria import DEFAULT_BAND, closed_forms
 from .errors import CryptoflowError
 from .model import (
     ModelParams,
@@ -72,6 +66,17 @@ class Axis:
     def values(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.steps)
 
+    def fields(self, variant: ModelVariant) -> tuple[str, ...]:
+        """Parameter fields this axis writes on the given variant.
+
+        The c_over_tau0 axis moves every time scale the variant ties to c.
+        """
+        if self.name == "K":
+            return ("q",)
+        if self.name == "c_over_tau0":
+            return variant.tied_clocks
+        return (self.name,)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -90,42 +95,28 @@ class _InvalidCell(CryptoflowError):
     """Internal: cell cannot be evaluated; message becomes the flag."""
 
 
-def _apply_axis(params: ModelParams, fixed: ModelParams,
-                variant: ModelVariant, name: str, value: float) -> ModelParams:
-    if name == "K":
+def _apply_axis(values: dict, spec: SweepSpec, axis: Axis, value: float) -> None:
+    if axis.name == "K":
         # K sweeps q while q1 is held at its fixed value.
-        q = value - 2.0 * fixed.q1
-        if q < 0.0:
+        value = value - 2.0 * spec.fixed.q1
+        if value < 0.0:
             raise _InvalidCell("q_negative_from_K")
-        return replace(params, q=q)
-    if name == "c_over_tau0":
-        # The ratio sweeps c while tau0 is held at its fixed value; the
-        # reaction scales tied to c by the variant's scope move with it.
-        c = value * fixed.tau0
-        if variant.tag is Variant.LIQUIDITY_2X2:
-            return replace(params, c=c)
-        if variant.tag is Variant.SENTIMENT_3X3:
-            return replace(params, c=c, c1=c)
-        return replace(params, c=c, c1=c, c2=c)
-    return replace(params, **{name: value})
+    elif axis.name == "c_over_tau0":
+        # The ratio sweeps c while tau0 is held at its fixed value.
+        value = value * spec.fixed.tau0
+    for name in axis.fields(spec.variant):
+        values[name] = value
 
 
-def _evaluate_cell(spec: SweepSpec, v1: float, v2: float,
-                   eps: float, band: float) -> tuple[Verdict, float, tuple[str, ...]]:
+def _evaluate_cell(spec: SweepSpec, fixed: dict, v1: float, v2: float,
+                   evaluate) -> tuple[Verdict, float, tuple[str, ...]]:
     try:
-        params = _apply_axis(spec.fixed, spec.fixed, spec.variant, spec.axis1.name, v1)
-        params = _apply_axis(params, spec.fixed, spec.variant, spec.axis2.name, v2)
-        validate_params(params, spec.variant)
-        if spec.method is Method.EIGEN:
-            verdict = classify(eigenvalues(jacobian_analytic(spec.variant, params)), eps)
-            return verdict.tag, verdict.max_real, ()
-        if spec.variant.tag is Variant.LIQUIDITY_2X2:
-            result = criterion_2x2(params, band)
-        elif spec.variant.tag is Variant.SENTIMENT_3X3:
-            result = criterion_3x3(params, band)
-        else:
-            result = rh_5x5(params, band)
-        return result.verdict, result.margin, ()
+        values = dict(fixed)
+        _apply_axis(values, spec, spec.axis1, v1)
+        _apply_axis(values, spec, spec.axis2, v2)
+        params = validate_params(ModelParams(**values), spec.variant)
+        verdict, value = evaluate(params)
+        return verdict, value, ()
     except _InvalidCell as exc:
         return Verdict.INVALID, float("nan"), (str(exc),)
     except CryptoflowError as exc:
@@ -193,7 +184,7 @@ class StabilityMap:
             "method": self.spec.method.value,
             "axis1": _axis_doc(self.spec.axis1),
             "axis2": _axis_doc(self.spec.axis2),
-            "fixed": _params_doc(self.spec.fixed),
+            "fixed": asdict(self.spec.fixed),
             "values": [
                 [None if np.isnan(v) else float(v) for v in row]
                 for row in self.values
@@ -238,32 +229,27 @@ def _axis_doc(axis: Axis) -> dict:
     return {"name": axis.name, "min": axis.min, "max": axis.max, "steps": axis.steps}
 
 
-def _params_doc(params: ModelParams) -> dict:
-    return {name: getattr(params, name)
-            for name in ("q", "q1", "q2", "tau0", "c", "c1", "c2", "c3")}
-
-
 def run_sweep(
     spec: SweepSpec,
     eps: float = DEFAULT_EPS,
     band: float = DEFAULT_BAND,
-    threads: int = 1,
 ) -> StabilityMap:
-    """Evaluate the sweep lattice; threading never changes the result."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    a1 = spec.axis1.values()
-    a2 = spec.axis2.values()
-
-    def compute_row(i: int):
-        return [_evaluate_cell(spec, a1[i], a2[j], eps, band) for j in range(len(a2))]
-
-    if threads == 1:
-        rows = [compute_row(i) for i in range(len(a1))]
+    """Evaluate the sweep lattice cell by cell, in row-major order."""
+    if spec.method is Method.EIGEN:
+        def evaluate(params):
+            verdict = classify(eigenvalues(jacobian_analytic(spec.variant, params)), eps)
+            return verdict.tag, verdict.max_real
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(compute_row, range(len(a1))))
+        _, criterion = closed_forms(spec.variant)[0]
 
+        def evaluate(params):
+            result = criterion(params, band)
+            return result.verdict, result.margin
+
+    fixed = asdict(spec.fixed)
+    a2 = spec.axis2.values()
+    rows = [[_evaluate_cell(spec, fixed, v1, v2, evaluate) for v2 in a2]
+            for v1 in spec.axis1.values()]
     values = np.array([[cell[1] for cell in row] for row in rows])
     verdicts = tuple(tuple(cell[0] for cell in row) for row in rows)
     flags = tuple(tuple(cell[2] for cell in row) for row in rows)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cryptoflow import FULL_5X5, LIQUIDITY_2X2, SENTIMENT_3X3, ModelParams, Variant
 from cryptoflow.cli import main
+from cryptoflow.criteria import closed_forms
 
 
 def run_cli(capsys, *args):
@@ -101,6 +103,17 @@ def test_sweep_rejects_inverted_axis(capsys):
     assert json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("axis2", ["c_over_tau0:0.5:2:3", "tau0:0.5:2:3"])
+@pytest.mark.parametrize("variant,field", [("liquidity2x2", "c1"), ("sentiment3x3", "c2")])
+def test_sweep_rejects_bad_field_no_axis_writes(capsys, variant, field, axis2):
+    # the ratio axis moves only the clocks the variant ties to c
+    code, out, err = run_cli(capsys, "sweep", "--variant", variant, f"--{field}", "-1",
+                             "--axis1", "q:0:2:3", "--axis2", axis2)
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be positive" in json.loads(err)["message"]
+
+
 def test_sweep_requires_axes(capsys):
     code, _, _ = run_cli(capsys, "sweep")
     assert code == 2
@@ -148,6 +161,31 @@ def test_verify_pins_explicit_params(capsys):
     assert doc["criterion"] == "criterion_5x5_q2zero"
     assert doc["pinned"] == {"q2": 0.0}
     assert doc["simple_condition_agreement"] is not None
+
+
+@pytest.mark.parametrize("variant", [FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2])
+def test_verbs_read_one_closed_form_table(capsys, variant):
+    tag = variant.tag.value
+    forms = closed_forms(variant)
+    code, out, _ = run_cli(capsys, "analyze", "--variant", tag)
+    assert code == 0
+    assert set(json.loads(out)["closed_form"]) == {name for name, _ in forms}
+
+    pin = ["--q2", "0"] if variant.tag is Variant.FULL_5X5 else ["--q", "0.3"]
+    for extra, q2_zero in (([], False), (pin, pin[0] == "--q2")):
+        code, out, _ = run_cli(capsys, "verify", "--variant", tag, "-n", "50", *extra)
+        assert code == 0
+        assert json.loads(out)["criterion"] == closed_forms(variant, q2_zero)[0][0]
+
+    code, out, _ = run_cli(capsys, "sweep", "--variant", tag, "--method", "closed_form",
+                           "--tau0", "1", "--axis1", "q:0:2:3", "--axis2", "q1:0:1:2",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    cell = ModelParams(**{**doc["fixed"], "q": 1.0, "q1": 1.0})
+    margin = forms[0][1](cell, doc["metadata"]["band"]).margin
+    assert margin != 0.0
+    assert doc["values"][1][1] == margin
 
 
 def test_simulate_emits_verdict_and_csv(tmp_path, capsys):

@@ -62,15 +62,6 @@ def test_export_deterministic_and_round_trips(monkeypatch):
     assert map_from_json(text) == result
 
 
-def test_threads_do_not_change_the_map(monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1609459200")
-    spec = liq_spec(q=(0.0, 4.0, 9), ratio=(0.5, 2.5, 7))
-    serial = run_sweep(spec, threads=1)
-    parallel = run_sweep(spec, threads=4)
-    assert serial == parallel
-    assert export_map(serial, "json") == export_map(parallel, "json")
-
-
 def test_eigen_and_closed_form_agree_off_the_band():
     eig = run_sweep(liq_spec(Method.EIGEN, q=(0.0, 4.0, 21), ratio=(0.2, 3.0, 15)))
     closed = run_sweep(liq_spec(Method.CLOSED_FORM, q=(0.0, 4.0, 21), ratio=(0.2, 3.0, 15)))
