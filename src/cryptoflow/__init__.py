@@ -14,6 +14,7 @@ from .errors import (
     CryptoflowError,
     DegreeOutOfRange,
     NegativeAmplitude,
+    NonFiniteParameter,
     NonPositiveTimeScale,
     OutOfScope,
     ResidualTooLarge,
@@ -94,7 +95,7 @@ from .gbm import (
 __all__ = [
     "__version__",
     # errors
-    "CryptoflowError", "NonPositiveTimeScale", "NegativeAmplitude",
+    "CryptoflowError", "NonFiniteParameter", "NonPositiveTimeScale", "NegativeAmplitude",
     "StateOutOfDomain", "BlowUp", "UnsupportedScaling", "ScalingOutOfScope",
     "OutOfScope", "ConvergenceFailure", "ResidualTooLarge", "DegreeOutOfRange",
     # model

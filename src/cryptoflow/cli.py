@@ -3,7 +3,8 @@
 All verbs share one option set.  Values resolve flag > config file > default;
 the config file is a flat JSON object keyed by flag names.  Exit codes:
 0 success, 1 verification found mismatches, 2 usage error, 3 runtime failure
-(reported as a single JSON object on stderr).
+such as an --out file that cannot be written (2 and 3 are reported as a
+single JSON object on stderr).
 """
 
 from __future__ import annotations
@@ -305,9 +306,9 @@ def _dump(doc: dict) -> str:
 
 def _emit(doc: dict, out: str | None) -> None:
     text = _dump(doc)
-    sys.stdout.write(text)
     if out:
         Path(out).write_text(text)
+    sys.stdout.write(text)
 
 
 def _closed_form_doc(variant: ModelVariant, params: ModelParams, band: float) -> dict:
@@ -364,7 +365,10 @@ def _run_sweep(cmd: Command) -> int:
         axis2=_parse_axis(opts["axis2"]),
         method=Method(opts["method"]),
     )
-    result = run_sweep(spec, eps=opts["eps"], band=opts["band"])
+    try:
+        result = run_sweep(spec, eps=opts["eps"], band=opts["band"])
+    except ValueError as exc:  # a bad SOURCE_DATE_EPOCH
+        raise UsageError(str(exc)) from exc
     fmt = opts["format"]
     if fmt is None:
         suffix = Path(opts["out"]).suffix.lstrip(".") if opts["out"] else ""
@@ -522,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(_error_json(exc))
         return 2
-    except CryptoflowError as exc:
+    except (CryptoflowError, OSError) as exc:
         sys.stderr.write(_error_json(exc))
         return 3
 

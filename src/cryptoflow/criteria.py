@@ -5,6 +5,10 @@ stable; verdicts use a dead band around zero so that points on the boundary
 come back Marginal instead of flipping on roundoff.  ``verify_consistency``
 samples random parameter points and checks the closed forms against the
 eigenvalue route end to end.
+
+Every margin is written once, on ``ModelParams`` whose fields are floats or
+arrays; ``evaluate_points`` runs a batch of points through one route (the
+spectrum or one closed form) and is what sweeps and verify call.
 """
 
 from __future__ import annotations
@@ -14,18 +18,33 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, OutOfScope, ScalingOutOfScope
-from .model import AMPLITUDES, TIME_SCALES, ModelParams, ModelVariant, Variant
+from .errors import ConvergenceFailure, DegreeOutOfRange, OutOfScope, ScalingOutOfScope
+from .model import (
+    AMPLITUDES,
+    PARAM_FIELDS,
+    PARAM_RULES,
+    TIME_SCALES,
+    ModelParams,
+    ModelVariant,
+    Rule,
+    Variant,
+    check_rules,
+    rule_errors,
+)
 from .stability import (
     DEFAULT_EPS,
     Polynomial,
     Verdict,
-    classify,
-    eigenvalues,
-    jacobian_analytic,
+    dominant_real_parts,
+    jacobian_scope,
+    jacobian_stack,
 )
 
 DEFAULT_BAND = 1e-6
+
+# Points per stacked eigen solve: enough to amortise the per-call cost of
+# eigvals, few enough that the stack's memory stays small.
+CHUNK = 1024
 
 # Log-uniform sampling ranges for verify_consistency.
 AMPLITUDE_RANGE = (1e-3, 10.0)
@@ -55,39 +74,75 @@ def _from_margin(margin: float, binding: str, band: float) -> CriterionResult:
     return CriterionResult(verdict=verdict, margin=margin, binding=binding)
 
 
+def _margin_2x2(p):
+    return (1.0 + p.c / p.tau0) - p.q, "q_threshold"
+
+
+def _margin_3x3(p):
+    return p.Q + p.c / p.tau0, "K_threshold"
+
+
+def _margin_5x5_q2zero(p):
+    return p.Q + 1.0 / p.tau0, "K_threshold"
+
+
+def _margin_rh_5x5(p):
+    # See rh_5x5 for the derivation.
+    tau0, c3 = p.tau0, p.c3
+    a2 = p.Q + 1.0 / tau0 + 1.0 / c3
+    a1 = p.Q / c3 + 1.0 / tau0 + 2.0 * p.q2 / tau0 + 1.0 / (tau0 * c3)
+    a0 = 1.0 / (tau0 * c3)
+    slack_a2 = a2
+    slack_prod = (a2 * a1 - a0) / (1.0 + a0)
+    a2_binds = slack_a2 <= slack_prod
+    return (np.where(a2_binds, slack_a2, slack_prod),
+            np.where(a2_binds, "a2_positive", "a2a1_exceeds_a0"))
+
+
+def _unit_scaling(name: str) -> Rule:
+    return Rule(ScalingOutOfScope,
+                lambda p: (p.c == 1.0) & (p.c1 == 1.0) & (p.c2 == 1.0),
+                f"{name} is derived for c = c1 = c2 = 1, "
+                "got c={p.c}, c1={p.c1}, c2={p.c2}")
+
+
+# Each criterion: the scope it is derived for, and its margin with the name
+# of the binding inequality.
+_CRITERIA = {
+    "criterion_2x2": ((), _margin_2x2),
+    "criterion_3x3": ((Rule(ScalingOutOfScope, lambda p: p.c == p.c1,
+                            "criterion_3x3 is derived for c = c1, got c={p.c}, c1={p.c1}"),),
+                      _margin_3x3),
+    "criterion_5x5_q2zero": ((Rule(OutOfScope, lambda p: p.q2 == 0.0,
+                                   "criterion_5x5_q2zero requires q2 = 0, got q2={p.q2}"),
+                              _unit_scaling("criterion_5x5_q2zero")),
+                             _margin_5x5_q2zero),
+    "rh_5x5": ((_unit_scaling("rh_5x5"),), _margin_rh_5x5),
+}
+
+
+def _criterion(name: str, params: ModelParams, band: float) -> CriterionResult:
+    scope, margin = _CRITERIA[name]
+    check_rules(scope, params)
+    value, binding = margin(params)
+    return _from_margin(float(value), str(binding), band)
+
+
 def criterion_2x2(params: ModelParams, band: float = DEFAULT_BAND) -> CriterionResult:
     """Price/liquidity variant: stable iff q < 1 + c/tau0."""
-    margin = (1.0 + params.c / params.tau0) - params.q
-    return _from_margin(margin, "q_threshold", band)
+    return _criterion("criterion_2x2", params, band)
 
 
 def criterion_3x3(params: ModelParams, band: float = DEFAULT_BAND) -> CriterionResult:
     """Trend-sentiment variant with c = c1: stable iff Q + c/tau0 > 0."""
-    if params.c != params.c1:
-        raise ScalingOutOfScope(
-            f"criterion_3x3 is derived for c = c1, got c={params.c}, c1={params.c1}"
-        )
-    margin = params.Q + params.c / params.tau0
-    return _from_margin(margin, "K_threshold", band)
-
-
-def _require_unit_scaling(params: ModelParams, name: str) -> None:
-    if not (params.c == params.c1 == params.c2 == 1.0):
-        raise ScalingOutOfScope(
-            f"{name} is derived for c = c1 = c2 = 1, got "
-            f"c={params.c}, c1={params.c1}, c2={params.c2}"
-        )
+    return _criterion("criterion_3x3", params, band)
 
 
 def criterion_5x5_q2zero(
     params: ModelParams, band: float = DEFAULT_BAND
 ) -> CriterionResult:
     """Full variant with value sentiment off: stable iff Q + 1/tau0 > 0."""
-    if params.q2 != 0.0:
-        raise OutOfScope(f"criterion_5x5_q2zero requires q2 = 0, got q2={params.q2}")
-    _require_unit_scaling(params, "criterion_5x5_q2zero")
-    margin = params.Q + 1.0 / params.tau0
-    return _from_margin(margin, "K_threshold", band)
+    return _criterion("criterion_5x5_q2zero", params, band)
 
 
 def rh_5x5(params: ModelParams, band: float = DEFAULT_BAND) -> CriterionResult:
@@ -101,16 +156,7 @@ def rh_5x5(params: ModelParams, band: float = DEFAULT_BAND) -> CriterionResult:
     so stability is exactly {a2 > 0, a2*a1 > a0}.  Each inequality yields a
     normalized slack (lhs - rhs)/(1 + |rhs|); the margin is the smaller one.
     """
-    _require_unit_scaling(params, "rh_5x5")
-    tau0, c3 = params.tau0, params.c3
-    a2 = params.Q + 1.0 / tau0 + 1.0 / c3
-    a1 = params.Q / c3 + 1.0 / tau0 + 2.0 * params.q2 / tau0 + 1.0 / (tau0 * c3)
-    a0 = 1.0 / (tau0 * c3)
-    slack_a2 = a2
-    slack_prod = (a2 * a1 - a0) / (1.0 + a0)
-    if slack_a2 <= slack_prod:
-        return _from_margin(slack_a2, "a2_positive", band)
-    return _from_margin(slack_prod, "a2a1_exceeds_a0", band)
+    return _criterion("rh_5x5", params, band)
 
 
 def sufficient_5x5(params: ModelParams) -> bool:
@@ -118,7 +164,7 @@ def sufficient_5x5(params: ModelParams) -> bool:
 
     Requires 1/c3 + 1/tau0 > K and 1/c3 + 1/tau0 > K/c3 - 2 q2/tau0.
     """
-    _require_unit_scaling(params, "sufficient_5x5")
+    check_rules((_unit_scaling("sufficient_5x5"),), params)
     lhs = 1.0 / params.c3 + 1.0 / params.tau0
     return lhs > params.K and lhs > params.K / params.c3 - 2.0 * params.q2 / params.tau0
 
@@ -128,7 +174,7 @@ def simple_condition_5x5(params: ModelParams) -> bool:
 
     At q2 = 0 this looks tempting but does not match the spectrum (the exact
     threshold is Q + 1/tau0 > 0); verify_consistency reports its agreement
-    rate for the record.
+    rate for the record.  Accepts a batch of points as well.
     """
     return 1.0 / params.c3 + 1.0 / params.tau0 > params.K
 
@@ -179,6 +225,88 @@ def hurwitz_stable(poly: Polynomial) -> bool:
     return True
 
 
+# PointVerdicts.codes index this tuple.
+VERDICTS = (Verdict.STABLE, Verdict.MARGINAL, Verdict.UNSTABLE, Verdict.INVALID)
+_STABLE, _MARGINAL, _UNSTABLE, _INVALID = range(len(VERDICTS))
+
+
+@dataclass(frozen=True)
+class PointVerdicts:
+    """Per-point outcome of :func:`evaluate_points`, in input order.
+
+    ``values`` holds max Re(lambda) on the spectral route and the criterion
+    margin on a closed-form route, NaN where a point is Invalid.  ``codes``
+    index ``VERDICTS``.  ``errors`` is an object array holding the
+    CryptoflowError subclass that made a point Invalid, None elsewhere.
+    """
+
+    values: np.ndarray
+    codes: np.ndarray
+    errors: np.ndarray
+
+    @property
+    def verdicts(self) -> list[Verdict]:
+        return [VERDICTS[code] for code in self.codes.tolist()]
+
+
+def _codes(stable: np.ndarray, unstable: np.ndarray) -> np.ndarray:
+    codes = np.full(len(stable), _MARGINAL, dtype=np.int8)
+    codes[stable] = _STABLE
+    codes[unstable] = _UNSTABLE
+    return codes
+
+
+def evaluate_points(
+    variant: ModelVariant,
+    params: ModelParams,
+    criterion: str | None,
+    tolerance: float,
+) -> PointVerdicts:
+    """Verdicts for a batch of parameter points through one route.
+
+    ``params`` holds an array of length n for at least one field; a float
+    field holds for every point.  With ``criterion`` None the route is the
+    spectrum: the Jacobians of ``CHUNK`` points at a time are stacked and
+    solved in one eigenvalue call, and ``tolerance`` is the spectral dead
+    band eps.  Otherwise the route is the named closed form (a name from
+    :func:`closed_forms`) and ``tolerance`` is its dead band.  Each value and
+    verdict equals what the single-point functions give for that point.  A
+    point is Invalid when it breaks the first of, in order: the parameter
+    rules of ``validate_params``, the route's scope, a solvable spectrum
+    (ConvergenceFailure).  An Invalid point never affects the others.
+    """
+    columns = np.broadcast_arrays(*(getattr(params, name) for name in PARAM_FIELDS))
+    n = len(columns[0])
+    values = np.full(n, np.nan)
+    codes = np.full(n, _INVALID, dtype=np.int8)
+    errors = np.full(n, None, dtype=object)
+    if criterion is None:
+        scope, margin = jacobian_scope(variant), None
+    else:
+        scope, margin = _CRITERIA[criterion]
+    for start in range(0, n, CHUNK):
+        part = slice(start, start + CHUNK)
+        chunk = ModelParams(**{name: column[part]
+                               for name, column in zip(PARAM_FIELDS, columns)})
+        chunk_errors = rule_errors((*PARAM_RULES, *scope), chunk)
+        valid = np.flatnonzero(chunk_errors == None)  # noqa: E711 (elementwise)
+        points = ModelParams(**{name: getattr(chunk, name)[valid] for name in PARAM_FIELDS})
+        if margin is None:
+            value, failed = dominant_real_parts(jacobian_stack(variant, points))
+            chunk_errors[valid[failed]] = ConvergenceFailure
+            valid = valid[~failed]
+            value = value[~failed]
+            tags = _codes(value < -tolerance, value > tolerance)
+        else:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                value = margin(points)[0]
+            tags = _codes(value > tolerance, value < -tolerance)
+        values[start + valid] = value
+        codes[start + valid] = tags
+        errors[part] = chunk_errors
+    return PointVerdicts(values=values, codes=codes, errors=errors)
+
+
 @dataclass(frozen=True)
 class Mismatch:
     """A sampled point where the closed form and the spectrum disagree."""
@@ -224,17 +352,29 @@ def _sample_params(
     variant: ModelVariant,
     rng: np.random.Generator,
     fixed: Mapping[str, float],
+    m: int,
 ) -> ModelParams:
-    values = dict(_UNSAMPLED)
+    """m sample points, drawn in the order of a loop over points and fields."""
+    columns = {name: np.full(m, value) for name, value in _UNSAMPLED.items()}
+    drawn = []
     for name in _SAMPLED_FIELDS[variant.tag]:
         if name in fixed:
-            values[name] = float(fixed[name])
+            columns[name] = np.full(m, float(fixed[name]))
         else:
-            lo, hi = AMPLITUDE_RANGE if name in AMPLITUDES else TIME_SCALE_RANGE
-            values[name] = float(10.0 ** rng.uniform(np.log10(lo), np.log10(hi)))
+            drawn.append(name)
+    if drawn:
+        ranges = [AMPLITUDE_RANGE if name in AMPLITUDES else TIME_SCALE_RANGE
+                  for name in drawn]
+        exponents = rng.uniform([np.log10(lo) for lo, _ in ranges],
+                                [np.log10(hi) for _, hi in ranges],
+                                size=(m, len(drawn)))
+        # Python's float power, not np.power: their last bits differ on some CPUs.
+        powers = np.array([10.0 ** x for x in exponents.ravel().tolist()])
+        for k, name in enumerate(drawn):
+            columns[name] = powers[k::len(drawn)]
     for name in variant.tied_clocks:
-        values[name] = values["c"]
-    return ModelParams(**values)
+        columns[name] = columns["c"]
+    return ModelParams(**columns)
 
 
 def verify_consistency(
@@ -248,9 +388,12 @@ def verify_consistency(
     """Cross-validate the variant's closed-form criterion against eigenvalues.
 
     Samples n parameter points log-uniformly (amplitudes in [1e-3, 10], time
-    scales in [1e-2, 10]), evaluates both routes point by point, and counts
-    disagreements.  Points within ``band`` of the criterion boundary or within
-    ``eps`` of the spectral boundary are excluded rather than compared.
+    scales in [1e-2, 10]), evaluates both routes on batches of ``CHUNK``
+    points, and counts disagreements.  Points within ``band`` of the
+    criterion boundary or within ``eps`` of the spectral boundary are
+    excluded rather than compared.  A sample that cannot be evaluated (a
+    pinned value breaks a parameter rule, or its spectrum cannot be solved)
+    raises that error.
 
     ``fixed`` pins sampled fields to given values (e.g. {"q2": 0.0} on the
     full variant selects the q2 = 0 criterion and additionally reports the
@@ -269,33 +412,39 @@ def verify_consistency(
 
     # only the full variant samples q2
     q2_pinned_zero = fixed.get("q2") == 0.0
-    criterion_name, criterion = closed_forms(variant, q2_pinned_zero)[0]
+    criterion_name, _ = closed_forms(variant, q2_pinned_zero)[0]
 
     rng = np.random.default_rng(seed)
     mismatches: list[Mismatch] = []
     excluded = 0
     simple_agree = 0
     compared = 0
-    for _ in range(n):
-        params = _sample_params(variant, rng, fixed)
-        closed = criterion(params, band)
-        spectral = classify(eigenvalues(jacobian_analytic(variant, params)), eps)
-        if abs(closed.margin) <= band or abs(spectral.max_real) <= eps:
-            excluded += 1
-            continue
-        compared += 1
-        if closed.verdict is not spectral.tag:
+    for start in range(0, n, CHUNK):
+        params = _sample_params(variant, rng, fixed, min(CHUNK, n - start))
+        closed = evaluate_points(variant, params, criterion_name, band)
+        spectral = evaluate_points(variant, params, None, eps)
+        invalid = np.flatnonzero((closed.codes == _INVALID) | (spectral.codes == _INVALID))
+        if invalid.size:
+            i = invalid[0]
+            error = closed.errors[i] or spectral.errors[i]
+            raise error(f"verify sample {start + i} cannot be evaluated "
+                        f"({error.__name__})")
+        kept = ~((np.abs(closed.values) <= band) | (np.abs(spectral.values) <= eps))
+        excluded += int(np.count_nonzero(~kept))
+        compared += int(np.count_nonzero(kept))
+        for i in np.flatnonzero(kept & (closed.codes != spectral.codes)):
             mismatches.append(Mismatch(
-                params=params,
-                criterion_verdict=closed.verdict,
-                spectral_verdict=spectral.tag,
-                margin=closed.margin,
-                max_real=spectral.max_real,
+                params=ModelParams(**{name: getattr(params, name)[i].item()
+                                      for name in PARAM_FIELDS}),
+                criterion_verdict=VERDICTS[closed.codes[i]],
+                spectral_verdict=VERDICTS[spectral.codes[i]],
+                margin=closed.values[i].item(),
+                max_real=spectral.values[i].item(),
             ))
         if q2_pinned_zero:
-            predicted = Verdict.STABLE if simple_condition_5x5(params) else Verdict.UNSTABLE
-            if predicted is spectral.tag:
-                simple_agree += 1
+            predicted = np.where(simple_condition_5x5(params), _STABLE, _UNSTABLE)
+            agree = predicted == spectral.codes
+            simple_agree += int(np.count_nonzero(kept & agree))
 
     agreement = None
     if q2_pinned_zero:

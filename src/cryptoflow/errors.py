@@ -12,6 +12,10 @@ class CryptoflowError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class NonFiniteParameter(CryptoflowError):
+    """A model parameter is NaN or infinite."""
+
+
 class NonPositiveTimeScale(CryptoflowError):
     """A time-scale parameter (tau0, c, c1, c2, c3) is zero or negative."""
 

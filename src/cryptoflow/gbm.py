@@ -10,10 +10,22 @@ rejection sampling), which keeps every path reproducible from its seed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+
+# Importing scipy.special imports numpy.f2py, which parses SOURCE_DATE_EPOCH
+# and raises on a value that is not an integer.  Only sweep metadata reads
+# that variable, and it rejects a bad value as a usage error, so the variable
+# is hidden for the length of this import.
+_epoch = os.environ.pop("SOURCE_DATE_EPOCH", None)
+try:
+    from scipy.special import ndtri
+finally:
+    if _epoch is not None:
+        os.environ["SOURCE_DATE_EPOCH"] = _epoch
+del _epoch
 
 
 @dataclass(frozen=True)

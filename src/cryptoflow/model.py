@@ -29,10 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .errors import NegativeAmplitude, NonPositiveTimeScale, StateOutOfDomain
+from .errors import (
+    CryptoflowError,
+    NegativeAmplitude,
+    NonFiniteParameter,
+    NonPositiveTimeScale,
+    StateOutOfDomain,
+)
 
 # Prices below this floor are treated as a domain exit, not clamped.
 P_FLOOR = 1e-9
@@ -108,7 +115,9 @@ class ModelParams:
 
     q, q1, q2 are the liquidity, trend and value reaction amplitudes;
     tau0, c, c1, c2, c3 are the price, liquidity, trend, value and anchor
-    time scales.  Defaults match the command-line defaults.
+    time scales.  Defaults match the command-line defaults.  A batch of
+    points holds arrays of one length in place of floats (a float field
+    holds for every point); the formulas that read params accept both.
     """
 
     q: float = 0.5
@@ -136,6 +145,58 @@ AMPLITUDES = ("q", "q1", "q2")
 TIME_SCALES = ("tau0", "c", "c1", "c2", "c3")
 
 
+@dataclass(frozen=True)
+class Rule:
+    """A condition on the parameters and the error that reports a breach.
+
+    ``holds`` answers for one point (a bool) or for a batch (a bool array).
+    ``message`` is a ``str.format`` template over the params, named ``p``.
+    """
+
+    error: type[CryptoflowError]
+    holds: Callable[[ModelParams], bool | np.ndarray]
+    message: str
+
+
+def check_rules(rules, params: ModelParams) -> None:
+    """Raise the error of the first rule the point breaks."""
+    for rule in rules:
+        if not rule.holds(params):
+            raise rule.error(rule.message.format(p=params))
+
+
+def rule_errors(rules, params: ModelParams) -> np.ndarray:
+    """Per point of a batch, the error class of the first rule it breaks.
+
+    Returns an object array with None where every rule holds.
+    """
+    errors = np.full(len(params.q), None, dtype=object)
+    unbroken = np.ones(len(errors), dtype=bool)
+    for rule in rules:
+        broken = unbroken & ~rule.holds(params)
+        errors[broken] = rule.error
+        unbroken &= ~broken
+    return errors
+
+
+def _field_rules(error, names, test, requirement) -> tuple[Rule, ...]:
+    return tuple(
+        Rule(error, lambda p, name=name: test(getattr(p, name)),
+             f"{name} {requirement}, got {{p.{name}}}")
+        for name in names
+    )
+
+
+# Checked in this order; the first broken rule names the error.
+PARAM_RULES = (
+    *_field_rules(NonFiniteParameter, PARAM_FIELDS, np.isfinite, "must be finite"),
+    *_field_rules(NonPositiveTimeScale, TIME_SCALES, lambda v: v > 0.0,
+                  "must be positive"),
+    *_field_rules(NegativeAmplitude, AMPLITUDES, lambda v: v >= 0.0,
+                  "must be nonnegative"),
+)
+
+
 def ignored_fields(variant: ModelVariant) -> frozenset[str]:
     """Parameter fields the given variant does not read."""
     return _IGNORED[variant.tag]
@@ -145,20 +206,15 @@ def validate_params(params: ModelParams, variant: ModelVariant) -> ModelParams:
     """Check parameter constraints and return the params unchanged.
 
     All fields are validated, including ones the variant ignores; use
-    :func:`ignored_fields` to see which fields those are.
+    :func:`ignored_fields` to see which fields those are.  The same rules
+    (``PARAM_RULES``) mark the invalid points of a batch.
 
     Raises:
+        NonFiniteParameter: a field is NaN or infinite (checked first).
         NonPositiveTimeScale: a time scale is zero or negative.
         NegativeAmplitude: a reaction amplitude is negative.
     """
-    for name in TIME_SCALES:
-        value = getattr(params, name)
-        if not value > 0.0:
-            raise NonPositiveTimeScale(f"{name} must be positive, got {value}")
-    for name in AMPLITUDES:
-        value = getattr(params, name)
-        if value < 0.0:
-            raise NegativeAmplitude(f"{name} must be nonnegative, got {value}")
+    check_rules(PARAM_RULES, params)
     return params
 
 

@@ -16,7 +16,16 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceFailure, ResidualTooLarge, UnsupportedScaling
-from .model import ModelParams, ModelVariant, Variant, equilibrium, rhs
+from .model import (
+    PARAM_FIELDS,
+    ModelParams,
+    ModelVariant,
+    Rule,
+    Variant,
+    check_rules,
+    equilibrium,
+    rhs,
+)
 
 DEFAULT_EPS = 1e-8
 
@@ -73,6 +82,60 @@ class StabilityVerdict:
     eps: float
 
 
+# The full variant's closed-form Jacobian is derived for c = c1 = c2.
+_JACOBIAN_SCOPE = {
+    Variant.FULL_5X5: (Rule(
+        UnsupportedScaling,
+        lambda p: (p.c == p.c1) & (p.c1 == p.c2),
+        "full variant Jacobian requires c = c1 = c2, got c={p.c}, c1={p.c1}, c2={p.c2}",
+    ),),
+}
+
+
+def jacobian_scope(variant: ModelVariant) -> tuple[Rule, ...]:
+    """Conditions under which the variant's closed-form Jacobian holds."""
+    return _JACOBIAN_SCOPE.get(variant.tag, ())
+
+
+def jacobian_stack(variant: ModelVariant, params: ModelParams) -> np.ndarray:
+    """Closed-form Jacobians at the flat equilibrium, one per point.
+
+    With float fields the result is one (dim, dim) matrix; with array fields
+    of shape (n,) it is an (n, dim, dim) stack.  Entries are computed with the
+    same operations either way, so each matrix of a stack equals the single
+    point's matrix bitwise.  The scope is not checked here.  With array
+    fields, entries that overflow or divide by zero come back non-finite
+    without a warning.
+    """
+    q, q1, q2, tau0, c, c1, c2, c3 = (getattr(params, name) for name in PARAM_FIELDS)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if variant.tag is Variant.LIQUIDITY_2X2:
+            rows = [
+                [-1.0 / tau0, 1.0 / tau0],
+                [-q / c, (q - 1.0) / c],
+            ]
+        elif variant.tag is Variant.SENTIMENT_3X3:
+            rows = [
+                [-1.0 / tau0, 1.0 / tau0, 2.0 / tau0],
+                [-q / c, (q - 1.0) / c, 2.0 * q / c],
+                [-q1 / c1, q1 / c1, (2.0 * q1 - 1.0) / c1],
+            ]
+        else:
+            rows = [
+                [-1.0 / tau0, 0.0, 1.0 / tau0, 2.0 / tau0, 2.0 / tau0],
+                [1.0 / c3, -1.0 / c3, 0.0, 0.0, 0.0],
+                [-q / c, 0.0, (q - 1.0) / c, 2.0 * q / c, 2.0 * q / c],
+                [-q1 / c1, 0.0, q1 / c1, (2.0 * q1 - 1.0) / c1, 2.0 * q1 / c1],
+                [-q2 / c2, q2 / c2, 0.0, 0.0, -1.0 / c2],
+            ]
+    shape = np.broadcast(q, q1, q2, tau0, c, c1, c2, c3).shape
+    jac = np.empty(shape + (len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            jac[..., i, j] = entry
+    return jac
+
+
 def jacobian_analytic(variant: ModelVariant, params: ModelParams) -> np.ndarray:
     """Closed-form Jacobian at the flat equilibrium.
 
@@ -81,36 +144,8 @@ def jacobian_analytic(variant: ModelVariant, params: ModelParams) -> np.ndarray:
     unequal scales raise UnsupportedScaling.  The smaller variants accept
     general time scales.
     """
-    q, q1, q2 = params.q, params.q1, params.q2
-    tau0, c, c1 = params.tau0, params.c, params.c1
-
-    if variant.tag is Variant.LIQUIDITY_2X2:
-        return np.array([
-            [-1.0 / tau0, 1.0 / tau0],
-            [-q / c, (q - 1.0) / c],
-        ])
-
-    if variant.tag is Variant.SENTIMENT_3X3:
-        return np.array([
-            [-1.0 / tau0, 1.0 / tau0, 2.0 / tau0],
-            [-q / c, (q - 1.0) / c, 2.0 * q / c],
-            [-q1 / c1, q1 / c1, (2.0 * q1 - 1.0) / c1],
-        ])
-
-    if not (params.c == params.c1 == params.c2):
-        raise UnsupportedScaling(
-            "full variant Jacobian requires c = c1 = c2, got "
-            f"c={params.c}, c1={params.c1}, c2={params.c2}"
-        )
-    c2s = params.c2
-    c3 = params.c3
-    return np.array([
-        [-1.0 / tau0, 0.0, 1.0 / tau0, 2.0 / tau0, 2.0 / tau0],
-        [1.0 / c3, -1.0 / c3, 0.0, 0.0, 0.0],
-        [-q / c, 0.0, (q - 1.0) / c, 2.0 * q / c, 2.0 * q / c],
-        [-q1 / c1, 0.0, q1 / c1, (2.0 * q1 - 1.0) / c1, 2.0 * q1 / c1],
-        [-q2 / c2s, q2 / c2s, 0.0, 0.0, -1.0 / c2s],
-    ])
+    check_rules(jacobian_scope(variant), params)
+    return jacobian_stack(variant, params)
 
 
 def jacobian_numeric(
@@ -183,6 +218,43 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
         raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
     ordered = sorted((complex(v) for v in vals), key=lambda z: (-z.real, z.imag))
     return Spectrum(tuple(ordered))
+
+
+def dominant_real_parts(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dominant real part of each matrix of an (n, d, d) stack, and where it failed.
+
+    The whole stack goes through one ``np.linalg.eigvals`` call.  Each value
+    equals ``classify(eigenvalues(m)).max_real`` bitwise, sign of zero
+    included: it is the real part of the first eigenvalue in descending-real,
+    ascending-imaginary order, ties going to LAPACK's order.  A matrix with a
+    non-finite entry fails, as it does in ``eigenvalues``.  If LAPACK fails
+    on the stack, or returns a non-finite spectrum, the matrices concerned go
+    through ``eigenvalues`` one at a time, so one bad matrix fails alone.
+    Failed entries hold NaN.
+    """
+    n = len(stack)
+    max_real = np.full(n, np.nan)
+    failed = ~np.isfinite(stack).all(axis=(1, 2))
+    retry = np.zeros(n, dtype=bool)
+    solvable = np.flatnonzero(~failed)
+    try:
+        vals = np.linalg.eigvals(stack[solvable])
+    except np.linalg.LinAlgError:
+        retry[solvable] = True
+    else:
+        re, im = vals.real, vals.imag
+        tied = re == re.max(axis=1, keepdims=True)
+        lowest = np.where(tied, im, np.inf).min(axis=1, keepdims=True)
+        first = (tied & (im == lowest)).argmax(axis=1)
+        max_real[solvable] = re[np.arange(len(solvable)), first]
+        retry[solvable] = ~np.isfinite(vals).all(axis=1)
+    for i in np.flatnonzero(retry):
+        try:
+            max_real[i] = eigenvalues(stack[i]).max_real
+        except ConvergenceFailure:
+            max_real[i] = np.nan
+            failed[i] = True
+    return max_real, failed
 
 
 def _deflate_at_minus_one(coeffs: tuple[float, ...]) -> tuple[tuple[float, ...], float]:

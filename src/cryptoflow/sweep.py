@@ -2,13 +2,16 @@
 
 A sweep evaluates a verdict on an inclusive rectangular lattice, either from
 eigenvalues of the closed-form Jacobian or from the variant's closed-form
-criterion.  Cells that cannot be evaluated (invalid parameters, criterion out
-of scope) become Invalid cells instead of aborting the sweep.
+criterion.  All cells go through one batched evaluation
+(``criteria.evaluate_points``).  Cells that cannot be evaluated (invalid
+parameters, out of scope, no solvable spectrum) become Invalid cells instead
+of aborting the sweep.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -17,22 +20,14 @@ from enum import Enum
 import numpy as np
 
 from . import __version__
-from .criteria import DEFAULT_BAND, closed_forms
-from .errors import CryptoflowError
+from .criteria import DEFAULT_BAND, closed_forms, evaluate_points
 from .model import (
     ModelParams,
     ModelVariant,
     Variant,
     Zeta2Denominator,
-    validate_params,
 )
-from .stability import (
-    DEFAULT_EPS,
-    Verdict,
-    classify,
-    eigenvalues,
-    jacobian_analytic,
-)
+from .stability import DEFAULT_EPS, Verdict
 
 AXIS_NAMES = ("q", "q1", "q2", "K", "tau0", "c3", "c_over_tau0")
 
@@ -58,6 +53,14 @@ class Axis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(
+                f"axis {self.name}: bounds must be finite, got {self.min}, {self.max}"
+            )
+        if not math.isfinite(self.max - self.min):
+            raise ValueError(
+                f"axis {self.name}: span {self.min} to {self.max} overflows"
+            )
         if not self.min < self.max:
             raise ValueError(f"axis {self.name}: min {self.min} must be < max {self.max}")
         if self.steps < 2:
@@ -91,43 +94,16 @@ class SweepSpec:
             raise ValueError(f"axes must differ, both are {self.axis1.name!r}")
 
 
-class _InvalidCell(CryptoflowError):
-    """Internal: cell cannot be evaluated; message becomes the flag."""
-
-
-def _apply_axis(values: dict, spec: SweepSpec, axis: Axis, value: float) -> None:
-    if axis.name == "K":
-        # K sweeps q while q1 is held at its fixed value.
-        value = value - 2.0 * spec.fixed.q1
-        if value < 0.0:
-            raise _InvalidCell("q_negative_from_K")
-    elif axis.name == "c_over_tau0":
-        # The ratio sweeps c while tau0 is held at its fixed value.
-        value = value * spec.fixed.tau0
-    for name in axis.fields(spec.variant):
-        values[name] = value
-
-
-def _evaluate_cell(spec: SweepSpec, fixed: dict, v1: float, v2: float,
-                   evaluate) -> tuple[Verdict, float, tuple[str, ...]]:
-    try:
-        values = dict(fixed)
-        _apply_axis(values, spec, spec.axis1, v1)
-        _apply_axis(values, spec, spec.axis2, v2)
-        params = validate_params(ModelParams(**values), spec.variant)
-        verdict, value = evaluate(params)
-        return verdict, value, ()
-    except _InvalidCell as exc:
-        return Verdict.INVALID, float("nan"), (str(exc),)
-    except CryptoflowError as exc:
-        return Verdict.INVALID, float("nan"), (type(exc).__name__,)
-
-
 def _timestamp() -> str:
     """ISO timestamp; honours SOURCE_DATE_EPOCH for reproducible outputs."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
-        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        try:
+            stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        except (ValueError, OverflowError, OSError) as exc:
+            raise ValueError(
+                f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {epoch!r}"
+            ) from exc
     else:
         stamp = datetime.now(tz=timezone.utc)
     return stamp.isoformat(timespec="seconds")
@@ -229,30 +205,34 @@ def _axis_doc(axis: Axis) -> dict:
     return {"name": axis.name, "min": axis.min, "max": axis.max, "steps": axis.steps}
 
 
+def _cell_params(spec: SweepSpec) -> tuple[ModelParams, np.ndarray]:
+    """Parameters of every cell in row-major order (fields no axis writes
+    stay floats), and the cells whose K axis value leaves q negative."""
+    n1, n2 = spec.axis1.steps, spec.axis2.steps
+    columns = asdict(spec.fixed)
+    q_negative = np.zeros(n1 * n2, dtype=bool)
+    for axis, values in ((spec.axis1, np.repeat(spec.axis1.values(), n2)),
+                         (spec.axis2, np.tile(spec.axis2.values(), n1))):
+        # A value that overflows to inf makes its cell Invalid (NonFiniteParameter).
+        with np.errstate(over="ignore"):
+            if axis.name == "K":
+                # K sweeps q while q1 is held at its fixed value.
+                values = values - 2.0 * spec.fixed.q1
+                q_negative |= values < 0.0
+            elif axis.name == "c_over_tau0":
+                # The ratio sweeps c while tau0 is held at its fixed value.
+                values = values * spec.fixed.tau0
+        for name in axis.fields(spec.variant):
+            columns[name] = values
+    return ModelParams(**columns), q_negative
+
+
 def run_sweep(
     spec: SweepSpec,
     eps: float = DEFAULT_EPS,
     band: float = DEFAULT_BAND,
 ) -> StabilityMap:
-    """Evaluate the sweep lattice cell by cell, in row-major order."""
-    if spec.method is Method.EIGEN:
-        def evaluate(params):
-            verdict = classify(eigenvalues(jacobian_analytic(spec.variant, params)), eps)
-            return verdict.tag, verdict.max_real
-    else:
-        _, criterion = closed_forms(spec.variant)[0]
-
-        def evaluate(params):
-            result = criterion(params, band)
-            return result.verdict, result.margin
-
-    fixed = asdict(spec.fixed)
-    a2 = spec.axis2.values()
-    rows = [[_evaluate_cell(spec, fixed, v1, v2, evaluate) for v2 in a2]
-            for v1 in spec.axis1.values()]
-    values = np.array([[cell[1] for cell in row] for row in rows])
-    verdicts = tuple(tuple(cell[0] for cell in row) for row in rows)
-    flags = tuple(tuple(cell[2] for cell in row) for row in rows)
+    """Evaluate every cell of the sweep lattice in one batch."""
     metadata = {
         "created": _timestamp(),
         "version": __version__,
@@ -263,8 +243,28 @@ def run_sweep(
         metadata["k_axis_holds_q1"] = spec.fixed.q1
     if "c_over_tau0" in (spec.axis1.name, spec.axis2.name):
         metadata["ratio_axis_holds_tau0"] = spec.fixed.tau0
+
+    params, q_negative = _cell_params(spec)
+    if spec.method is Method.EIGEN:
+        result = evaluate_points(spec.variant, params, None, eps)
+    else:
+        criterion, _ = closed_forms(spec.variant)[0]
+        result = evaluate_points(spec.variant, params, criterion, band)
+    values = result.values
+    verdicts = result.verdicts
+    flags = [() if error is None else (error.__name__,) for error in result.errors]
+    for i in np.flatnonzero(q_negative):
+        values[i] = np.nan
+        verdicts[i] = Verdict.INVALID
+        flags[i] = ("q_negative_from_K",)
+
+    n1, n2 = spec.axis1.steps, spec.axis2.steps
     return StabilityMap(
-        spec=spec, values=values, verdicts=verdicts, flags=flags, metadata=metadata
+        spec=spec,
+        values=values.reshape(n1, n2),
+        verdicts=tuple(tuple(verdicts[i * n2:(i + 1) * n2]) for i in range(n1)),
+        flags=tuple(tuple(flags[i * n2:(i + 1) * n2]) for i in range(n1)),
+        metadata=metadata,
     )
 
 

@@ -1,6 +1,9 @@
 """Command-line behaviour: parsing, precedence, exit codes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -251,3 +254,72 @@ def test_nan_survives_json_output(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "unstable"
+
+
+def _one_json_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze", "--variant", "sentiment3x3", "--q", "nan"),
+    ("simulate", "--variant", "sentiment3x3", "--q", "nan"),
+    ("analyze", "--variant", "liquidity2x2", "--tau0", "inf"),
+    ("verify", "--variant", "liquidity2x2", "--c=-inf", "-n", "10"),
+    ("sweep", "--variant", "liquidity2x2", "--q1", "nan",
+     "--axis1", "q:0:1:3", "--axis2", "tau0:1:2:3"),
+])
+def test_non_finite_parameter_exits_2(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in _one_json_line(err)["message"]
+
+
+@pytest.mark.parametrize("axis", ["q:0:inf:3", "q:-inf:1:3", "q:nan:1:3",
+                                  "q:-1e308:1e308:3"])
+def test_sweep_rejects_non_finite_axis(capsys, axis):
+    code, out, err = run_cli(capsys, "sweep", "--variant", "liquidity2x2",
+                             "--axis1", axis, "--axis2", "tau0:1:2:3")
+    assert code == 2
+    assert out == ""
+    _one_json_line(err)
+
+
+@pytest.mark.parametrize("args", [
+    ("analyze",),
+    ("sweep", "--variant", "liquidity2x2", "--axis1", "q:0:1:3",
+     "--axis2", "tau0:1:2:3"),
+    ("verify", "--variant", "liquidity2x2", "-n", "10"),
+    ("simulate", "--variant", "liquidity2x2", "--horizon", "1"),
+    ("baseline", "-n", "10"),
+])
+def test_unwritable_out_exits_3(tmp_path, capsys, args):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *args, "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert _one_json_line(err)["error"] == "FileNotFoundError"
+
+
+def test_bad_source_date_epoch_exits_2(capsys, monkeypatch):
+    sweep = ("sweep", "--variant", "liquidity2x2", "--axis1", "q:0:1:3",
+             "--axis2", "tau0:1:2:3", "--format", "json")
+    for epoch in ("abc", "1.5", "99999999999999999999"):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        code, out, err = run_cli(capsys, *sweep)
+        assert code == 2
+        assert out == ""
+        assert "SOURCE_DATE_EPOCH" in _one_json_line(err)["message"]
+
+
+def test_bad_source_date_epoch_in_a_fresh_process():
+    # scipy.special's import reads the variable too; it must not crash first.
+    env = dict(os.environ, SOURCE_DATE_EPOCH="abc")
+    proc = subprocess.run([sys.executable, "-m", "cryptoflow", "sweep", "--variant",
+                           "liquidity2x2", "--axis1", "q:0:1:3", "--axis2", "tau0:1:2:3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "SOURCE_DATE_EPOCH" in _one_json_line(proc.stderr)["message"]

@@ -1,5 +1,7 @@
 """Model definitions: variants, parameter validation, and the vector field."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from cryptoflow import (
     SENTIMENT_3X3,
     ModelParams,
     NegativeAmplitude,
+    NonFiniteParameter,
     NonPositiveTimeScale,
     StateOutOfDomain,
     equilibrium,
@@ -73,6 +76,16 @@ def test_negative_amplitude_rejected(name):
     params = ModelParams(**{name: -0.1})
     with pytest.raises(NegativeAmplitude):
         validate_params(params, FULL_5X5)
+
+
+@pytest.mark.parametrize("name", ["q", "q1", "q2", "tau0", "c", "c1", "c2", "c3"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameter_rejected_before_other_rules(name, bad):
+    # NaN slips past the sign checks, so finiteness is checked first; the
+    # second bad field would otherwise name another error.
+    other = {"c3": -1.0} if name != "c3" else {"q": -1.0}
+    with pytest.raises(NonFiniteParameter, match=f"^{name} must be finite"):
+        validate_params(ModelParams(**{name: bad}, **other), FULL_5X5)
 
 
 def test_validation_covers_ignored_fields():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,22 @@ def test_axis_validation():
         Axis("q", 1.0, 1.0, 5)
     with pytest.raises(ValueError):
         Axis("q", 0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                   (0.0, math.nan), (-1e308, 1e308)])
+def test_axis_rejects_non_finite_bounds_and_overflowing_spans(lo, hi):
+    with pytest.raises(ValueError, match="finite|overflows"):
+        Axis("q", lo, hi, 3)
+
+
+def test_overflowing_cells_are_invalid_not_finite():
+    # c = ratio * tau0 overflows to inf at the two larger ratios
+    spec = SweepSpec(LIQUIDITY_2X2, ModelParams(tau0=1e300), Axis("q", 0.0, 1.0, 2),
+                     Axis("c_over_tau0", 1.0, 1e10, 3), Method.EIGEN)
+    result = run_sweep(spec)
+    for row in result.flags:
+        assert row == ((), ("NonFiniteParameter",), ("NonFiniteParameter",))
 
 
 def test_spec_rejects_duplicate_axes():
