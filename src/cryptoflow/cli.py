@@ -246,6 +246,9 @@ def _validate_options(verb, variant, params, merged, explicit) -> None:
         raise UsageError(f"p0 must be positive, got {merged['p0']}")
     if merged["drop"] is not None and not merged["drop"] > 0.0:
         raise UsageError(f"drop must be positive, got {merged['drop']}")
+    for key in ("eps", "band", "p0", "drop"):
+        if merged[key] is not None and not math.isfinite(merged[key]):
+            raise UsageError(f"{key} must be finite, got {merged[key]}")
     if merged["format"] not in (None, "csv", "json", "svg"):
         raise UsageError(f"format must be csv, json, or svg, got {merged['format']!r}")
     if merged["method"] not in [m.value for m in Method]:
@@ -383,12 +386,18 @@ def _run_sweep(cmd: Command) -> int:
 
 def _run_simulate(cmd: Command) -> int:
     opts = cmd.options
-    config = SimConfig(
-        step=opts["step"],
-        horizon=opts["horizon"],
-        perturbation=opts["delta"],
-        record_every=1,
-    )
+    step = opts["step"] if opts["step"] is not None \
+        else default_step(cmd.variant, cmd.params)
+    try:
+        config = SimConfig(
+            step=opts["step"],
+            horizon=opts["horizon"],
+            perturbation=opts["delta"],
+            record_every=1,
+        )
+        config.grid(step)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     outcome = perturb_and_classify(cmd.variant, cmd.params, config)
     if opts["out"]:
         Path(opts["out"]).write_text(outcome.trajectory.to_csv())
@@ -397,8 +406,7 @@ def _run_simulate(cmd: Command) -> int:
         "variant": cmd.variant.tag.value,
         "params": asdict(cmd.params),
         "horizon": opts["horizon"],
-        "step": config.step if config.step is not None
-        else default_step(cmd.variant, cmd.params),
+        "step": step,
         "delta": opts["delta"],
         "verdict": outcome.verdict.value,
         "growth_rate": outcome.growth_rate,

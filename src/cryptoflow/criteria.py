@@ -121,10 +121,20 @@ _CRITERIA = {
 }
 
 
+def _undefined_margin(name: str) -> ConvergenceFailure:
+    return ConvergenceFailure(f"{name} margin is not a number at these parameters")
+
+
 def _criterion(name: str, params: ModelParams, band: float) -> CriterionResult:
     scope, margin = _CRITERIA[name]
     check_rules(scope, params)
-    value, binding = margin(params)
+    try:
+        value, binding = margin(params)
+    except ZeroDivisionError:
+        # A product of time scales underflowed to 0; the batch gets NaN there.
+        raise _undefined_margin(name) from None
+    if np.isnan(value):
+        raise _undefined_margin(name)
     return _from_margin(float(value), str(binding), band)
 
 
@@ -273,7 +283,8 @@ def evaluate_points(
     verdict equals what the single-point functions give for that point.  A
     point is Invalid when it breaks the first of, in order: the parameter
     rules of ``validate_params``, the route's scope, a solvable spectrum
-    (ConvergenceFailure).  An Invalid point never affects the others.
+    (ConvergenceFailure), a margin that is a number (ConvergenceFailure).
+    An Invalid point never affects the others.
     """
     columns = np.broadcast_arrays(*(getattr(params, name) for name in PARAM_FIELDS))
     n = len(columns[0])
@@ -300,6 +311,10 @@ def evaluate_points(
         else:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 value = margin(points)[0]
+            undefined = np.isnan(value)
+            chunk_errors[valid[undefined]] = ConvergenceFailure
+            valid = valid[~undefined]
+            value = value[~undefined]
             tags = _codes(value > tolerance, value < -tolerance)
         values[start + valid] = value
         codes[start + valid] = tags

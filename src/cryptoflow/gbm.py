@@ -45,6 +45,9 @@ class GbmParams:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in ("mu", "sigma", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -63,6 +66,8 @@ def gbm_simulate(params: GbmParams, p0: float = 1.0) -> np.ndarray:
     """
     if not p0 > 0.0:
         raise ValueError(f"p0 must be positive, got {p0}")
+    if not math.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     rng = np.random.default_rng(params.seed)
     z = _standard_normals(rng, params.n)
     increments = (params.mu - 0.5 * params.sigma**2) * params.dt \
@@ -109,6 +114,8 @@ def exceedance_report(sigma_daily: float, drop: float) -> ExceedanceReport:
         raise ValueError(f"sigma_daily must be positive, got {sigma_daily}")
     if not drop > 0.0:
         raise ValueError(f"drop must be positive, got {drop}")
+    if not math.isfinite(drop):
+        raise ValueError(f"drop must be finite, got {drop}")
     k = drop / sigma_daily
     probability = normal_tail(k)
     recurrence = math.inf if probability == 0.0 else 1.0 / probability

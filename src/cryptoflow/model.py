@@ -224,11 +224,64 @@ def equilibrium(variant: ModelVariant) -> np.ndarray:
     return np.array([full[name] for name in variant.labels])
 
 
-def _check_domain(variant: ModelVariant, state: np.ndarray) -> None:
-    if state[0] < P_FLOOR:
-        raise StateOutOfDomain(f"P = {state[0]} below floor {P_FLOOR}")
-    if variant.tag is Variant.FULL_5X5 and state[1] < P_FLOOR:
-        raise StateOutOfDomain(f"Pa = {state[1]} below floor {P_FLOOR}")
+def _below_floor(name: str, value: float) -> StateOutOfDomain:
+    return StateOutOfDomain(f"{name} = {value} below floor {P_FLOOR}")
+
+
+def _derivative(variant: ModelVariant, params: ModelParams):
+    """The variant's time derivative as a closure over the parameters.
+
+    The closure takes the state as a sequence of floats and returns its
+    derivative as a tuple of floats.  A price (P, and Pa on the full
+    variant) below the floor raises StateOutOfDomain rather than being
+    clamped.  :func:`rhs` wraps it for arrays, and the integrator calls it
+    directly at every stage, so the equations below are the only copy.
+    """
+    q, q1, q2 = params.q, params.q1, params.q2
+    tau0, c, c1, c2, c3 = params.tau0, params.c, params.c1, params.c2, params.c3
+
+    if variant.tag is Variant.LIQUIDITY_2X2:
+        def derivative(state):
+            p, liq = state
+            if p < P_FLOOR:
+                raise _below_floor("P", p)
+            excess = liq - p
+            return (excess / tau0, (1.0 - liq + q * excess) / c)
+        return derivative
+
+    if variant.tag is Variant.SENTIMENT_3X3:
+        def derivative(state):
+            p, liq, z1 = state
+            if p < P_FLOOR:
+                raise _below_floor("P", p)
+            s = 1.0 + 2.0 * z1
+            excess = s * liq - p
+            return (
+                excess / tau0,
+                (1.0 - liq + q * excess) / c,
+                (q1 * (s * liq / p - 1.0) - z1) / c1,
+            )
+        return derivative
+
+    anchored = variant.zeta2_denominator is Zeta2Denominator.ANCHOR_PA
+
+    def derivative(state):
+        p, pa, liq, z1, z2 = state
+        if p < P_FLOOR:
+            raise _below_floor("P", p)
+        if pa < P_FLOOR:
+            raise _below_floor("Pa", pa)
+        s = 1.0 + 2.0 * z1 + 2.0 * z2
+        excess = s * liq - p
+        discount = (pa - p) / (pa if anchored else p)
+        return (
+            excess / tau0,
+            (p - pa) / c3,
+            (1.0 - liq + q * excess) / c,
+            (q1 * (s * liq / p - 1.0) - z1) / c1,
+            (q2 * discount - z2) / c2,
+        )
+    return derivative
 
 
 def rhs(variant: ModelVariant, params: ModelParams, state: np.ndarray) -> np.ndarray:
@@ -244,35 +297,4 @@ def rhs(variant: ModelVariant, params: ModelParams, state: np.ndarray) -> np.nda
             f"state must have shape ({variant.dim},) for {variant.tag.value}, "
             f"got {state.shape}"
         )
-    _check_domain(variant, state)
-
-    if variant.tag is Variant.LIQUIDITY_2X2:
-        p, liq = state
-        excess = liq - p
-        return np.array([excess / params.tau0,
-                         (1.0 - liq + params.q * excess) / params.c])
-
-    if variant.tag is Variant.SENTIMENT_3X3:
-        p, liq, z1 = state
-        s = 1.0 + 2.0 * z1
-        excess = s * liq - p
-        return np.array([
-            excess / params.tau0,
-            (1.0 - liq + params.q * excess) / params.c,
-            (params.q1 * (s * liq / p - 1.0) - z1) / params.c1,
-        ])
-
-    p, pa, liq, z1, z2 = state
-    s = 1.0 + 2.0 * z1 + 2.0 * z2
-    excess = s * liq - p
-    if variant.zeta2_denominator is Zeta2Denominator.ANCHOR_PA:
-        discount = (pa - p) / pa
-    else:
-        discount = (pa - p) / p
-    return np.array([
-        excess / params.tau0,
-        (p - pa) / params.c3,
-        (1.0 - liq + params.q * excess) / params.c,
-        (params.q1 * (s * liq / p - 1.0) - z1) / params.c1,
-        (params.q2 * discount - z2) / params.c2,
-    ])
+    return np.array(_derivative(variant, params)(state.tolist()))

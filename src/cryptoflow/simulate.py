@@ -19,9 +19,9 @@ from .model import (
     TIME_SCALES,
     ModelParams,
     ModelVariant,
+    _derivative,
     equilibrium,
     ignored_fields,
-    rhs,
     validate_params,
 )
 
@@ -51,14 +51,39 @@ class SimConfig:
     def __post_init__(self):
         if self.step is not None and not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step}")
+        if self.step is not None and not math.isfinite(self.step):
+            raise ValueError(f"step must be finite, got {self.step}")
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
         if self.step is not None and self.step > self.horizon:
             raise ValueError(
                 f"step {self.step} must not exceed horizon {self.horizon}"
             )
+        if self.step is not None:
+            self.grid(self.step)
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
+    def grid(self, h: float) -> tuple[int, float]:
+        """Full steps of size h within the horizon, and the last partial step.
+
+        The partial step is 0.0 when the full steps end on the horizon.
+
+        Raises:
+            ValueError: the step count horizon / h is not finite.
+        """
+        count = self.horizon / h
+        if not math.isfinite(count):
+            raise ValueError(
+                f"step count horizon / step = {self.horizon} / {h} is not finite"
+            )
+        n_full = int(math.floor(count + 1e-9))
+        last_partial = self.horizon - n_full * h
+        if last_partial < 1e-9 * h:
+            last_partial = 0.0
+        return n_full, last_partial
 
 
 @dataclass(frozen=True)
@@ -77,8 +102,10 @@ class Trajectory:
     def to_csv(self) -> str:
         """CSV with a time column and one column per state label."""
         lines = ["t," + ",".join(self.variant.labels)]
-        for t, row in zip(self.times, self.states):
-            lines.append(f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row))
+        row_format = ",".join(["%.17g"] * (1 + len(self.variant.labels)))
+        # One row at a time, so no whole-array list of floats is held.
+        for t, row in zip(self.times.tolist(), self.states):
+            lines.append(row_format % (t, *row.tolist()))
         return "\n".join(lines) + "\n"
 
 
@@ -105,6 +132,14 @@ def default_step(variant: ModelVariant, params: ModelParams) -> float:
     return min(getattr(params, name) for name in scales) / 20.0
 
 
+def _beyond_guard(state) -> bool:
+    """A component is NaN or exceeds the blow-up guard in magnitude."""
+    for x in state:
+        if not abs(x) <= BLOWUP_GUARD:
+            return True
+    return False
+
+
 def integrate(
     variant: ModelVariant,
     params: ModelParams,
@@ -113,9 +148,17 @@ def integrate(
 ) -> Trajectory:
     """Integrate the nonlinear system from ``initial`` over the horizon.
 
+    The parameters and the initial shape are checked once; each RK4 stage
+    then works on plain floats through the variant's derivative
+    (``model._derivative``).  The result equals, bit for bit, that of the
+    same RK4 written on numpy arrays around :func:`model.rhs`.
+
     Raises:
-        BlowUp: a component exceeded the guard; carries time and partial run.
+        BlowUp: a component exceeded the guard in magnitude, or is NaN;
+            carries the time and the partial run.
         StateOutOfDomain: a stage state fell below the price floor; same.
+        ValueError: the initial state has the wrong shape, or the step
+            count horizon / step is not finite.
     """
     validate_params(params, variant)
     initial = np.asarray(initial, dtype=float)
@@ -125,55 +168,62 @@ def integrate(
         )
     h = config.step if config.step is not None else default_step(variant, params)
     horizon = config.horizon
-    n_full = int(math.floor(horizon / h + 1e-9))
-    last_partial = horizon - n_full * h
-    if last_partial < 1e-9 * h:
-        last_partial = 0.0
+    n_full, last_partial = config.grid(h)
+    total_steps = n_full + (1 if last_partial else 0)
+    derivative = _derivative(variant, params)
 
-    times = [0.0]
-    recorded = [initial.copy()]
+    # Row 0 is the initial state; then every record_every-th step and the last.
+    rows = total_steps // config.record_every + 2
+    times = np.empty(rows)
+    states = np.empty((rows, variant.dim))
+    times[0] = 0.0
+    states[0] = initial
+    recorded = 1
 
     def partial_trajectory() -> Trajectory:
         return Trajectory(
             variant=variant,
             params=params,
-            times=np.array(times),
-            states=np.array(recorded),
+            times=times[:recorded].copy(),
+            states=states[:recorded].copy(),
         )
 
-    def guarded_rhs(state: np.ndarray, t: float) -> np.ndarray:
-        if np.max(np.abs(state)) > BLOWUP_GUARD:
-            raise BlowUp(
-                f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t:.6g}",
-                time=t,
-                partial=partial_trajectory(),
-            )
+    def blow_up(t: float) -> BlowUp:
+        return BlowUp(
+            f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t:.6g}",
+            time=t,
+            partial=partial_trajectory(),
+        )
+
+    def guarded_derivative(stage: list[float], t: float) -> tuple[float, ...]:
+        if _beyond_guard(stage):
+            raise blow_up(t)
         try:
-            return rhs(variant, params, state)
+            return derivative(stage)
         except StateOutOfDomain as exc:
             raise StateOutOfDomain(str(exc), time=t, partial=partial_trajectory()) from None
 
-    state = initial.copy()
-    total_steps = n_full + (1 if last_partial else 0)
+    state = initial.tolist()
     for i in range(total_steps):
         t = i * h
         hi = h if i < n_full else last_partial
-        k1 = guarded_rhs(state, t)
-        k2 = guarded_rhs(state + 0.5 * hi * k1, t)
-        k3 = guarded_rhs(state + 0.5 * hi * k2, t)
-        k4 = guarded_rhs(state + hi * k3, t)
-        state = state + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        half = 0.5 * hi
+        k1 = guarded_derivative(state, t)
+        k2 = guarded_derivative([x + half * k for x, k in zip(state, k1)], t)
+        k3 = guarded_derivative([x + half * k for x, k in zip(state, k2)], t)
+        k4 = guarded_derivative([x + hi * k for x, k in zip(state, k3)], t)
+        sixth = hi / 6.0
+        state = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
         t_next = (i + 1) * h if i < n_full else horizon
-        if np.max(np.abs(state)) > BLOWUP_GUARD:
-            raise BlowUp(
-                f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t_next:.6g}",
-                time=t_next,
-                partial=partial_trajectory(),
-            )
+        if _beyond_guard(state):
+            raise blow_up(t_next)
         if (i + 1) % config.record_every == 0 or i == total_steps - 1:
-            times.append(t_next)
-            recorded.append(state.copy())
-    return partial_trajectory()
+            times[recorded] = t_next
+            states[recorded] = state
+            recorded += 1
+    return Trajectory(variant=variant, params=params,
+                      times=times[:recorded], states=states[:recorded])
 
 
 def _fit_growth_rate(traj: Trajectory, reference: np.ndarray, truncated: bool) -> float:

@@ -323,3 +323,49 @@ def test_bad_source_date_epoch_in_a_fresh_process():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "SOURCE_DATE_EPOCH" in _one_json_line(proc.stderr)["message"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (("simulate", "--step", "100"), "must not exceed horizon"),
+    (("simulate", "--horizon", "inf"), "horizon must be finite"),
+    # 1e600 steps: rejected before anything runs
+    (("simulate", "--horizon", "1e300", "--step", "1e-300"), "is not finite"),
+    # the derived step is 5e-302, so the step count overflows the same way
+    (("simulate", "--variant", "liquidity2x2", "--tau0", "1e-300", "--c", "1e-300",
+      "--horizon", "1e300"), "is not finite"),
+    (("verify", "--variant", "liquidity2x2", "-n", "100", "--eps", "inf"),
+     "eps must be finite"),
+    (("verify", "--variant", "liquidity2x2", "-n", "100", "--band", "inf"),
+     "band must be finite"),
+    (("baseline", "--mu", "nan"), "mu must be finite"),
+    (("baseline", "--sigma", "inf"), "sigma must be finite"),
+    (("baseline", "--step", "inf"), "dt must be finite"),
+    (("baseline", "--p0", "inf"), "p0 must be finite"),
+    (("baseline", "--drop", "inf"), "drop must be finite"),
+])
+def test_non_finite_option_exits_2(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert message in _one_json_line(err)["message"]
+
+
+def test_analyze_reports_nan_margin_as_closed_form_error(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--variant", "full5x5",
+                           "--tau0", "1e-200", "--c3", "1e-200")
+    assert code == 0
+    entry = json.loads(out)["closed_form"]["rh_5x5"]
+    assert entry == {"error": "ConvergenceFailure: rh_5x5 margin is not a number "
+                              "at these parameters"}
+
+
+def test_simulate_csv_holds_the_trajectory(tmp_path, capsys):
+    out_file = tmp_path / "traj.csv"
+    code, out, _ = run_cli(capsys, "simulate", "--variant", "full5x5", "--horizon", "1",
+                           "--step", "0.03", "--out", str(out_file))
+    assert code == 0
+    rows = out_file.read_text().splitlines()
+    assert rows[0] == "t,P,Pa,L,zeta1,zeta2"
+    assert len(rows) == 1 + 35  # t = 0, 33 full steps, 1 partial step
+    assert rows[1] == "0,1.0001,1,1,0,0"
+    assert rows[-1].split(",")[0] == "1"

@@ -291,3 +291,29 @@ def test_verify_raises_for_a_sample_it_cannot_evaluate():
         verify_consistency(LIQUIDITY_2X2, n=5, fixed={"tau0": 1e-310})
     with pytest.raises(NegativeAmplitude):
         verify_consistency(SENTIMENT_3X3, n=5, fixed={"q": -1.0})
+
+
+@pytest.mark.parametrize("variant,criterion,point", [
+    # tau0 * c3 underflows to 0: Python floats raise ZeroDivisionError, arrays get NaN
+    (FULL_5X5, "rh_5x5", {"tau0": 1e-200, "c3": 1e-200}),
+    # 1/tau0 overflows, so a2 * a1 - a0 is inf - inf
+    (FULL_5X5, "rh_5x5", {"tau0": 1e-310}),
+    # Q = -inf and c/tau0 = inf
+    (SENTIMENT_3X3, "criterion_3x3", {"q1": 1e308, "c": 1e300, "c1": 1e300,
+                                      "tau0": 1e-10}),
+])
+def test_nan_margin_is_invalid(variant, criterion, point):
+    good = ModelParams()
+    bad = ModelParams(**point)
+    batch = ModelParams(**{name: np.array([getattr(good, name), getattr(bad, name)])
+                           for name in point})
+    result = criteria.evaluate_points(variant, batch, criterion, 1e-6)
+    assert result.verdicts[1] is Verdict.INVALID
+    assert result.errors[1] is ConvergenceFailure
+    assert math.isnan(result.values[1])
+    # its neighbour is evaluated as on its own
+    expected = dict(closed_forms(variant))[criterion](good, 1e-6)
+    assert result.verdicts[0] is expected.verdict
+    assert result.values[0] == expected.margin
+    with pytest.raises(ConvergenceFailure, match="not a number"):
+        dict(closed_forms(variant))[criterion](bad, 1e-6)

@@ -1,13 +1,26 @@
-"""Time integration and trajectory-based classification."""
+"""Time integration and trajectory-based classification.
+
+``reference_rhs`` and ``reference_integrate`` are the right-hand side and
+the RK4 loop written on numpy arrays, one ``rhs`` call per stage, the way
+the package computed them before the integrator moved to plain floats.
+``rhs`` and ``integrate`` must equal them bit for bit: values (sign of zero
+included), exception classes, messages, failure times and partial runs.
+The one intended difference is a NaN state, which the reference lets
+through both guards and ``integrate`` stops as a BlowUp.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from cryptoflow import (
     FULL_5X5,
+    FULL_5X5_PRICE_NORM,
     LIQUIDITY_2X2,
+    P_FLOOR,
     SENTIMENT_3X3,
     BlowUp,
     EmpiricalVerdict,
@@ -15,13 +28,136 @@ from cryptoflow import (
     NonPositiveTimeScale,
     SimConfig,
     StateOutOfDomain,
+    Trajectory,
     default_step,
     eigenvalues,
     equilibrium,
     integrate,
     jacobian_analytic,
     perturb_and_classify,
+    rhs,
+    validate_params,
 )
+from cryptoflow.model import Variant, Zeta2Denominator
+from cryptoflow.simulate import BLOWUP_GUARD
+
+VARIANTS = (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5, FULL_5X5_PRICE_NORM)
+
+
+# ---------------------------------------------------------------- references
+
+def reference_rhs(variant, params, state):
+    state = np.asarray(state, dtype=float)
+    if state.shape != (variant.dim,):
+        raise ValueError(
+            f"state must have shape ({variant.dim},) for {variant.tag.value}, "
+            f"got {state.shape}"
+        )
+    if state[0] < P_FLOOR:
+        raise StateOutOfDomain(f"P = {state[0]} below floor {P_FLOOR}")
+    if variant.tag is Variant.FULL_5X5 and state[1] < P_FLOOR:
+        raise StateOutOfDomain(f"Pa = {state[1]} below floor {P_FLOOR}")
+
+    if variant.tag is Variant.LIQUIDITY_2X2:
+        p, liq = state
+        excess = liq - p
+        return np.array([excess / params.tau0,
+                         (1.0 - liq + params.q * excess) / params.c])
+
+    if variant.tag is Variant.SENTIMENT_3X3:
+        p, liq, z1 = state
+        s = 1.0 + 2.0 * z1
+        excess = s * liq - p
+        return np.array([
+            excess / params.tau0,
+            (1.0 - liq + params.q * excess) / params.c,
+            (params.q1 * (s * liq / p - 1.0) - z1) / params.c1,
+        ])
+
+    p, pa, liq, z1, z2 = state
+    s = 1.0 + 2.0 * z1 + 2.0 * z2
+    excess = s * liq - p
+    if variant.zeta2_denominator is Zeta2Denominator.ANCHOR_PA:
+        discount = (pa - p) / pa
+    else:
+        discount = (pa - p) / p
+    return np.array([
+        excess / params.tau0,
+        (p - pa) / params.c3,
+        (1.0 - liq + params.q * excess) / params.c,
+        (params.q1 * (s * liq / p - 1.0) - z1) / params.c1,
+        (params.q2 * discount - z2) / params.c2,
+    ])
+
+
+def reference_integrate(variant, params, initial, config=SimConfig()):
+    validate_params(params, variant)
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape != (variant.dim,):
+        raise ValueError(
+            f"initial state must have shape ({variant.dim},), got {initial.shape}"
+        )
+    h = config.step if config.step is not None else default_step(variant, params)
+    horizon = config.horizon
+    n_full = int(math.floor(horizon / h + 1e-9))
+    last_partial = horizon - n_full * h
+    if last_partial < 1e-9 * h:
+        last_partial = 0.0
+
+    times = [0.0]
+    recorded = [initial.copy()]
+
+    def partial():
+        return np.array(times), np.array(recorded)
+
+    def guarded_rhs(state, t):
+        if np.max(np.abs(state)) > BLOWUP_GUARD:
+            raise BlowUp(
+                f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t:.6g}",
+                time=t, partial=partial(),
+            )
+        try:
+            return reference_rhs(variant, params, state)
+        except StateOutOfDomain as exc:
+            raise StateOutOfDomain(str(exc), time=t, partial=partial()) from None
+
+    state = initial.copy()
+    total_steps = n_full + (1 if last_partial else 0)
+    for i in range(total_steps):
+        t = i * h
+        hi = h if i < n_full else last_partial
+        k1 = guarded_rhs(state, t)
+        k2 = guarded_rhs(state + 0.5 * hi * k1, t)
+        k3 = guarded_rhs(state + 0.5 * hi * k2, t)
+        k4 = guarded_rhs(state + hi * k3, t)
+        state = state + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_next = (i + 1) * h if i < n_full else horizon
+        if np.max(np.abs(state)) > BLOWUP_GUARD:
+            raise BlowUp(
+                f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t_next:.6g}",
+                time=t_next, partial=partial(),
+            )
+        if (i + 1) % config.record_every == 0 or i == total_steps - 1:
+            times.append(t_next)
+            recorded.append(state.copy())
+    return partial()
+
+
+def _outcome(run, *args):
+    """What a run gives: (times, states) as bytes, or the error and its partial run."""
+    try:
+        result = run(*args)
+    except (BlowUp, StateOutOfDomain) as exc:
+        partial = exc.partial
+        if not isinstance(partial, tuple):
+            partial = (partial.times, partial.states)
+        times, states = partial
+        return (type(exc), str(exc), repr(exc.time), times.tobytes(),
+                states.shape, states.tobytes())
+    if not isinstance(result, tuple):
+        result = (result.times, result.states)
+    times, states = result
+    return (None, times.tobytes(), states.shape, states.tobytes())
 
 
 def test_default_step_tracks_fastest_relevant_clock():
@@ -189,3 +325,153 @@ def test_perturb_rejects_oversized_kick():
     with pytest.raises(ValueError):
         perturb_and_classify(LIQUIDITY_2X2, ModelParams(),
                              SimConfig(perturbation=0.5))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": math.inf},
+    {"horizon": math.inf},
+    {"step": 1e-300, "horizon": 1e300},
+])
+def test_sim_config_rejects_non_finite_values(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(**kwargs)
+
+
+def test_integrate_rejects_non_finite_step_count_of_derived_step():
+    # the derived step is 5e-302, so horizon / step overflows; nothing runs
+    p = ModelParams(tau0=1e-300, c=1e-300)
+    with pytest.raises(ValueError, match="not finite"):
+        integrate(LIQUIDITY_2X2, p, np.array([1.0, 1.0]), SimConfig(horizon=1e300))
+
+
+# ------------------------------------------- float core against the reference
+
+_SPECIAL = (5e-10, 1.5e-9, -0.0, 9.9e8, -9.9e8, 2e9)
+
+
+@st.composite
+def _params(draw):
+    amplitude = st.floats(0.0, 3.0)
+    time_scale = st.floats(0.05, 10.0)
+    return ModelParams(q=draw(amplitude), q1=draw(amplitude), q2=draw(amplitude),
+                       tau0=draw(time_scale), c=draw(time_scale), c1=draw(time_scale),
+                       c2=draw(time_scale), c3=draw(time_scale))
+
+
+@st.composite
+def _states(draw, variant, special=_SPECIAL):
+    eq = equilibrium(variant)
+    return np.array([
+        draw(st.one_of(st.floats(x - 0.5, x + 0.5), st.sampled_from(special)))
+        for x in eq.tolist()
+    ])
+
+
+@st.composite
+def _runs(draw):
+    variant = draw(st.sampled_from(VARIANTS))
+    params = draw(_params())
+    initial = draw(_states(variant))
+    explicit = draw(st.booleans())
+    h = draw(st.floats(0.01, 0.5)) if explicit else default_step(variant, params)
+    if draw(st.booleans()):
+        horizon = h * draw(st.integers(1, 150))  # ends on (or next to) a full step
+    else:
+        horizon = h * draw(st.floats(1.0 if explicit else 0.5, 150.0))
+    config = SimConfig(step=h if explicit else None, horizon=horizon,
+                       record_every=draw(st.sampled_from([1, 2, 3, 7])))
+    return variant, params, initial, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs())
+def test_integrate_equals_reference_bitwise(run):
+    variant, params, initial, config = run
+    expected = _outcome(reference_integrate, variant, params, initial, config)
+    # The reference lets a NaN state through; those runs are covered below.
+    assume(expected[0] is not None or not np.isnan(np.frombuffer(expected[3])).any())
+    event("completed" if expected[0] is None else expected[0].__name__)
+    assert _outcome(integrate, variant, params, initial, config) == expected
+
+
+@pytest.mark.parametrize("variant,params,initial,step,error,message", [
+    # a stage state leaves the guard at t = 24
+    (LIQUIDITY_2X2, ModelParams(q=3.6, tau0=1.5, c=1.2), [0.885, 1.0], 0.1,
+     BlowUp, "at t=24"),
+    (FULL_5X5, ModelParams(q=2.9, q1=1.35, q2=1.3, tau0=1.4, c=1.25, c1=0.4, c2=1.4,
+                           c3=0.56), [0.81, 1.0, 1.0, 0.0, 0.0], 0.01,
+     BlowUp, "at t=0.55"),
+    # the end-of-step guard trips at t = 1.6
+    (FULL_5X5_PRICE_NORM, ModelParams(q=1.9, q1=1.8, q2=0.9, tau0=1.5, c=1.07, c1=1.5,
+                                      c2=0.77, c3=9.0), [0.86, 1.0, 1.0, 0.0, 0.0], 0.2,
+     BlowUp, "at t=1.6"),
+    # a stage price falls below the floor
+    (SENTIMENT_3X3, ModelParams(q=0.01, q1=1.7, tau0=1.5, c=0.5, c1=1.75),
+     [0.95, 1.0, 0.0], 0.2, StateOutOfDomain, "P = -0.35371103388597264"),
+    (FULL_5X5_PRICE_NORM, ModelParams(q=1.55, q1=0.27, q2=1.44, tau0=1.07, c=0.76, c1=1.07,
+                                      c2=1.8, c3=9.4), [0.91, 1.0, 1.0, 0.0, 0.0], 0.1,
+     StateOutOfDomain, "P = -0.4329404206554023"),
+    (FULL_5X5, ModelParams(), [1.0, 5e-10, 1.0, 0.0, 0.0], 0.01,
+     StateOutOfDomain, "Pa = 5e-10"),
+])
+def test_integrate_equals_reference_on_guard_stops(variant, params, initial, step, error,
+                                                   message):
+    # horizon 30.05 ends on a partial step; every third step is recorded
+    initial = np.array(initial)
+    config = SimConfig(step=step, horizon=30.05, record_every=3)
+    expected = _outcome(reference_integrate, variant, params, initial, config)
+    assert expected[0] is error and message in expected[1]
+    assert _outcome(integrate, variant, params, initial, config) == expected
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_integrate_equals_reference_on_complete_runs(variant):
+    params = ModelParams(q=0.3, q1=0.2, q2=0.4, tau0=0.5, c3=2.0)
+    initial = equilibrium(variant)
+    initial[0] += 0.05
+    config = SimConfig(step=0.05, horizon=20.03, record_every=3)
+    expected = _outcome(reference_integrate, variant, params, initial, config)
+    assert expected[0] is None
+    assert _outcome(integrate, variant, params, initial, config) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rhs_equals_reference_bitwise(data):
+    variant = data.draw(st.sampled_from(VARIANTS))
+    params = data.draw(_params())
+    state = data.draw(_states(variant, _SPECIAL + (math.nan, math.inf, -math.inf)))
+
+    def outcome(fn):
+        try:
+            with np.errstate(all="ignore"):
+                out = fn(variant, params, state)
+        except StateOutOfDomain as exc:
+            return type(exc), str(exc)
+        return out.dtype, out.shape, out.tobytes()
+
+    assert outcome(rhs) == outcome(reference_rhs)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e9])
+def test_non_finite_initial_component_blows_up_at_t0(variant, value):
+    for k in range(variant.dim):
+        initial = equilibrium(variant)
+        initial[k] = value
+        with pytest.raises(BlowUp) as err:
+            integrate(variant, ModelParams(), initial, SimConfig(step=0.01, horizon=1.0))
+        assert err.value.time == 0.0
+        np.testing.assert_array_equal(err.value.partial.times, [0.0])
+        np.testing.assert_array_equal(err.value.partial.states, [initial])
+
+
+def test_csv_bytes_match_per_value_formatting():
+    states = np.array([[1.0, -0.0, 0.1 + 0.2], [math.nan, math.inf, -math.inf],
+                       [5e-324, 1e300, -1.0 / 3.0]])
+    traj = Trajectory(SENTIMENT_3X3, ModelParams(), np.array([0.0, 0.05, 1.0 / 7.0]),
+                      states)
+    expected = "t,P,L,zeta1\n" + "".join(
+        f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row) + "\n"
+        for t, row in zip(traj.times, traj.states))
+    assert traj.to_csv() == expected
