@@ -1,10 +1,14 @@
 """Command-line interface: analyze, sweep, simulate, verify, baseline.
 
-All verbs share one option set.  Values resolve flag > config file > default;
-the config file is a flat JSON object keyed by flag names.  Exit codes:
-0 success, 1 verification found mismatches, 2 usage error, 3 runtime failure
-such as an --out file that cannot be written (2 and 3 are reported as a
-single JSON object on stderr).
+All verbs share one option set, declared once in ``OPTIONS``: the flags, the
+config-file keys and types, and the defaults all come from that table.
+Values resolve flag > config file > default; the config file is a flat JSON
+object keyed by option names.  ``parse_config`` builds the library objects a
+verb runs on, and each object checks the values it reads, so a verb rejects
+bad values of the options it reads, before it writes anything, and ignores
+the others.  Exit codes: 0 success, 1 verification found mismatches, 2 usage
+error, 3 runtime failure such as an --out file that cannot be written (2 and
+3 are reported as a single JSON object on stderr).
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .criteria import closed_forms, verify_consistency
+from .criteria import DEFAULT_BAND, closed_forms, verify_consistency
 from .errors import CryptoflowError
 from .gbm import GbmParams, exceedance_report, gbm_path_csv, gbm_simulate
 from .model import (
@@ -30,107 +35,124 @@ from .model import (
     validate_params,
 )
 from .simulate import SimConfig, default_step, perturb_and_classify
-from .stability import classify, eigenvalues, jacobian_analytic
+from .stability import DEFAULT_EPS, classify, eigenvalues, jacobian_analytic
 from .sweep import Axis, Method, SweepSpec, export_map, run_sweep
 
-_FLOAT_KEYS = frozenset(PARAM_FIELDS) | {
-    "eps", "band", "step", "horizon", "delta", "mu", "sigma", "p0", "drop",
+VERBS = {
+    "analyze": "Jacobian, spectrum, and closed-form verdicts at a point",
+    "sweep": "stability map over a two-axis parameter lattice",
+    "simulate": "integrate a perturbation and classify it empirically",
+    "verify": "cross-validate closed forms against eigenvalues",
+    "baseline": "log-normal baseline path and tail exceedance",
 }
-_INT_KEYS = frozenset({"seed", "n", "threads"})
-_STR_KEYS = frozenset({"variant", "axis1", "axis2", "method", "out", "format"})
-
-DEFAULTS: dict[str, object] = {
-    "variant": "full5x5",
-    **asdict(ModelParams()),
-    "eps": 1e-8,
-    "band": 1e-6,
-    "seed": 0,
-    "n": 10_000,
-    "step": None,
-    "horizon": 50.0,
-    "delta": 1e-4,
-    "axis1": None,
-    "axis2": None,
-    "method": "eigen",
-    "out": None,
-    "format": None,
-    "threads": None,
-    "mu": 0.0,
-    "sigma": 0.0075,
-    "p0": 1.0,
-    "drop": None,
-}
-
-VERBS = ("analyze", "sweep", "simulate", "verify", "baseline")
+FORMATS = ("csv", "json", "svg")
 
 
-class UsageError(Exception):
-    """Bad invocation detected after argparse; maps to exit code 2."""
+class UsageError(ValueError):
+    """Bad invocation; maps to exit code 2."""
+
+
+def _dead_band(name: str, value: float) -> None:
+    if not value >= 0.0:
+        raise UsageError(f"{name} must be >= 0, got {value}")
+    if not math.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value}")
+
+
+def _at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: config key, value type, default, help and flags.
+
+    ``check`` is set only where no library object reads and checks the
+    value; it runs on every verb.
+    """
+
+    name: str
+    type: type
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+    flags: tuple[str, ...] = ()
+    check: Callable[[str, object], None] | None = None
+
+    @property
+    def option_strings(self) -> tuple[str, ...]:
+        return self.flags or (f"--{self.name}",)
+
+
+OPTIONS = (
+    Option("variant", str, Variant.FULL_5X5.value, "model variant",
+           choices=tuple(v.value for v in Variant)),
+    *(Option(name, float, getattr(ModelParams, name), f"model parameter {name}")
+      for name in PARAM_FIELDS),
+    Option("eps", float, DEFAULT_EPS, "spectral dead band", check=_dead_band),
+    Option("band", float, DEFAULT_BAND, "criterion dead band", check=_dead_band),
+    Option("seed", int, 0, "random seed"),
+    Option("n", int, 10_000, "sample / step count", flags=("-n", "--samples")),
+    Option("step", float, SimConfig.step, "integration or path step (default: derived)"),
+    Option("horizon", float, SimConfig.horizon, "integration horizon"),
+    Option("delta", float, SimConfig.perturbation, "perturbation size for simulate"),
+    Option("axis1", str, None, "sweep axis as name:min:max:steps"),
+    Option("axis2", str, None, "sweep axis as name:min:max:steps"),
+    Option("method", str, Method.EIGEN.value, "sweep method",
+           choices=tuple(m.value for m in Method)),
+    Option("out", str, None, "output file path"),
+    Option("format", str, None, "sweep export format (default csv, or from --out suffix)",
+           choices=FORMATS),
+    Option("threads", int, None, "validated (>= 1) but has no effect; "
+           "default CRYPTOFLOW_THREADS or 1", check=_at_least_one),
+    Option("mu", float, GbmParams.mu, "baseline drift per unit time"),
+    Option("sigma", float, GbmParams.sigma, "baseline volatility per unit time"),
+    Option("p0", float, 1.0, "baseline initial price"),
+    Option("drop", float, None, "baseline: report exceedance of a drop of this size"),
+)
+
+_OPTIONS_BY_NAME = {opt.name: opt for opt in OPTIONS}
+_CONFIG_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+                 str: (str, "a string")}
 
 
 @dataclass(frozen=True)
 class Command:
-    """A fully resolved invocation, ready to execute."""
+    """A resolved invocation and the library objects its verb runs on."""
 
     verb: str
     variant: ModelVariant
     params: ModelParams
-    explicit: frozenset[str]
     options: dict
+    spec: SweepSpec | None = None
+    sim: SimConfig | None = None
+    gbm: GbmParams | None = None
+    pins: dict[str, float] | None = None
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: error: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file keyed by flag names")
-    shared.add_argument("--variant",
-                        choices=[v.value for v in Variant],
-                        help="model variant (default full5x5)")
-    for key in PARAM_FIELDS:
-        shared.add_argument(f"--{key}", type=float,
-                            help=f"model parameter {key}")
-    shared.add_argument("--eps", type=float, help="spectral dead band (default 1e-8)")
-    shared.add_argument("--band", type=float, help="criterion dead band (default 1e-6)")
-    shared.add_argument("--seed", type=int, help="random seed (default 0)")
-    shared.add_argument("-n", "--samples", dest="n", type=int,
-                        help="sample / step count (default 10000)")
-    shared.add_argument("--step", type=float,
-                        help="integration or path step (default: derived)")
-    shared.add_argument("--horizon", type=float, help="integration horizon (default 50)")
-    shared.add_argument("--delta", type=float,
-                        help="perturbation size for simulate (default 1e-4)")
-    shared.add_argument("--axis1", help="sweep axis as name:min:max:steps")
-    shared.add_argument("--axis2", help="sweep axis as name:min:max:steps")
-    shared.add_argument("--method", choices=[m.value for m in Method],
-                        help="sweep method (default eigen)")
-    shared.add_argument("--out", help="output file path")
-    shared.add_argument("--format", choices=["csv", "json", "svg"],
-                        help="sweep export format (default csv, or from --out suffix)")
-    shared.add_argument("--threads", type=int,
-                        help="validated (>= 1) but has no effect; "
-                        "default CRYPTOFLOW_THREADS or 1")
-    shared.add_argument("--mu", type=float, help="baseline drift per unit time")
-    shared.add_argument("--sigma", type=float,
-                        help="baseline volatility per unit time (default 0.0075)")
-    shared.add_argument("--p0", type=float, help="baseline initial price (default 1)")
-    shared.add_argument("--drop", type=float,
-                        help="baseline: report exceedance of a drop of this size")
+    shared = _Parser(add_help=False)
+    shared.add_argument("--config", help="JSON config file keyed by option names")
+    for opt in OPTIONS:
+        default = "" if opt.default is None else f" (default {opt.default})"
+        shared.add_argument(*opt.option_strings, dest=opt.name,
+                            type=opt.type, choices=opt.choices,
+                            help=opt.help + default)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cryptoflow",
         description="Stability laboratory for an asset-flow price model",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    sub.add_parser("analyze", parents=[shared],
-                   help="Jacobian, spectrum, and closed-form verdicts at a point")
-    sub.add_parser("sweep", parents=[shared],
-                   help="stability map over a two-axis parameter lattice")
-    sub.add_parser("simulate", parents=[shared],
-                   help="integrate a perturbation and classify it empirically")
-    sub.add_parser("verify", parents=[shared],
-                   help="cross-validate closed forms against eigenvalues")
-    sub.add_parser("baseline", parents=[shared],
-                   help="log-normal baseline path and tail exceedance")
+    for verb, text in VERBS.items():
+        sub.add_parser(verb, parents=[shared], help=text)
     return parser
 
 
@@ -143,26 +165,32 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")
-    known = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
     out = {}
     for key, value in raw.items():
-        if key not in known:
+        opt = _OPTIONS_BY_NAME.get(key)
+        if opt is None:
             raise UsageError(f"unknown config key {key!r}")
         if value is None:
             continue
-        if key in _FLOAT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise UsageError(f"config key {key!r} must be a number, got {value!r}")
-            out[key] = float(value)
-        elif key in _INT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
-            out[key] = value
-        else:
-            if not isinstance(value, str):
-                raise UsageError(f"config key {key!r} must be a string, got {value!r}")
-            out[key] = value
+        accepted, kind = _CONFIG_TYPES[opt.type]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise UsageError(f"config key {key!r} must be {kind}, got {value!r}")
+        if opt.choices is not None and value not in opt.choices:
+            raise UsageError(f"config key {key!r} must be one of "
+                             f"{', '.join(opt.choices)}, got {value!r}")
+        try:
+            out[key] = opt.type(value)
+        except OverflowError as exc:
+            raise UsageError(f"config key {key!r} must be {kind}: {exc}") from exc
     return out
+
+
+def _env_threads() -> int:
+    env = os.environ.get("CRYPTOFLOW_THREADS", "1")
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise UsageError(f"CRYPTOFLOW_THREADS must be an integer, got {env!r}") from exc
 
 
 def _parse_axis(text: str) -> Axis:
@@ -171,119 +199,67 @@ def _parse_axis(text: str) -> Axis:
         raise UsageError(f"axis {text!r} must have the form name:min:max:steps")
     name, lo, hi, steps = parts
     try:
-        axis = Axis(name=name, min=float(lo), max=float(hi), steps=int(steps))
+        return Axis(name=name, min=float(lo), max=float(hi), steps=int(steps))
     except ValueError as exc:
         raise UsageError(f"axis {text!r}: {exc}") from exc
-    return axis
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        env = os.environ.get("CRYPTOFLOW_THREADS")
-        if env is None:
-            return 1
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise UsageError(
-                f"CRYPTOFLOW_THREADS must be an integer, got {env!r}"
-            ) from exc
-    if value < 1:
-        raise UsageError(f"threads must be >= 1, got {value}")
-    return value
+def _sweep_spec(variant: ModelVariant, params: ModelParams, opts: dict) -> SweepSpec:
+    if opts["axis1"] is None or opts["axis2"] is None:
+        raise UsageError("sweep requires --axis1 and --axis2")
+    axes = (_parse_axis(opts["axis1"]), _parse_axis(opts["axis2"]))
+    # fields an axis writes are validated per cell instead
+    validate_params(replace(params, **{name: getattr(ModelParams, name)
+                                       for axis in axes
+                                       for name in axis.fields(variant)}), variant)
+    return SweepSpec(variant=variant, fixed=params, axis1=axes[0], axis2=axes[1],
+                     method=Method(opts["method"]))
 
 
 def parse_config(argv: list[str]) -> Command:
-    """Parse argv into a resolved Command (flag > config > default)."""
+    """Parse argv into a Command (flag > config > default).
+
+    Builds the library objects the verb runs on, which check the values
+    they read; a model parameter rule broken here becomes a UsageError.
+    """
     args = _build_parser().parse_args(argv)
     config = _load_config(args.config) if args.config else {}
+    flags = {opt.name: getattr(args, opt.name) for opt in OPTIONS
+             if getattr(args, opt.name) is not None}
+    merged = {opt.name: opt.default for opt in OPTIONS} | config | flags
+    if merged["threads"] is None:
+        merged["threads"] = _env_threads()
+    for opt in OPTIONS:
+        if opt.check is not None:
+            opt.check(opt.name, merged[opt.name])
 
-    merged = dict(DEFAULTS)
-    merged.update(config)
-    cli_set = set()
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-            cli_set.add(key)
-    explicit = frozenset(set(config) | cli_set)
-
+    verb = args.verb
+    variant = ModelVariant(Variant(merged.pop("variant")))
+    params = ModelParams(**{key: merged.pop(key) for key in PARAM_FIELDS})
+    cmd = Command(verb=verb, variant=variant, params=params, options=merged)
     try:
-        variant = ModelVariant(Variant(merged["variant"]))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    params = ModelParams(**{key: merged[key] for key in PARAM_FIELDS})
-
-    merged["threads"] = _resolve_threads(merged["threads"])
-    _validate_options(args.verb, variant, params, merged, explicit)
-    options = {key: merged[key] for key in merged if key not in PARAM_FIELDS}
-    options.pop("variant")
-    return Command(
-        verb=args.verb,
-        variant=variant,
-        params=params,
-        explicit=explicit,
-        options=options,
-    )
-
-
-def _validate_options(verb, variant, params, merged, explicit) -> None:
-    if not merged["eps"] >= 0.0:
-        raise UsageError(f"eps must be >= 0, got {merged['eps']}")
-    if not merged["band"] >= 0.0:
-        raise UsageError(f"band must be >= 0, got {merged['band']}")
-    if merged["n"] < 1:
-        raise UsageError(f"n must be >= 1, got {merged['n']}")
-    if merged["step"] is not None and not merged["step"] > 0.0:
-        raise UsageError(f"step must be positive, got {merged['step']}")
-    if not merged["horizon"] > 0.0:
-        raise UsageError(f"horizon must be positive, got {merged['horizon']}")
-    if not 0.0 < merged["delta"] <= 1e-2:
-        raise UsageError(f"delta must lie in (0, 0.01], got {merged['delta']}")
-    if merged["sigma"] < 0.0:
-        raise UsageError(f"sigma must be >= 0, got {merged['sigma']}")
-    if not merged["p0"] > 0.0:
-        raise UsageError(f"p0 must be positive, got {merged['p0']}")
-    if merged["drop"] is not None and not merged["drop"] > 0.0:
-        raise UsageError(f"drop must be positive, got {merged['drop']}")
-    for key in ("eps", "band", "p0", "drop"):
-        if merged[key] is not None and not math.isfinite(merged[key]):
-            raise UsageError(f"{key} must be finite, got {merged[key]}")
-    if merged["format"] not in (None, "csv", "json", "svg"):
-        raise UsageError(f"format must be csv, json, or svg, got {merged['format']!r}")
-    if merged["method"] not in [m.value for m in Method]:
-        raise UsageError(f"unknown method {merged['method']!r}")
-
-    if verb in ("analyze", "simulate"):
-        try:
+        if verb in ("analyze", "simulate"):
             validate_params(params, variant)
-        except CryptoflowError as exc:
-            raise UsageError(str(exc)) from exc
-    elif verb == "sweep":
-        if merged["axis1"] is None or merged["axis2"] is None:
-            raise UsageError("sweep requires --axis1 and --axis2")
-        axis1 = _parse_axis(merged["axis1"])
-        axis2 = _parse_axis(merged["axis2"])
-        # fields an axis will overwrite are validated per cell instead
-        defaults = ModelParams()
-        spared = replace(params, **{name: getattr(defaults, name)
-                                    for axis in (axis1, axis2)
-                                    for name in axis.fields(variant)})
-        try:
-            validate_params(spared, variant)
-        except CryptoflowError as exc:
-            raise UsageError(str(exc)) from exc
-        try:
-            SweepSpec(variant=variant, fixed=params, axis1=axis1, axis2=axis2,
-                      method=Method(merged["method"]))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    elif verb == "verify":
-        pins = {key: getattr(params, key) for key in PARAM_FIELDS if key in explicit}
-        try:
+        if verb == "sweep":
+            return replace(cmd, spec=_sweep_spec(variant, params, merged))
+        if verb == "simulate":
+            return replace(cmd, sim=SimConfig(step=merged["step"],
+                                              horizon=merged["horizon"],
+                                              perturbation=merged["delta"]))
+        if verb == "verify":
+            pins = {key: getattr(params, key) for key in PARAM_FIELDS
+                    if key in config or key in flags}
             validate_params(ModelParams(**pins), variant)
-        except CryptoflowError as exc:
-            raise UsageError(str(exc)) from exc
+            return replace(cmd, pins=pins)
+        if verb == "baseline":
+            step = merged["step"]
+            return replace(cmd, gbm=GbmParams(
+                mu=merged["mu"], sigma=merged["sigma"],
+                dt=GbmParams.dt if step is None else step,
+                n=merged["n"], seed=merged["seed"]))
+    except CryptoflowError as exc:
+        raise UsageError(str(exc)) from exc
+    return cmd
 
 
 def _finite(x):
@@ -361,21 +337,11 @@ def _run_analyze(cmd: Command) -> int:
 
 def _run_sweep(cmd: Command) -> int:
     opts = cmd.options
-    spec = SweepSpec(
-        variant=cmd.variant,
-        fixed=cmd.params,
-        axis1=_parse_axis(opts["axis1"]),
-        axis2=_parse_axis(opts["axis2"]),
-        method=Method(opts["method"]),
-    )
-    try:
-        result = run_sweep(spec, eps=opts["eps"], band=opts["band"])
-    except ValueError as exc:  # a bad SOURCE_DATE_EPOCH
-        raise UsageError(str(exc)) from exc
+    result = run_sweep(cmd.spec, eps=opts["eps"], band=opts["band"])
     fmt = opts["format"]
     if fmt is None:
         suffix = Path(opts["out"]).suffix.lstrip(".") if opts["out"] else ""
-        fmt = suffix if suffix in ("csv", "json", "svg") else "csv"
+        fmt = suffix if suffix in FORMATS else "csv"
     text = export_map(result, fmt)
     if opts["out"]:
         Path(opts["out"]).write_text(text)
@@ -385,29 +351,18 @@ def _run_sweep(cmd: Command) -> int:
 
 
 def _run_simulate(cmd: Command) -> int:
-    opts = cmd.options
-    step = opts["step"] if opts["step"] is not None \
-        else default_step(cmd.variant, cmd.params)
-    try:
-        config = SimConfig(
-            step=opts["step"],
-            horizon=opts["horizon"],
-            perturbation=opts["delta"],
-            record_every=1,
-        )
-        config.grid(step)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    outcome = perturb_and_classify(cmd.variant, cmd.params, config)
-    if opts["out"]:
-        Path(opts["out"]).write_text(outcome.trajectory.to_csv())
+    sim = cmd.sim
+    step = sim.step if sim.step is not None else default_step(cmd.variant, cmd.params)
+    outcome = perturb_and_classify(cmd.variant, cmd.params, sim)
+    if cmd.options["out"]:
+        Path(cmd.options["out"]).write_text(outcome.trajectory.to_csv())
     doc = {
         "version": __version__,
         "variant": cmd.variant.tag.value,
         "params": asdict(cmd.params),
-        "horizon": opts["horizon"],
+        "horizon": sim.horizon,
         "step": step,
-        "delta": opts["delta"],
+        "delta": sim.perturbation,
         "verdict": outcome.verdict.value,
         "growth_rate": outcome.growth_rate,
         "deviation_ratio": outcome.deviation_ratio,
@@ -419,18 +374,14 @@ def _run_simulate(cmd: Command) -> int:
 
 def _run_verify(cmd: Command) -> int:
     opts = cmd.options
-    pins = {key: getattr(cmd.params, key) for key in PARAM_FIELDS if key in cmd.explicit}
-    try:
-        report = verify_consistency(
-            cmd.variant,
-            n=opts["n"],
-            seed=opts["seed"],
-            band=opts["band"],
-            eps=opts["eps"],
-            fixed=pins or None,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = verify_consistency(
+        cmd.variant,
+        n=opts["n"],
+        seed=opts["seed"],
+        band=opts["band"],
+        eps=opts["eps"],
+        fixed=cmd.pins or None,
+    )
     doc = {
         "version": __version__,
         "variant": report.variant_tag,
@@ -442,7 +393,7 @@ def _run_verify(cmd: Command) -> int:
         "seed": report.seed,
         "band": report.band,
         "eps": report.eps,
-        "pinned": {k: pins[k] for k in sorted(pins)},
+        "pinned": {k: cmd.pins[k] for k in sorted(cmd.pins)},
         "simple_condition_agreement": report.simple_condition_agreement,
         "mismatch_list": [
             {
@@ -460,14 +411,10 @@ def _run_verify(cmd: Command) -> int:
 
 
 def _run_baseline(cmd: Command) -> int:
-    opts = cmd.options
-    dt = opts["step"] if opts["step"] is not None else 1.0
-    try:
-        gbm = GbmParams(mu=opts["mu"], sigma=opts["sigma"], dt=dt,
-                        n=opts["n"], seed=opts["seed"])
-        path = gbm_simulate(gbm, p0=opts["p0"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    opts, gbm = cmd.options, cmd.gbm
+    path = gbm_simulate(gbm, p0=opts["p0"])
+    report = None if opts["drop"] is None \
+        else exceedance_report(gbm.log_step()[1], opts["drop"])
     if opts["out"]:
         Path(opts["out"]).write_text(gbm_path_csv(gbm, path))
     doc = {
@@ -479,23 +426,15 @@ def _run_baseline(cmd: Command) -> int:
         "seed": gbm.seed,
         "p0": opts["p0"],
         "final_price": float(path[-1]),
-        "log_return_total": float(math.log(path[-1] / path[0])),
-    }
-    if opts["drop"] is not None:
-        sigma_step = gbm.sigma * math.sqrt(gbm.dt)
-        try:
-            report = exceedance_report(sigma_step, opts["drop"])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        doc["exceedance"] = {
+        "log_return_total": math.log(float(path[-1]) / float(path[0])),
+        "exceedance": None if report is None else {
             "sigma_daily": report.sigma_daily,
             "drop": report.drop,
             "k": report.k,
             "probability": report.probability,
             "recurrence_days": report.recurrence_days,
-        }
-    else:
-        doc["exceedance"] = None
+        },
+    }
     _emit(doc, None)
     return 0
 
@@ -514,8 +453,8 @@ def execute(cmd: Command) -> int:
     return _RUNNERS[cmd.verb](cmd)
 
 
-def _error_json(exc: Exception) -> str:
-    doc = {"error": type(exc).__name__, "message": str(exc)}
+def _error_json(name: str, exc: BaseException) -> str:
+    doc = {"error": name, "message": str(exc)}
     time = getattr(exc, "time", None)
     if time is not None:
         doc["time"] = time
@@ -523,19 +462,15 @@ def _error_json(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one invocation; the only place that maps errors to exit codes."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cmd = parse_config(argv)
-    except UsageError as exc:
-        sys.stderr.write(_error_json(exc))
+        return execute(parse_config(argv))
+    except ValueError as exc:  # a UsageError, or a library object refusing a value
+        sys.stderr.write(_error_json("UsageError", exc))
         return 2
-    try:
-        return execute(cmd)
-    except UsageError as exc:
-        sys.stderr.write(_error_json(exc))
-        return 2
-    except (CryptoflowError, OSError) as exc:
-        sys.stderr.write(_error_json(exc))
+    except (CryptoflowError, OSError, MemoryError) as exc:
+        sys.stderr.write(_error_json(type(exc).__name__, exc))
         return 3
 
 

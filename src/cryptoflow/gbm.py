@@ -48,6 +48,19 @@ class GbmParams:
         for name in ("mu", "sigma", "dt"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            drift, volatility = self.log_step()
+        except OverflowError:  # sigma**2 beyond the float range
+            drift = volatility = math.inf
+        if not (math.isfinite(drift) and math.isfinite(volatility)):
+            raise ValueError(
+                f"log-step drift (mu - sigma^2/2) dt and volatility sigma sqrt(dt) "
+                f"must be finite, got mu={self.mu}, sigma={self.sigma}, dt={self.dt}"
+            )
+
+    def log_step(self) -> tuple[float, float]:
+        """Drift and volatility of log P over one step."""
+        return (self.mu - 0.5 * self.sigma**2) * self.dt, self.sigma * math.sqrt(self.dt)
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -61,8 +74,11 @@ def gbm_simulate(params: GbmParams, p0: float = 1.0) -> np.ndarray:
     """Price path of length n+1 with exact log-normal increments.
 
     log P advances by (mu - sigma^2/2) dt + sigma sqrt(dt) Z per step with
-    independent standard normal Z, so each step is distributed exactly and
-    the path stays positive for any step size.
+    independent standard normal Z, so each step is distributed exactly.
+
+    Raises:
+        ValueError: p0 is not positive and finite, or a price of the path
+            leaves the float range (overflows, or underflows to 0).
     """
     if not p0 > 0.0:
         raise ValueError(f"p0 must be positive, got {p0}")
@@ -70,10 +86,16 @@ def gbm_simulate(params: GbmParams, p0: float = 1.0) -> np.ndarray:
         raise ValueError(f"p0 must be finite, got {p0}")
     rng = np.random.default_rng(params.seed)
     z = _standard_normals(rng, params.n)
-    increments = (params.mu - 0.5 * params.sigma**2) * params.dt \
-        + params.sigma * math.sqrt(params.dt) * z
-    log_path = math.log(p0) + np.concatenate(([0.0], np.cumsum(increments)))
-    return np.exp(log_path)
+    drift, volatility = params.log_step()
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_path = math.log(p0) + np.concatenate(([0.0], np.cumsum(drift + volatility * z)))
+        path = np.exp(log_path)
+    if not (np.isfinite(path) & (path > 0.0)).all():
+        raise ValueError(
+            f"price path leaves the float range (p0={p0}, log-step drift {drift}, "
+            f"volatility {volatility}, n={params.n})"
+        )
+    return path
 
 
 def gbm_path_csv(params: GbmParams, path: np.ndarray) -> str:

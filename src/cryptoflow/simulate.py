@@ -9,6 +9,7 @@ the partial trajectory on the exception.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,7 +41,8 @@ class SimConfig:
     """Integration controls.
 
     step None means "derive from the parameters": the fastest time scale the
-    variant reads, divided by 20.
+    variant reads, divided by 20.  perturbation is the kick applied to P by
+    :func:`perturb_and_classify`.
     """
 
     step: float | None = None
@@ -63,6 +65,10 @@ class SimConfig:
             )
         if self.step is not None:
             self.grid(self.step)
+        if not 0.0 < self.perturbation <= DELTA_MAX:
+            raise ValueError(
+                f"perturbation must lie in (0, {DELTA_MAX}], got {self.perturbation}"
+            )
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -72,17 +78,24 @@ class SimConfig:
         The partial step is 0.0 when the full steps end on the horizon.
 
         Raises:
-            ValueError: the step count horizon / h is not finite.
+            ValueError: the step count horizon / h is not finite or exceeds
+                sys.maxsize, or the horizon holds no step at all.
         """
         count = self.horizon / h
         if not math.isfinite(count):
             raise ValueError(
                 f"step count horizon / step = {self.horizon} / {h} is not finite"
             )
+        if count > sys.maxsize:
+            raise ValueError(
+                f"step count horizon / step = {self.horizon} / {h} exceeds {sys.maxsize}"
+            )
         n_full = int(math.floor(count + 1e-9))
         last_partial = self.horizon - n_full * h
         if last_partial < 1e-9 * h:
             last_partial = 0.0
+        if n_full == 0 and last_partial == 0.0:
+            raise ValueError(f"horizon {self.horizon} holds no step of size {h}")
         return n_full, last_partial
 
 
@@ -263,12 +276,9 @@ def perturb_and_classify(
     deviation has left the linear neighbourhood entirely) and report the
     failure time.
     """
-    delta = config.perturbation
-    if not 0.0 < delta <= DELTA_MAX:
-        raise ValueError(f"perturbation must lie in (0, {DELTA_MAX}], got {delta}")
     reference = equilibrium(variant)
     initial = reference.copy()
-    initial[0] += delta
+    initial[0] += config.perturbation
 
     try:
         traj = integrate(variant, params, initial, config)

@@ -89,6 +89,7 @@ def test_flag_overrides_config(tmp_path, capsys):
         {"seed": 1.5},          # float is not an integer
         {"variant": "bogus"},   # not a variant
         {"format": "yaml"},     # not an export format
+        {"q": 10**400},         # an integer beyond the float range
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, payload):

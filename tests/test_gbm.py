@@ -1,6 +1,7 @@
 """Log-normal baseline paths and tail probabilities, with mpmath as oracle."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -109,6 +110,37 @@ def test_exceedance_rejects_degenerate_inputs():
         exceedance_report(sigma_daily=0.0075, drop=0.0)
     with pytest.raises(ValueError):
         exceedance_report(sigma_daily=0.0, drop=0.045)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sigma": 1e200},                 # sigma**2 overflows
+    {"mu": 1e308, "dt": 10.0},        # mu * dt overflows
+    {"sigma": 1e300, "dt": 1e300},    # sigma * sqrt(dt) overflows
+])
+def test_params_reject_a_non_finite_log_step(kwargs):
+    with pytest.raises(ValueError, match="log-step drift"):
+        GbmParams(**kwargs)
+
+
+@pytest.mark.parametrize("params,p0", [
+    (GbmParams(mu=1e308, n=3), 1.0),
+    (GbmParams(mu=1.0, n=1000), 1e308),
+    (GbmParams(mu=-1.0, dt=1000.0, n=3), 1.0),   # underflows to 0
+])
+def test_simulate_rejects_a_path_leaving_the_float_range(params, p0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="leaves the float range"):
+            gbm_simulate(params, p0=p0)
+
+
+def test_log_step_is_what_the_path_takes():
+    p = GbmParams(mu=0.03, sigma=0.2, dt=0.5, n=4, seed=2)
+    drift, volatility = p.log_step()
+    assert drift == (0.03 - 0.5 * 0.2**2) * 0.5
+    assert volatility == 0.2 * math.sqrt(0.5)
+    steps = np.diff(np.log(gbm_simulate(GbmParams(mu=0.03, sigma=0.0, dt=0.5, n=4))))
+    np.testing.assert_allclose(steps, 0.03 * 0.5, rtol=1e-12)
 
 
 def test_report_is_a_value_object():

@@ -344,6 +344,27 @@ def test_integrate_rejects_non_finite_step_count_of_derived_step():
         integrate(LIQUIDITY_2X2, p, np.array([1.0, 1.0]), SimConfig(horizon=1e300))
 
 
+@pytest.mark.parametrize("delta", [0.0, -1e-4, 0.011, math.nan, math.inf])
+def test_sim_config_owns_the_perturbation_check(delta):
+    with pytest.raises(ValueError, match="perturbation must lie"):
+        SimConfig(perturbation=delta)
+
+
+@pytest.mark.parametrize("horizon,h,message", [
+    (1e-12, 0.005, "holds no step"),      # below 1e-9 of the step: rounds to none
+    (1e-300, 0.005, "holds no step"),
+    (50.0, 1e-300, "exceeds"),            # 5e301 steps
+])
+def test_grid_rejects_a_step_count_outside_one_to_maxsize(horizon, h, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(horizon=horizon).grid(h)
+
+
+def test_grid_keeps_a_lone_partial_step():
+    assert SimConfig(horizon=0.001).grid(0.005) == (0, 0.001)
+    assert SimConfig(horizon=1e-8).grid(0.005) == (0, 1e-8)
+
+
 # ------------------------------------------- float core against the reference
 
 _SPECIAL = (5e-10, 1.5e-9, -0.0, 9.9e8, -9.9e8, 2e9)
