@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import __version__
 from .criteria import DEFAULT_BAND, closed_forms, verify_consistency
@@ -465,7 +465,13 @@ def main(argv: list[str] | None = None) -> int:
     """Run one invocation; the only place that maps errors to exit codes."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        return execute(parse_config(argv))
+        try:
+            code = execute(parse_config(argv))
+        finally:
+            # Also when argparse exits after --help or --version: a stdout
+            # that cannot be written (EPIPE, ENOSPC) is a runtime error.
+            sys.stdout.flush()
+        return code
     except ValueError as exc:  # a UsageError, or a library object refusing a value
         sys.stderr.write(_error_json("UsageError", exc))
         return 2
@@ -474,5 +480,22 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """Process entry point: run main() and end the process without teardown.
+
+    main() has flushed stdout; os._exit then skips the interpreter's
+    teardown (unloading numpy and scipy), which takes longer than a small
+    verb's work, so atexit handlers do not run.  argparse's SystemExit for
+    --help and --version leaves the same way.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -160,16 +160,14 @@ class StabilityMap:
             "method": self.spec.method.value,
             "axis1": _axis_doc(self.spec.axis1),
             "axis2": _axis_doc(self.spec.axis2),
-            "fixed": asdict(self.spec.fixed),
-            "values": [
-                [None if np.isnan(v) else float(v) for v in row]
-                for row in self.values
-            ],
+            "fixed": {k: _json_number(v) for k, v in asdict(self.spec.fixed).items()},
+            "values": [[_json_number(v) for v in row] for row in self.values.tolist()],
             "verdicts": [[v.value for v in row] for row in self.verdicts],
             "flags": [[list(cell) for cell in row] for row in self.flags],
-            "metadata": self.metadata,
+            "metadata": {k: _json_number(v) if isinstance(v, float) else v
+                         for k, v in self.metadata.items()},
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def to_svg(self) -> str:
         """Minimal heat-map rendering of the verdict lattice."""
@@ -199,6 +197,19 @@ class StabilityMap:
                 )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
+
+
+# RFC 8259 JSON has no NaN or infinity: a map writes NaN as null and +-inf as
+# the strings the other verbs use, and map_from_json reads them back.
+_NON_FINITE = {None: math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _json_number(x: float) -> float | str | None:
+    if math.isnan(x):
+        return None
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
 
 
 def _axis_doc(axis: Axis) -> dict:
@@ -315,13 +326,13 @@ def map_from_json(text: str) -> StabilityMap:
     )
     spec = SweepSpec(
         variant=variant,
-        fixed=ModelParams(**doc["fixed"]),
+        fixed=ModelParams(**{k: _NON_FINITE.get(v, v) for k, v in doc["fixed"].items()}),
         axis1=Axis(**doc["axis1"]),
         axis2=Axis(**doc["axis2"]),
         method=Method(doc["method"]),
     )
     values = np.array(
-        [[float("nan") if v is None else v for v in row] for row in doc["values"]]
+        [[_NON_FINITE.get(v, v) for v in row] for row in doc["values"]]
     )
     verdicts = tuple(tuple(Verdict(v) for v in row) for row in doc["verdicts"])
     flags = tuple(
@@ -329,5 +340,5 @@ def map_from_json(text: str) -> StabilityMap:
     )
     return StabilityMap(
         spec=spec, values=values, verdicts=verdicts, flags=flags,
-        metadata=doc["metadata"],
+        metadata={k: _NON_FINITE.get(v, v) for k, v in doc["metadata"].items()},
     )

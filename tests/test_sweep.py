@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,37 @@ def test_export_deterministic_and_round_trips(monkeypatch):
     text = export_map(result, "json")
     assert text == export_map(result, "json")
     assert map_from_json(text) == result
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def test_json_writes_infinite_values_as_strings_and_round_trips():
+    # 1/tau0 overflows at tau0 = 1e-320, so the closed-form margin is inf there
+    spec = SweepSpec(LIQUIDITY_2X2, ModelParams(), Axis("tau0", 1e-320, 1e-300, 3),
+                     Axis("q", 0.0, 1.0, 3), Method.CLOSED_FORM)
+    result = run_sweep(spec)
+    assert np.isposinf(result.values[0]).all()
+    text = export_map(result, "json")
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert doc["values"][0] == ["inf", "inf", "inf"]
+    assert map_from_json(text) == result
+
+
+def test_json_writes_non_finite_fixed_fields_and_metadata_as_json():
+    # Fields an axis writes are not validated, and library callers may hold
+    # q1 at inf under a K axis, so fixed and metadata may hold NaN or inf.
+    spec = SweepSpec(LIQUIDITY_2X2, ModelParams(q=math.nan, q1=math.inf),
+                     Axis("K", 0.0, 1.0, 2), Axis("tau0", 1.0, 2.0, 2), Method.EIGEN)
+    result = run_sweep(spec, eps=math.inf)
+    text = export_map(result, "json")
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert doc["fixed"]["q"] is None and doc["fixed"]["q1"] == "inf"
+    assert doc["metadata"]["eps"] == doc["metadata"]["k_axis_holds_q1"] == "inf"
+    back = map_from_json(text)
+    assert math.isnan(back.spec.fixed.q) and back.spec.fixed.q1 == math.inf
+    assert back.metadata == result.metadata
 
 
 def test_eigen_and_closed_form_agree_off_the_band():
