@@ -69,6 +69,10 @@ class SimConfig:
             raise ValueError(
                 f"perturbation must lie in (0, {DELTA_MAX}], got {self.perturbation}"
             )
+        if 1.0 + self.perturbation == 1.0:  # every equilibrium price is 1
+            raise ValueError(
+                f"perturbation {self.perturbation} is too small to move P off 1.0"
+            )
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 

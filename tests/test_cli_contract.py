@@ -243,6 +243,12 @@ def test_simulate_step_count_boundary(argv, code, text):
         assert doc["error"] == "MemoryError"
 
 
+def test_a_kick_too_small_to_move_p_is_a_usage_error():
+    code, _, doc = _run("simulate", "--variant", "full5x5", "--delta", "1e-300")
+    assert code == 2
+    assert "too small to move P" in doc["message"]
+
+
 @pytest.mark.parametrize("argv,text", [
     (("baseline", "--sigma", "1e200", "-n", "3"), "log-step drift"),
     (("baseline", "--mu", "1e308", "-n", "3"), "leaves the float range"),

@@ -350,6 +350,14 @@ def test_sim_config_owns_the_perturbation_check(delta):
         SimConfig(perturbation=delta)
 
 
+@pytest.mark.parametrize("delta", [1e-300, 1e-17])
+def test_sim_config_rejects_a_kick_that_leaves_p_at_equilibrium(delta):
+    # 1.0 + delta rounds to 1.0, so the run would start at the equilibrium
+    with pytest.raises(ValueError, match="too small to move P"):
+        SimConfig(perturbation=delta)
+    assert SimConfig(perturbation=1e-15).perturbation == 1e-15
+
+
 @pytest.mark.parametrize("horizon,h,message", [
     (1e-12, 0.005, "holds no step"),      # below 1e-9 of the step: rounds to none
     (1e-300, 0.005, "holds no step"),
