@@ -135,6 +135,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}")
 
+    def _print_message(self, message, file=None):
+        # argparse swallows OSError here; --help and --version on a stdout
+        # that cannot be written must reach main() as a runtime error.
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = _Parser(add_help=False)
@@ -353,7 +359,7 @@ def _run_sweep(cmd: Command) -> int:
 def _run_simulate(cmd: Command) -> int:
     sim = cmd.sim
     step = sim.step if sim.step is not None else default_step(cmd.variant, cmd.params)
-    outcome = perturb_and_classify(cmd.variant, cmd.params, sim)
+    outcome = perturb_and_classify(cmd.variant, cmd.params, sim, cmd.options["eps"])
     if cmd.options["out"]:
         Path(cmd.options["out"]).write_text(outcome.trajectory.to_csv())
     doc = {
@@ -495,7 +501,3 @@ def run() -> NoReturn:
     if sys.stderr is not None:
         sys.stderr.flush()
     os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

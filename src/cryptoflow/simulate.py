@@ -25,6 +25,7 @@ from .model import (
     ignored_fields,
     validate_params,
 )
+from .stability import DEFAULT_EPS, jacobian_stack
 
 BLOWUP_GUARD = 1e9
 DELTA_MAX = 1e-2
@@ -34,6 +35,10 @@ DELTA_MAX = 1e-2
 # linear regime the rate refers to.
 RATE_FLOOR = 1e-13
 SMALL_SIGNAL_CAP = 1e-2
+
+# RK4 multiplies a linear mode e^(lambda t) by R(h lambda) per step, with
+# R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (coefficients leading-first).
+RK4_AMPLIFICATION = (1.0 / 24.0, 1.0 / 6.0, 0.5, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -267,10 +272,46 @@ def _fit_growth_rate(traj: Trajectory, reference: np.ndarray, truncated: bool) -
     return float(slope)
 
 
+def _check_step(variant: ModelVariant, params: ModelParams, h: float,
+               eps: float = DEFAULT_EPS) -> None:
+    """Reject a step at which RK4 gets the growth of a linear mode wrong.
+
+    For each equilibrium eigenvalue lambda outside the dead band
+    |Re lambda| <= eps, a decaying mode must shrink per step,
+    |R(h lambda)| < 1, and a growing one must grow, |R(h lambda)| > 1.
+    A non-finite Jacobian or spectrum skips the check.  The Jacobian is
+    ``stability.jacobian_stack``, which holds at unequal clocks too.
+
+    Raises:
+        ValueError: the step gets some mode's growth wrong; the message
+            names h and lambda.
+    """
+    jac = jacobian_stack(variant, params)
+    if not np.isfinite(jac).all():
+        return
+    try:
+        lam = np.linalg.eigvals(jac)
+    except np.linalg.LinAlgError:
+        return
+    if not np.isfinite(lam).all():
+        return
+    with np.errstate(all="ignore"):
+        gain = np.abs(np.polyval(RK4_AMPLIFICATION, h * lam))
+    # NaN gain (h * lambda overflowed) counts as growth
+    wrong = ((lam.real < -eps) & ~(gain < 1.0)) | ((lam.real > eps) & (gain <= 1.0))
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise ValueError(
+            f"step h={h:g} gets the growth of the mode lambda={lam[i]:.6g} wrong: "
+            f"RK4 amplification |R(h*lambda)| = {gain[i]:.6g}; use a smaller step"
+        )
+
+
 def perturb_and_classify(
     variant: ModelVariant,
     params: ModelParams,
     config: SimConfig = SimConfig(),
+    eps: float = DEFAULT_EPS,
 ) -> PerturbationOutcome:
     """Kick P off equilibrium by the configured perturbation and classify.
 
@@ -278,8 +319,12 @@ def perturb_and_classify(
     unstable above 10, indeterminate between.  Runs that abort on the
     blow-up guard or the price floor are unstable by construction (the
     deviation has left the linear neighbourhood entirely) and report the
-    failure time.
+    failure time.  A step that gets the growth of a mode outside the
+    dead band ``eps`` wrong is rejected first (:func:`_check_step`).
     """
+    validate_params(params, variant)
+    h = config.step if config.step is not None else default_step(variant, params)
+    _check_step(variant, params, h, eps)
     reference = equilibrium(variant)
     initial = reference.copy()
     initial[0] += config.perturbation

@@ -370,3 +370,17 @@ def test_simulate_csv_holds_the_trajectory(tmp_path, capsys):
     assert len(rows) == 1 + 35  # t = 0, 33 full steps, 1 partial step
     assert rows[1] == "0,1.0001,1,1,0,0"
     assert rows[-1].split(",")[0] == "1"
+
+
+def test_simulate_rejects_a_step_that_gets_a_mode_wrong(tmp_path, capsys):
+    out_file = tmp_path / "traj.csv"
+    args = ("simulate", "--variant", "liquidity2x2", "--step", "0.3", "--horizon", "30")
+    code, out, err = run_cli(capsys, *args, "--out", str(out_file))
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    message = _one_json_line(err)["message"]
+    assert "h=0.3" in message and "lambda=-9.44076" in message
+    # a mode inside the --eps dead band is not checked
+    code, out, _ = run_cli(capsys, *args, "--eps", "10")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "unstable"

@@ -1,8 +1,10 @@
-"""The process entry point: ``python -m cryptoflow`` ends through ``cli.run``.
+"""The process entry point: ``python -m cryptoflow`` runs ``__main__.main``.
 
 A fresh process gives the same stdout, stderr, exit code and --out bytes as
 ``main()`` called in this process, and a stdout that cannot be written is a
-runtime error (exit 3) reported as one JSON object on stderr.
+runtime error (exit 3) reported as one JSON object on stderr.  The process
+sets the native thread counts to 1 unless they are set already, so it runs
+no BLAS worker threads.
 """
 
 import io
@@ -13,6 +15,7 @@ import sys
 
 import pytest
 
+from cryptoflow.__main__ import NATIVE_THREAD_VARS
 from cryptoflow.cli import main
 
 SWEEP = ("sweep", "--variant", "liquidity2x2", "--axis1", "q:0:5:11",
@@ -95,18 +98,57 @@ def test_main_maps_an_unwritable_stdout_to_exit_3(monkeypatch, capsys, argv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("analyze", "--variant", "liquidity2x2"),
+                                  ("--version",), ("--help",), ("analyze", "--help")])
 @pytest.mark.parametrize("unbuffered", [False, True])
-def test_stdout_on_dev_full_exits_3(unbuffered):
+def test_stdout_on_dev_full_exits_3(unbuffered, argv):
     env = _env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "cryptoflow", "analyze",
-                               "--variant", "liquidity2x2"], stdout=full,
+        proc = subprocess.run([sys.executable, "-m", "cryptoflow", *argv], stdout=full,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "OSError"
+
+
+# Runs the CLI as ``python -m cryptoflow`` does and, as the process ends,
+# reports its thread count and its native thread variables on stderr.
+_REPORT_THREADS = """
+import json, os, runpy, sys
+end = os._exit
+def report(code):
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status
+                       if line.startswith("Threads:"))
+    env = {k: v for k, v in os.environ.items() if k.endswith("_THREADS")}
+    sys.stderr.write(json.dumps({"threads": threads, "env": env}) + "\\n")
+    sys.stderr.flush()
+    end(code)
+os._exit = report
+sys.argv = ["cryptoflow", *sys.argv[1:]]
+runpy.run_module("cryptoflow", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+@pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_a_cli_process_defaults_native_threads_to_one(user):
+    env = _env()
+    for var in NATIVE_THREAD_VARS:
+        env.pop(var, None)
+    env.update(user)
+    proc = subprocess.run([sys.executable, "-c", _REPORT_THREADS, "analyze",
+                           "--variant", "liquidity2x2"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["tag"] == "stable"
+    report = json.loads(proc.stderr)
+    assert {var: report["env"].get(var) for var in NATIVE_THREAD_VARS} == \
+        {var: user.get(var, "1") for var in NATIVE_THREAD_VARS}
+    if not user:
+        assert report["threads"] == 1

@@ -39,7 +39,7 @@ from cryptoflow import (
     validate_params,
 )
 from cryptoflow.model import Variant, Zeta2Denominator
-from cryptoflow.simulate import BLOWUP_GUARD
+from cryptoflow.simulate import BLOWUP_GUARD, _check_step
 
 VARIANTS = (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5, FULL_5X5_PRICE_NORM)
 
@@ -319,6 +319,62 @@ def test_perturb_floor_exit_is_unstable():
     assert out.verdict is EmpiricalVerdict.UNSTABLE
     assert out.failure_time is not None
     assert out.deviation_ratio == math.inf
+
+
+def test_perturb_rejects_a_step_that_damps_a_decaying_mode_into_growth():
+    # spectrum -1.059 and -9.441; h * -9.441 lies outside RK4's stability
+    # region, so the run grew and came back "unstable" with rate +0.235
+    p = ModelParams()
+    with pytest.raises(ValueError, match=r"h=0\.3 .*lambda=-9\.44076"):
+        perturb_and_classify(LIQUIDITY_2X2, p, SimConfig(step=0.3, horizon=30.0))
+    out = perturb_and_classify(LIQUIDITY_2X2, p, SimConfig(step=0.15, horizon=30.0))
+    assert out.verdict is EmpiricalVerdict.STABLE
+    assert out.growth_rate == pytest.approx(-1.0598, abs=1e-4)
+
+
+def test_perturb_rejects_a_step_that_damps_a_growing_mode():
+    # spectrum 0.05 +- 0.9987i; |R(2 * lambda)| = 0.864, so the run decayed
+    # and came back "stable"
+    p = ModelParams(q=2.1, tau0=1.0, c=1.0)
+    with pytest.raises(ValueError, match=r"h=2 .*lambda=0\.05\+0\.998749j"):
+        perturb_and_classify(LIQUIDITY_2X2, p, SimConfig(step=2.0, horizon=40.0))
+    out = perturb_and_classify(LIQUIDITY_2X2, p, SimConfig(horizon=40.0))
+    assert out.verdict is EmpiricalVerdict.UNSTABLE
+
+
+def test_step_check_skips_modes_in_the_dead_band():
+    out = perturb_and_classify(LIQUIDITY_2X2, ModelParams(),
+                               SimConfig(step=0.3, horizon=30.0), eps=10.0)
+    assert out.verdict is EmpiricalVerdict.UNSTABLE  # the wrong answer, let through
+
+
+def test_step_check_skips_a_non_finite_jacobian():
+    # 1 / tau0 overflows to inf, so there is no spectrum to check against
+    _check_step(LIQUIDITY_2X2, ModelParams(tau0=1e-310), 1.0)
+
+
+def test_step_check_holds_at_unequal_full_clocks():
+    # the scope-free Jacobian: analyze refuses these clocks, simulate does not
+    p = ModelParams(c=2.0, c1=0.5)
+    out = perturb_and_classify(FULL_5X5, p, SimConfig(horizon=30.0))
+    assert out.verdict is EmpiricalVerdict.STABLE
+    with pytest.raises(ValueError, match="RK4 amplification"):
+        perturb_and_classify(FULL_5X5, p, SimConfig(step=1.0, horizon=30.0))
+
+
+_LOG_AMPLITUDE = (math.log10(0.05), math.log10(4.0))  # criterion 09's ranges
+_LOG_CLOCK = (math.log10(0.25), math.log10(4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(variant=st.sampled_from(VARIANTS),
+       amplitudes=st.lists(st.floats(*_LOG_AMPLITUDE), min_size=3, max_size=3),
+       clocks=st.lists(st.floats(*_LOG_CLOCK), min_size=5, max_size=5))
+def test_default_steps_are_never_rejected(variant, amplitudes, clocks):
+    q, q1, q2 = (10.0 ** x for x in amplitudes)
+    tau0, c, c1, c2, c3 = (10.0 ** x for x in clocks)
+    p = ModelParams(q=q, q1=q1, q2=q2, tau0=tau0, c=c, c1=c1, c2=c2, c3=c3)
+    _check_step(variant, p, default_step(variant, p))
 
 
 def test_perturb_rejects_oversized_kick():
