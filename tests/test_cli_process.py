@@ -97,11 +97,7 @@ def test_main_maps_an_unwritable_stdout_to_exit_3(monkeypatch, capsys, argv):
                                "message": "[Errno 28] No space left on device"}
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [("analyze", "--variant", "liquidity2x2"),
-                                  ("--version",), ("--help",), ("analyze", "--help")])
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_stdout_on_dev_full_exits_3(unbuffered, argv):
+def _run_on_dev_full(argv, unbuffered):
     env = _env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -114,6 +110,20 @@ def test_stdout_on_dev_full_exits_3(unbuffered, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "OSError"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_on_dev_full_exits_3(unbuffered):
+    _run_on_dev_full(("analyze", "--variant", "liquidity2x2"), unbuffered)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("--version",), ("--help",), ("analyze", "--help")],
+                         ids=" ".join)
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_and_version_on_dev_full_exit_3(unbuffered, argv):
+    _run_on_dev_full(argv, unbuffered)
 
 
 # Runs the CLI as ``python -m cryptoflow`` does and, as the process ends,
