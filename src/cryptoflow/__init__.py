@@ -6,8 +6,8 @@ routes against each other, sweeps stability regions over parameter planes,
 and carries a log-normal baseline for tail-risk comparison.
 
 The namespace is lazy (PEP 562): ``import cryptoflow`` loads no submodule,
-and neither numpy nor scipy; the first access to an exported name imports
-the submodule that owns it.
+and neither numpy nor scipy; the first access to an exported name or to a
+submodule attribute (``cryptoflow.model``) imports the submodule concerned.
 """
 
 import importlib
@@ -55,6 +55,8 @@ __all__ = ["__version__", *_OWNER]
 
 
 def __getattr__(name):
+    if name in _EXPORTS:  # a submodule, as ``cryptoflow.model``
+        return importlib.import_module(f"{__name__}.{name}")
     module = _OWNER.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

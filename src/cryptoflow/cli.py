@@ -34,7 +34,7 @@ from .model import (
     ignored_fields,
     validate_params,
 )
-from .simulate import SimConfig, default_step, perturb_and_classify
+from .simulate import SimConfig, perturb_and_classify
 from .stability import DEFAULT_EPS, classify, eigenvalues, jacobian_analytic
 from .sweep import Axis, Method, SweepSpec, export_map, run_sweep
 
@@ -358,8 +358,7 @@ def _run_sweep(cmd: Command) -> int:
 
 def _run_simulate(cmd: Command) -> int:
     sim = cmd.sim
-    step = sim.step if sim.step is not None else default_step(cmd.variant, cmd.params)
-    outcome = perturb_and_classify(cmd.variant, cmd.params, sim, cmd.options["eps"])
+    outcome = perturb_and_classify(cmd.variant, cmd.params, sim)
     if cmd.options["out"]:
         Path(cmd.options["out"]).write_text(outcome.trajectory.to_csv())
     doc = {
@@ -367,7 +366,7 @@ def _run_simulate(cmd: Command) -> int:
         "variant": cmd.variant.tag.value,
         "params": asdict(cmd.params),
         "horizon": sim.horizon,
-        "step": step,
+        "step": outcome.step,
         "delta": sim.perturbation,
         "verdict": outcome.verdict.value,
         "growth_rate": outcome.growth_rate,

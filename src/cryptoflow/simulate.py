@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BlowUp, StateOutOfDomain
+from .errors import BlowUp, ConvergenceFailure, StateOutOfDomain
 from .model import (
     TIME_SCALES,
     ModelParams,
@@ -25,7 +25,7 @@ from .model import (
     ignored_fields,
     validate_params,
 )
-from .stability import DEFAULT_EPS, jacobian_stack
+from .stability import DEFAULT_EPS, eigenvalues, jacobian_stack
 
 BLOWUP_GUARD = 1e9
 DELTA_MAX = 1e-2
@@ -139,13 +139,23 @@ class EmpiricalVerdict(str, Enum):
 
 @dataclass(frozen=True)
 class PerturbationOutcome:
-    """Result of integrating a small kick off equilibrium."""
+    """Result of integrating a small kick off equilibrium with RK4 step ``step``."""
 
     verdict: EmpiricalVerdict
     growth_rate: float
     deviation_ratio: float
     failure_time: float | None
     trajectory: Trajectory
+    step: float
+
+
+def _ratio_verdict(ratio: float) -> EmpiricalVerdict:
+    """Stable below 0.5, unstable above 10, indeterminate between (and NaN)."""
+    if ratio < 0.5:
+        return EmpiricalVerdict.STABLE
+    if ratio > 10.0:
+        return EmpiricalVerdict.UNSTABLE
+    return EmpiricalVerdict.INDETERMINATE
 
 
 def default_step(variant: ModelVariant, params: ModelParams) -> float:
@@ -273,45 +283,51 @@ def _fit_growth_rate(traj: Trajectory, reference: np.ndarray, truncated: bool) -
 
 
 def _check_step(variant: ModelVariant, params: ModelParams, h: float,
-               eps: float = DEFAULT_EPS) -> None:
+                horizon: float) -> None:
     """Reject a step at which RK4 gets the growth of a linear mode wrong.
 
-    For each equilibrium eigenvalue lambda outside the dead band
-    |Re lambda| <= eps, a decaying mode must shrink per step,
-    |R(h lambda)| < 1, and a growing one must grow, |R(h lambda)| > 1.
-    A non-finite Jacobian or spectrum skips the check.  The Jacobian is
-    ``stability.jacobian_stack``, which holds at unequal clocks too.
+    Over one step RK4 multiplies an equilibrium mode lambda by R(h lambda)
+    where the flow multiplies it by exp(h lambda).  The step is rejected when,
+    for a mode outside the dead band |Re lambda| <= DEFAULT_EPS, RK4 turns
+    decay into growth or growth into decay (|R| >= 1 with Re lambda < 0, or
+    |R| <= 1 with Re lambda > 0) and the mode's own ratio over the horizon,
+    exp(horizon Re lambda) against |R|^(horizon / h), falls in a different
+    verdict.  So a mode next to a Hopf boundary, where RK4's damping flips
+    the sign of a tiny growth rate yet both ratios stay near 1, passes.  A
+    spectrum that is not finite or not computed skips the check.  The
+    Jacobian is ``stability.jacobian_stack``, which holds at unequal clocks.
 
     Raises:
         ValueError: the step gets some mode's growth wrong; the message
             names h and lambda.
     """
-    jac = jacobian_stack(variant, params)
-    if not np.isfinite(jac).all():
-        return
     try:
-        lam = np.linalg.eigvals(jac)
-    except np.linalg.LinAlgError:
+        lam = np.array(eigenvalues(jacobian_stack(variant, params)).eigenvalues)
+    except ConvergenceFailure:  # a non-finite Jacobian ends here too
         return
     if not np.isfinite(lam).all():
         return
     with np.errstate(all="ignore"):
         gain = np.abs(np.polyval(RK4_AMPLIFICATION, h * lam))
-    # NaN gain (h * lambda overflowed) counts as growth
-    wrong = ((lam.real < -eps) & ~(gain < 1.0)) | ((lam.real > eps) & (gain <= 1.0))
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        raise ValueError(
-            f"step h={h:g} gets the growth of the mode lambda={lam[i]:.6g} wrong: "
-            f"RK4 amplification |R(h*lambda)| = {gain[i]:.6g}; use a smaller step"
-        )
+        gain[np.isnan(gain)] = np.inf  # h * lambda overflowed
+        exact = np.exp(horizon * lam.real)
+        stepped = gain ** (horizon / h)
+    for i, mode in enumerate(lam):
+        flipped = ((mode.real < -DEFAULT_EPS and gain[i] >= 1.0)
+                   or (mode.real > DEFAULT_EPS and gain[i] <= 1.0))
+        if flipped and _ratio_verdict(exact[i]) is not _ratio_verdict(stepped[i]):
+            raise ValueError(
+                f"step h={h:g} gets the growth of the mode lambda={mode:.6g} wrong: "
+                f"RK4 amplification |R(h*lambda)| = {gain[i]:.6g} makes it "
+                f"{_ratio_verdict(stepped[i]).value} over horizon {horizon:g}, "
+                f"not {_ratio_verdict(exact[i]).value}; use a smaller step"
+            )
 
 
 def perturb_and_classify(
     variant: ModelVariant,
     params: ModelParams,
     config: SimConfig = SimConfig(),
-    eps: float = DEFAULT_EPS,
 ) -> PerturbationOutcome:
     """Kick P off equilibrium by the configured perturbation and classify.
 
@@ -319,12 +335,10 @@ def perturb_and_classify(
     unstable above 10, indeterminate between.  Runs that abort on the
     blow-up guard or the price floor are unstable by construction (the
     deviation has left the linear neighbourhood entirely) and report the
-    failure time.  A step that gets the growth of a mode outside the
-    dead band ``eps`` wrong is rejected first (:func:`_check_step`).
+    failure time.  A step that gets the growth of an equilibrium mode wrong
+    is rejected once the run has checked the parameters
+    (:func:`_check_step`).
     """
-    validate_params(params, variant)
-    h = config.step if config.step is not None else default_step(variant, params)
-    _check_step(variant, params, h, eps)
     reference = equilibrium(variant)
     initial = reference.copy()
     initial[0] += config.perturbation
@@ -332,28 +346,29 @@ def perturb_and_classify(
     try:
         traj = integrate(variant, params, initial, config)
     except (BlowUp, StateOutOfDomain) as exc:
-        traj = exc.partial
+        traj, failure_time = exc.partial, exc.time
+    else:
+        failure_time = None
+    h = config.step if config.step is not None else default_step(variant, params)
+    _check_step(variant, params, h, config.horizon)
+    if failure_time is not None:
         return PerturbationOutcome(
             verdict=EmpiricalVerdict.UNSTABLE,
             growth_rate=_fit_growth_rate(traj, reference, truncated=True),
             deviation_ratio=float("inf"),
-            failure_time=exc.time,
+            failure_time=failure_time,
             trajectory=traj,
+            step=h,
         )
 
     d0 = float(np.linalg.norm(traj.states[0] - reference))
     d_end = float(np.linalg.norm(traj.final_state - reference))
     ratio = d_end / d0
-    if ratio < 0.5:
-        verdict = EmpiricalVerdict.STABLE
-    elif ratio > 10.0:
-        verdict = EmpiricalVerdict.UNSTABLE
-    else:
-        verdict = EmpiricalVerdict.INDETERMINATE
     return PerturbationOutcome(
-        verdict=verdict,
+        verdict=_ratio_verdict(ratio),
         growth_rate=_fit_growth_rate(traj, reference, truncated=False),
         deviation_ratio=ratio,
         failure_time=None,
         trajectory=traj,
+        step=h,
     )

@@ -380,7 +380,3 @@ def test_simulate_rejects_a_step_that_gets_a_mode_wrong(tmp_path, capsys):
     assert out == "" and not out_file.exists()
     message = _one_json_line(err)["message"]
     assert "h=0.3" in message and "lambda=-9.44076" in message
-    # a mode inside the --eps dead band is not checked
-    code, out, _ = run_cli(capsys, *args, "--eps", "10")
-    assert code == 0
-    assert json.loads(out)["verdict"] == "unstable"

@@ -84,3 +84,15 @@ def test_submodules_still_import_from_the_package():
 
     assert criteria is sys.modules["cryptoflow.criteria"]
     assert criteria.verify_consistency is cryptoflow.verify_consistency
+
+
+def test_submodules_resolve_as_package_attributes_in_a_fresh_interpreter():
+    # nothing else has imported the submodules, so only __getattr__ binds them
+    same = _fresh(
+        "import json, cryptoflow; "
+        "print(json.dumps([cryptoflow.model.rhs is cryptoflow.rhs, "
+        "cryptoflow.stability.jacobian_stack.__module__] + "
+        "[getattr(cryptoflow, m).__name__ for m in cryptoflow._EXPORTS]))"
+    )
+    assert same[:2] == [True, "cryptoflow.stability"]
+    assert same[2:] == [f"cryptoflow.{m}" for m in cryptoflow._EXPORTS]

@@ -10,6 +10,7 @@ through both guards and ``integrate`` stops as a BlowUp.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ from cryptoflow import (
     validate_params,
 )
 from cryptoflow.model import Variant, Zeta2Denominator
-from cryptoflow.simulate import BLOWUP_GUARD, _check_step
+from cryptoflow.simulate import BLOWUP_GUARD, RK4_AMPLIFICATION, _check_step
+from cryptoflow.stability import DEFAULT_EPS, eigenvalues, jacobian_stack
 
 VARIANTS = (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5, FULL_5X5_PRICE_NORM)
 
@@ -334,23 +336,55 @@ def test_perturb_rejects_a_step_that_damps_a_decaying_mode_into_growth():
 
 def test_perturb_rejects_a_step_that_damps_a_growing_mode():
     # spectrum 0.05 +- 0.9987i; |R(2 * lambda)| = 0.864, so the run decayed
-    # and came back "stable"
+    # and came back "stable" where exp(40 * 0.05) = 7.4 is not
     p = ModelParams(q=2.1, tau0=1.0, c=1.0)
-    with pytest.raises(ValueError, match=r"h=2 .*lambda=0\.05\+0\.998749j"):
+    wrong = r"h=2 .*lambda=0\.05-0\.998749j.* stable over horizon 40, not indeterminate"
+    with pytest.raises(ValueError, match=wrong):
         perturb_and_classify(LIQUIDITY_2X2, p, SimConfig(step=2.0, horizon=40.0))
     out = perturb_and_classify(LIQUIDITY_2X2, p, SimConfig(horizon=40.0))
     assert out.verdict is EmpiricalVerdict.UNSTABLE
 
 
 def test_step_check_skips_modes_in_the_dead_band():
-    out = perturb_and_classify(LIQUIDITY_2X2, ModelParams(),
-                               SimConfig(step=0.3, horizon=30.0), eps=10.0)
-    assert out.verdict is EmpiricalVerdict.UNSTABLE  # the wrong answer, let through
+    # spectrum (q - 2) / 2 +- i; at h = 2 RK4 damps it by 0.745 per step, so
+    # over horizon 40 it reads "stable" where the flow reads "indeterminate"
+    inside = ModelParams(q=2.0 + 1e-8, tau0=1.0, c=1.0)   # Re lambda 5e-9
+    _check_step(LIQUIDITY_2X2, inside, 2.0, 40.0)
+    outside = ModelParams(q=2.0 + 1e-6, tau0=1.0, c=1.0)  # Re lambda 5e-7
+    with pytest.raises(ValueError, match="stable over horizon 40, not indeterminate"):
+        _check_step(LIQUIDITY_2X2, outside, 2.0, 40.0)
 
 
 def test_step_check_skips_a_non_finite_jacobian():
     # 1 / tau0 overflows to inf, so there is no spectrum to check against
-    _check_step(LIQUIDITY_2X2, ModelParams(tau0=1e-310), 1.0)
+    _check_step(LIQUIDITY_2X2, ModelParams(tau0=1e-310), 1.0, 50.0)
+
+
+def test_default_step_passes_next_to_a_hopf_boundary():
+    # Bisect q onto Re lambda = 1e-7, outside the dead band; there RK4's
+    # damping at the default step outweighs the growth, |R(h lambda)| < 1,
+    # yet the ratio over the horizon stays near 1 either way: indeterminate.
+    base = ModelParams(q=1.7, q1=0.121, q2=2.65, tau0=0.273, c=0.254,
+                       c1=0.956, c2=0.576, c3=0.807)
+
+    def dominant(q):
+        return eigenvalues(jacobian_stack(FULL_5X5, replace(base, q=q))).eigenvalues[0]
+
+    lo, hi = 1.7, 1.75
+    assert dominant(lo).real < 1e-7 < dominant(hi).real
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dominant(mid).real < 1e-7 else (lo, mid)
+    p = replace(base, q=hi)
+    lam = dominant(hi)
+    h = default_step(FULL_5X5, p)
+    assert DEFAULT_EPS < lam.real < 2e-7 and abs(lam.imag) > 7.0
+    assert abs(np.polyval(RK4_AMPLIFICATION, h * lam)) < 1.0
+    out = perturb_and_classify(FULL_5X5, p, SimConfig(horizon=50.0))
+    assert out.step == h
+    assert out.verdict is EmpiricalVerdict.INDETERMINATE
+    finer = perturb_and_classify(FULL_5X5, p, SimConfig(step=h / 4, horizon=50.0))
+    assert out.deviation_ratio == pytest.approx(finer.deviation_ratio, rel=1e-3)
 
 
 def test_step_check_holds_at_unequal_full_clocks():
@@ -374,7 +408,7 @@ def test_default_steps_are_never_rejected(variant, amplitudes, clocks):
     q, q1, q2 = (10.0 ** x for x in amplitudes)
     tau0, c, c1, c2, c3 = (10.0 ** x for x in clocks)
     p = ModelParams(q=q, q1=q1, q2=q2, tau0=tau0, c=c, c1=c1, c2=c2, c3=c3)
-    _check_step(variant, p, default_step(variant, p))
+    _check_step(variant, p, default_step(variant, p), 50.0)
 
 
 def test_perturb_rejects_oversized_kick():
