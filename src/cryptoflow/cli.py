@@ -14,13 +14,15 @@ error, 3 runtime failure such as an --out file that cannot be written (2 and
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import Callable, Iterator, NoReturn, TextIO
 
 from . import __version__
 from .criteria import DEFAULT_BAND, closed_forms, verify_consistency
@@ -285,15 +287,36 @@ def _sanitize(obj):
     return _finite(obj)
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(_sanitize(doc), sort_keys=True, indent=2) + "\n"
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The stream a verb writes its result to: the file ``path``, or stdout.
+
+    A verb opens it only once its result exists, so a run that fails before
+    then leaves an existing --out file as it was.  Every byte is written or
+    an OSError raised.  An unbuffered stdout (PYTHONUNBUFFERED) is a raw
+    file whose short writes, as on a pipe closed mid-write, TextIOWrapper
+    drops; it is written through a buffered stream on the same descriptor,
+    which retries them and raises on EPIPE.
+    """
+    if path:
+        with open(path, "w") as stream:
+            yield stream
+    elif isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        sys.stdout.flush()
+        with open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                  errors=sys.stdout.errors, closefd=False) as stream:
+            yield stream
+    else:
+        yield sys.stdout
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = _dump(doc)
-    if out:
-        Path(out).write_text(text)
-    sys.stdout.write(text)
+    """Write the verb's JSON document to the --out file, if any, then stdout."""
+    doc = _sanitize(doc)
+    for path in (out, None) if out else (None,):
+        with _output(path) as stream:
+            json.dump(doc, stream, sort_keys=True, indent=2)
+            stream.write("\n")
 
 
 def _closed_form_doc(variant: ModelVariant, params: ModelParams, band: float) -> dict:
@@ -348,11 +371,8 @@ def _run_sweep(cmd: Command) -> int:
     if fmt is None:
         suffix = Path(opts["out"]).suffix.lstrip(".") if opts["out"] else ""
         fmt = suffix if suffix in FORMATS else "csv"
-    text = export_map(result, fmt)
-    if opts["out"]:
-        Path(opts["out"]).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(opts["out"]) as stream:
+        export_map(result, fmt, stream)
     return 0
 
 
@@ -360,7 +380,8 @@ def _run_simulate(cmd: Command) -> int:
     sim = cmd.sim
     outcome = perturb_and_classify(cmd.variant, cmd.params, sim)
     if cmd.options["out"]:
-        Path(cmd.options["out"]).write_text(outcome.trajectory.to_csv())
+        with _output(cmd.options["out"]) as stream:
+            outcome.trajectory.to_csv(stream)
     doc = {
         "version": __version__,
         "variant": cmd.variant.tag.value,
@@ -421,7 +442,8 @@ def _run_baseline(cmd: Command) -> int:
     report = None if opts["drop"] is None \
         else exceedance_report(gbm.log_step()[1], opts["drop"])
     if opts["out"]:
-        Path(opts["out"]).write_text(gbm_path_csv(gbm, path))
+        with _output(opts["out"]) as stream:
+            gbm_path_csv(gbm, path, stream)
     doc = {
         "version": __version__,
         "mu": gbm.mu,

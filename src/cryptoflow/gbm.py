@@ -9,9 +9,11 @@ rejection sampling), which keeps every path reproducible from its seed.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -26,6 +28,9 @@ finally:
     if _epoch is not None:
         os.environ["SOURCE_DATE_EPOCH"] = _epoch
 del _epoch
+
+# A streamed path CSV holds this many rows' text at a time, whatever its length.
+CSV_ROWS_PER_WRITE = 1024
 
 
 @dataclass(frozen=True)
@@ -98,12 +103,20 @@ def gbm_simulate(params: GbmParams, p0: float = 1.0) -> np.ndarray:
     return path
 
 
-def gbm_path_csv(params: GbmParams, path: np.ndarray) -> str:
-    """CSV with time and price columns, 17 significant digits."""
-    lines = ["t,P"]
-    for i, p in enumerate(path):
-        lines.append(f"{i * params.dt:.17g},{p:.17g}")
-    return "\n".join(lines) + "\n"
+def gbm_path_csv(params: GbmParams, path: np.ndarray,
+                 stream: TextIO | None = None) -> str | None:
+    """CSV with time and price columns, 17 significant digits.
+
+    Writes to ``stream``, at most CSV_ROWS_PER_WRITE rows per write, and
+    returns None; without a stream, returns the text.
+    """
+    out = io.StringIO() if stream is None else stream
+    out.write("t,P\n")
+    for start in range(0, len(path), CSV_ROWS_PER_WRITE):
+        prices = path[start:start + CSV_ROWS_PER_WRITE].tolist()
+        out.write("".join([f"{i * params.dt:.17g},{p:.17g}\n"
+                           for i, p in enumerate(prices, start)]))
+    return out.getvalue() if stream is None else None
 
 
 def normal_tail(k: float) -> float:

@@ -8,10 +8,12 @@ the partial trajectory on the exception.
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import TextIO
 
 import numpy as np
 
@@ -39,6 +41,10 @@ SMALL_SIGNAL_CAP = 1e-2
 # RK4 multiplies a linear mode e^(lambda t) by R(h lambda) per step, with
 # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (coefficients leading-first).
 RK4_AMPLIFICATION = (1.0 / 24.0, 1.0 / 6.0, 0.5, 1.0, 1.0)
+
+# A streamed trajectory CSV holds this many rows' text at a time, whatever
+# the length of the run.
+CSV_ROWS_PER_WRITE = 1024
 
 
 @dataclass(frozen=True)
@@ -121,14 +127,20 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def to_csv(self) -> str:
-        """CSV with a time column and one column per state label."""
-        lines = ["t," + ",".join(self.variant.labels)]
-        row_format = ",".join(["%.17g"] * (1 + len(self.variant.labels)))
-        # One row at a time, so no whole-array list of floats is held.
-        for t, row in zip(self.times.tolist(), self.states):
-            lines.append(row_format % (t, *row.tolist()))
-        return "\n".join(lines) + "\n"
+    def to_csv(self, stream: TextIO | None = None) -> str | None:
+        """CSV with a time column and one column per state label.
+
+        Writes to ``stream``, at most CSV_ROWS_PER_WRITE rows per write, and
+        returns None; without a stream, returns the text.
+        """
+        out = io.StringIO() if stream is None else stream
+        out.write("t," + ",".join(self.variant.labels) + "\n")
+        row_format = ",".join(["%.17g"] * (1 + len(self.variant.labels))) + "\n"
+        for start in range(0, len(self.times), CSV_ROWS_PER_WRITE):
+            rows = slice(start, start + CSV_ROWS_PER_WRITE)
+            out.write("".join([row_format % (t, *state) for t, state in
+                               zip(self.times[rows].tolist(), self.states[rows].tolist())]))
+        return out.getvalue() if stream is None else None
 
 
 class EmpiricalVerdict(str, Enum):

@@ -10,12 +10,14 @@ of aborting the sweep.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from typing import TextIO
 
 import numpy as np
 
@@ -139,20 +141,27 @@ class StabilityMap:
             and self.metadata == other.metadata
         )
 
-    def to_csv(self) -> str:
-        """Row-major CSV, one line per cell, 17 significant digits."""
-        a1 = self.spec.axis1.values()
-        a2 = self.spec.axis2.values()
-        lines = ["axis1,axis2,max_real_or_margin,verdict"]
-        for i in range(self.spec.axis1.steps):
-            for j in range(self.spec.axis2.steps):
-                lines.append(
-                    f"{a1[i]:.17g},{a2[j]:.17g},"
-                    f"{self.values[i, j]:.17g},{self.verdicts[i][j].value}"
-                )
-        return "\n".join(lines) + "\n"
+    def to_csv(self, stream: TextIO | None = None) -> str | None:
+        """Row-major CSV, one line per cell, 17 significant digits.
 
-    def to_json(self) -> str:
+        Writes to ``stream``, one axis1 row of the lattice per write, and
+        returns None; without a stream, returns the text.
+        """
+        out = io.StringIO() if stream is None else stream
+        out.write("axis1,axis2,max_real_or_margin,verdict\n")
+        a2 = [f"{y:.17g}" for y in self.spec.axis2.values().tolist()]
+        for x, values, verdicts in zip(self.spec.axis1.values().tolist(), self.values,
+                                       self.verdicts):
+            out.write("".join([f"{x:.17g},{y},{v:.17g},{verdict.value}\n"
+                               for y, v, verdict in zip(a2, values.tolist(), verdicts)]))
+        return out.getvalue() if stream is None else None
+
+    def to_json(self, stream: TextIO | None = None) -> str | None:
+        """RFC 8259 JSON of the whole map, which ``map_from_json`` reads back.
+
+        Writes to ``stream`` in ``json.dump``'s chunks and returns None;
+        without a stream, returns the text.
+        """
         doc = {
             "type": "stability_map",
             "variant": self.spec.variant.tag.value,
@@ -167,10 +176,17 @@ class StabilityMap:
             "metadata": {k: _json_number(v) if isinstance(v, float) else v
                          for k, v in self.metadata.items()},
         }
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        out = io.StringIO() if stream is None else stream
+        json.dump(doc, out, sort_keys=True, indent=2, allow_nan=False)
+        out.write("\n")
+        return out.getvalue() if stream is None else None
 
-    def to_svg(self) -> str:
-        """Minimal heat-map rendering of the verdict lattice."""
+    def to_svg(self, stream: TextIO | None = None) -> str | None:
+        """Minimal heat-map rendering of the verdict lattice.
+
+        Writes to ``stream``, one axis1 row of the lattice per write, and
+        returns None; without a stream, returns the text.
+        """
         colors = {
             Verdict.STABLE: "#2166ac",
             Verdict.MARGINAL: "#fee08b",
@@ -180,23 +196,21 @@ class StabilityMap:
         n1, n2 = self.shape
         cell = 8
         width, height = n1 * cell, n2 * cell
-        parts = [
+        out = io.StringIO() if stream is None else stream
+        out.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
+            f'height="{height}" viewBox="0 0 {width} {height}">\n'
             f"<title>{self.spec.variant.tag.value} {self.spec.method.value} "
-            f"{self.spec.axis1.name} vs {self.spec.axis2.name}</title>",
-        ]
-        for i in range(n1):
-            for j in range(n2):
-                # axis1 runs left to right, axis2 bottom to top
-                x = i * cell
-                y = (n2 - 1 - j) * cell
-                parts.append(
-                    f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                    f'fill="{colors[self.verdicts[i][j]]}"/>'
-                )
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+            f"{self.spec.axis1.name} vs {self.spec.axis2.name}</title>\n"
+        )
+        for i, verdicts in enumerate(self.verdicts):
+            # axis1 runs left to right, axis2 bottom to top
+            out.write("".join([
+                f'<rect x="{i * cell}" y="{(n2 - 1 - j) * cell}" width="{cell}" '
+                f'height="{cell}" fill="{colors[verdict]}"/>\n'
+                for j, verdict in enumerate(verdicts)]))
+        out.write("</svg>\n")
+        return out.getvalue() if stream is None else None
 
 
 # RFC 8259 JSON has no NaN or infinity: a map writes NaN as null and +-inf as
@@ -305,14 +319,16 @@ def boundary_cells(stability_map: StabilityMap) -> list[tuple[int, int]]:
     return out
 
 
-def export_map(stability_map: StabilityMap, fmt: str) -> str:
-    """Serialize a map as 'csv', 'json', or 'svg'."""
+def export_map(stability_map: StabilityMap, fmt: str,
+               stream: TextIO | None = None) -> str | None:
+    """Serialize a map as 'csv', 'json', or 'svg': to ``stream`` when given
+    (returning None), else as the returned text."""
     if fmt == "csv":
-        return stability_map.to_csv()
+        return stability_map.to_csv(stream)
     if fmt == "json":
-        return stability_map.to_json()
+        return stability_map.to_json(stream)
     if fmt == "svg":
-        return stability_map.to_svg()
+        return stability_map.to_svg(stream)
     raise ValueError(f"unknown format {fmt!r}; choose csv, json, or svg")
 
 

@@ -288,20 +288,46 @@ def test_sweep_rejects_non_finite_axis(capsys, axis):
     _one_json_line(err)
 
 
-@pytest.mark.parametrize("args", [
+OUT_VERBS = [
     ("analyze",),
     ("sweep", "--variant", "liquidity2x2", "--axis1", "q:0:1:3",
      "--axis2", "tau0:1:2:3"),
     ("verify", "--variant", "liquidity2x2", "-n", "10"),
     ("simulate", "--variant", "liquidity2x2", "--horizon", "1"),
     ("baseline", "-n", "10"),
-])
+]
+
+
+@pytest.mark.parametrize("args", OUT_VERBS)
 def test_unwritable_out_exits_3(tmp_path, capsys, args):
     target = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, *args, "--out", str(target))
     assert code == 3
     assert out == ""
     assert _one_json_line(err)["error"] == "FileNotFoundError"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", OUT_VERBS)
+def test_out_on_a_full_device_exits_3_before_stdout(capsys, args):
+    # the --out file is written before stdout, and fails as it is closed
+    code, out, err = run_cli(capsys, *args, "--out", "/dev/full")
+    assert code == 3
+    assert out == ""
+    assert _one_json_line(err) == {"error": "OSError",
+                                   "message": "[Errno 28] No space left on device"}
+
+
+def test_a_run_that_fails_before_its_result_leaves_out_as_it_was(tmp_path, capsys):
+    # 10^18 steps: the trajectory buffer cannot be allocated
+    out_file = tmp_path / "traj.csv"
+    out_file.write_bytes(b"t,P\r\nkept\n")
+    code, out, err = run_cli(capsys, "simulate", "--horizon", "1e10", "--step", "1e-8",
+                             "--out", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert _one_json_line(err)["error"] == "MemoryError"
+    assert out_file.read_bytes() == b"t,P\r\nkept\n"
 
 
 def test_bad_source_date_epoch_exits_2(capsys, monkeypatch):

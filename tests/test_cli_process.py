@@ -126,6 +126,30 @@ def test_help_and_version_on_dev_full_exit_3(unbuffered, argv):
     _run_on_dev_full(argv, unbuffered)
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_pipe_closed_mid_export_exits_3(unbuffered):
+    # The map's CSV (about 600 kB) is far larger than a pipe holds, so the
+    # child is still writing when the reader closes.  Unbuffered, stdout is a
+    # raw file whose short write TextIOWrapper would drop without an error.
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "cryptoflow", "sweep", "--variant",
+                             "liquidity2x2", "--axis1", "q:0:5:101", "--axis2",
+                             "tau0:0.5:2:101"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b"axis1,axis2,max_real_or_margin,verdict\n")
+    assert proc.returncode == 3
+    lines = err.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "BrokenPipeError",
+                                    "message": "[Errno 32] Broken pipe"}
+
+
 # Runs the CLI as ``python -m cryptoflow`` does and, as the process ends,
 # reports its thread count and its native thread variables on stderr.
 _REPORT_THREADS = """
