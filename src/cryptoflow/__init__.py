@@ -21,31 +21,35 @@ _EXPORTS = {
         "ScalingOutOfScope", "OutOfScope", "ConvergenceFailure", "ResidualTooLarge",
         "DegreeOutOfRange",
     ),
+    "inputs": (
+        "Variant", "Zeta2Denominator", "ModelVariant", "ModelParams",
+        "validate_params", "ignored_fields", "DEFAULT_EPS", "DEFAULT_BAND",
+        "SimConfig", "Axis", "SweepSpec", "Method", "GbmParams",
+    ),
     "model": (
-        "Variant", "Zeta2Denominator", "ModelVariant", "ModelParams", "FULL_5X5",
-        "FULL_5X5_PRICE_NORM", "SENTIMENT_3X3", "LIQUIDITY_2X2", "P_FLOOR",
-        "validate_params", "ignored_fields", "rhs", "equilibrium",
+        "FULL_5X5", "FULL_5X5_PRICE_NORM", "SENTIMENT_3X3", "LIQUIDITY_2X2", "P_FLOOR",
+        "rhs", "equilibrium",
     ),
     "stability": (
-        "Polynomial", "Spectrum", "StabilityVerdict", "Verdict", "DEFAULT_EPS",
+        "Polynomial", "Spectrum", "StabilityVerdict", "Verdict",
         "jacobian_analytic", "jacobian_numeric", "char_poly", "eigenvalues",
         "reduced_cubic", "classify",
     ),
     "criteria": (
-        "CriterionResult", "DEFAULT_BAND", "criterion_2x2", "criterion_3x3",
+        "CriterionResult", "criterion_2x2", "criterion_3x3",
         "criterion_5x5_q2zero", "rh_5x5", "sufficient_5x5", "simple_condition_5x5",
         "hurwitz_stable", "verify_consistency", "ConsistencyReport", "Mismatch",
     ),
     "simulate": (
-        "SimConfig", "Trajectory", "integrate", "perturb_and_classify",
+        "Trajectory", "integrate", "perturb_and_classify",
         "PerturbationOutcome", "EmpiricalVerdict", "default_step",
     ),
     "sweep": (
-        "Axis", "SweepSpec", "Method", "StabilityMap", "run_sweep",
+        "StabilityMap", "run_sweep",
         "boundary_cells", "export_map", "map_from_json",
     ),
     "gbm": (
-        "GbmParams", "gbm_simulate", "gbm_path_csv", "normal_tail",
+        "gbm_simulate", "gbm_path_csv", "normal_tail",
         "exceedance_report", "ExceedanceReport",
     ),
 }

@@ -3,12 +3,15 @@
 All verbs share one option set, declared once in ``OPTIONS``: the flags, the
 config-file keys and types, and the defaults all come from that table.
 Values resolve flag > config file > default; the config file is a flat JSON
-object keyed by option names.  ``parse_config`` builds the library objects a
-verb runs on, and each object checks the values it reads, so a verb rejects
-bad values of the options it reads, before it writes anything, and ignores
-the others.  Exit codes: 0 success, 1 verification found mismatches, 2 usage
-error, 3 runtime failure such as an --out file that cannot be written (2 and
-3 are reported as a single JSON object on stderr).
+object keyed by option names.  ``parse_config`` builds the objects a verb runs
+on (from ``inputs``), and each object checks the values it reads, so a verb
+rejects bad values of the options it reads before any work, and ignores the
+others.  This module and ``inputs`` import neither numpy nor scipy; only
+``execute`` loads the numeric modules, once the command is valid, so a
+rejected invocation, --help and --version never load them.  Exit codes: 0
+success, 1 verification found mismatches, 2 usage error, 3 runtime failure
+such as an --out file that cannot be written (2 and 3 are reported as a
+single JSON object on stderr).
 """
 
 from __future__ import annotations
@@ -25,20 +28,25 @@ from pathlib import Path
 from typing import Callable, Iterator, NoReturn, TextIO
 
 from . import __version__
-from .criteria import DEFAULT_BAND, closed_forms, verify_consistency
 from .errors import CryptoflowError
-from .gbm import GbmParams, exceedance_report, gbm_path_csv, gbm_simulate
-from .model import (
+from .inputs import (
+    DEFAULT_BAND,
+    DEFAULT_EPS,
     PARAM_FIELDS,
+    Axis,
+    GbmParams,
+    Method,
     ModelParams,
     ModelVariant,
+    SimConfig,
+    SweepSpec,
     Variant,
+    check_exceedance,
+    check_initial_price,
+    check_verify,
     ignored_fields,
     validate_params,
 )
-from .simulate import SimConfig, perturb_and_classify
-from .stability import DEFAULT_EPS, classify, eigenvalues, jacobian_analytic
-from .sweep import Axis, Method, SweepSpec, export_map, run_sweep
 
 VERBS = {
     "analyze": "Jacobian, spectrum, and closed-form verdicts at a point",
@@ -258,13 +266,17 @@ def parse_config(argv: list[str]) -> Command:
             pins = {key: getattr(params, key) for key in PARAM_FIELDS
                     if key in config or key in flags}
             validate_params(ModelParams(**pins), variant)
+            check_verify(variant, merged["n"], merged["seed"], pins)
             return replace(cmd, pins=pins)
         if verb == "baseline":
             step = merged["step"]
-            return replace(cmd, gbm=GbmParams(
-                mu=merged["mu"], sigma=merged["sigma"],
-                dt=GbmParams.dt if step is None else step,
-                n=merged["n"], seed=merged["seed"]))
+            gbm = GbmParams(mu=merged["mu"], sigma=merged["sigma"],
+                            dt=GbmParams.dt if step is None else step,
+                            n=merged["n"], seed=merged["seed"])
+            check_initial_price(merged["p0"])
+            if merged["drop"] is not None:
+                check_exceedance(gbm.log_step()[1], merged["drop"], "sigma * sqrt(step)")
+            return replace(cmd, gbm=gbm)
     except CryptoflowError as exc:
         raise UsageError(str(exc)) from exc
     return cmd
@@ -320,6 +332,8 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _closed_form_doc(variant: ModelVariant, params: ModelParams, band: float) -> dict:
+    from .criteria import closed_forms
+
     out = {}
     for name, criterion in closed_forms(variant):
         try:
@@ -339,6 +353,8 @@ def _closed_form_doc(variant: ModelVariant, params: ModelParams, band: float) ->
 
 
 def _run_analyze(cmd: Command) -> int:
+    from .stability import classify, eigenvalues, jacobian_analytic
+
     opts = cmd.options
     jac = jacobian_analytic(cmd.variant, cmd.params)
     spectrum = eigenvalues(jac)
@@ -365,6 +381,8 @@ def _run_analyze(cmd: Command) -> int:
 
 
 def _run_sweep(cmd: Command) -> int:
+    from .sweep import export_map, run_sweep
+
     opts = cmd.options
     result = run_sweep(cmd.spec, eps=opts["eps"], band=opts["band"])
     fmt = opts["format"]
@@ -377,6 +395,8 @@ def _run_sweep(cmd: Command) -> int:
 
 
 def _run_simulate(cmd: Command) -> int:
+    from .simulate import perturb_and_classify
+
     sim = cmd.sim
     outcome = perturb_and_classify(cmd.variant, cmd.params, sim)
     if cmd.options["out"]:
@@ -399,6 +419,8 @@ def _run_simulate(cmd: Command) -> int:
 
 
 def _run_verify(cmd: Command) -> int:
+    from .criteria import verify_consistency
+
     opts = cmd.options
     report = verify_consistency(
         cmd.variant,
@@ -437,6 +459,8 @@ def _run_verify(cmd: Command) -> int:
 
 
 def _run_baseline(cmd: Command) -> int:
+    from .gbm import exceedance_report, gbm_path_csv, gbm_simulate
+
     opts, gbm = cmd.options, cmd.gbm
     path = gbm_simulate(gbm, p0=opts["p0"])
     report = None if opts["drop"] is None \
@@ -476,7 +500,19 @@ _RUNNERS = {
 
 
 def execute(cmd: Command) -> int:
-    """Run a resolved command; returns the process exit code."""
+    """Run a resolved command; returns the process exit code.
+
+    numpy and scipy load here, not at import: every numeric module is
+    imported whichever verb runs, so each valid run loads the same modules.
+    Each runner imports the names it calls.  (``from . import x`` would load
+    them through the package's lazy ``__getattr__``, which -X importtime
+    does not report.)
+    """
+    import cryptoflow.criteria  # noqa: F401  (loads model and stability)
+    import cryptoflow.gbm  # noqa: F401
+    import cryptoflow.simulate  # noqa: F401
+    import cryptoflow.sweep  # noqa: F401
+
     return _RUNNERS[cmd.verb](cmd)
 
 

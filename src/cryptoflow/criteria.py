@@ -19,28 +19,29 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceFailure, DegreeOutOfRange, OutOfScope, ScalingOutOfScope
-from .model import (
+from .inputs import (
     AMPLITUDES,
+    DEFAULT_BAND,
+    DEFAULT_EPS,
     PARAM_FIELDS,
     PARAM_RULES,
+    SAMPLED_FIELDS,
     TIME_SCALES,
     ModelParams,
     ModelVariant,
     Rule,
     Variant,
     check_rules,
-    rule_errors,
+    check_verify,
 )
+from .model import rule_errors
 from .stability import (
-    DEFAULT_EPS,
     Polynomial,
     Verdict,
     dominant_real_parts,
     jacobian_scope,
     jacobian_stack,
 )
-
-DEFAULT_BAND = 1e-6
 
 # Points per stacked eigen solve: enough to amortise the per-call cost of
 # eigvals, few enough that the stack's memory stays small.
@@ -353,12 +354,6 @@ class ConsistencyReport:
         return self.samples - self.mismatches - self.excluded
 
 
-_SAMPLED_FIELDS = {
-    Variant.LIQUIDITY_2X2: ("q", "tau0", "c"),
-    Variant.SENTIMENT_3X3: ("q", "q1", "tau0", "c"),
-    Variant.FULL_5X5: ("q", "q1", "q2", "tau0", "c3"),
-}
-
 # Fields a variant does not sample: amplitudes off, time scales at 1.
 _UNSAMPLED = {**dict.fromkeys(AMPLITUDES, 0.0), **dict.fromkeys(TIME_SCALES, 1.0)}
 
@@ -372,7 +367,7 @@ def _sample_params(
     """m sample points, drawn in the order of a loop over points and fields."""
     columns = {name: np.full(m, value) for name, value in _UNSAMPLED.items()}
     drawn = []
-    for name in _SAMPLED_FIELDS[variant.tag]:
+    for name in SAMPLED_FIELDS[variant.tag]:
         if name in fixed:
             columns[name] = np.full(m, float(fixed[name]))
         else:
@@ -414,16 +409,8 @@ def verify_consistency(
     full variant selects the q2 = 0 criterion and additionally reports the
     agreement rate of the 1/c3 + 1/tau0 > K shortcut for the record).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     fixed = dict(fixed) if fixed else {}
-    allowed = set(_SAMPLED_FIELDS[variant.tag])
-    unknown = set(fixed) - allowed
-    if unknown:
-        raise ValueError(
-            f"cannot pin {sorted(unknown)} for {variant.tag.value}; "
-            f"samplable fields are {sorted(allowed)}"
-        )
+    check_verify(variant, n, seed, fixed)
 
     # only the full variant samples q2
     q2_pinned_zero = fixed.get("q2") == 0.0

@@ -17,6 +17,8 @@ from typing import TextIO
 
 import numpy as np
 
+from .inputs import GbmParams, check_exceedance, check_initial_price
+
 # Importing scipy.special imports numpy.f2py, which parses SOURCE_DATE_EPOCH
 # and raises on a value that is not an integer.  Only sweep metadata reads
 # that variable, and it rejects a bad value as a usage error, so the variable
@@ -31,41 +33,6 @@ del _epoch
 
 # A streamed path CSV holds this many rows' text at a time, whatever its length.
 CSV_ROWS_PER_WRITE = 1024
-
-
-@dataclass(frozen=True)
-class GbmParams:
-    """Drift mu and volatility sigma per unit time, step dt, n steps."""
-
-    mu: float = 0.0
-    sigma: float = 0.0075
-    dt: float = 1.0
-    n: int = 250
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        for name in ("mu", "sigma", "dt"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        try:
-            drift, volatility = self.log_step()
-        except OverflowError:  # sigma**2 beyond the float range
-            drift = volatility = math.inf
-        if not (math.isfinite(drift) and math.isfinite(volatility)):
-            raise ValueError(
-                f"log-step drift (mu - sigma^2/2) dt and volatility sigma sqrt(dt) "
-                f"must be finite, got mu={self.mu}, sigma={self.sigma}, dt={self.dt}"
-            )
-
-    def log_step(self) -> tuple[float, float]:
-        """Drift and volatility of log P over one step."""
-        return (self.mu - 0.5 * self.sigma**2) * self.dt, self.sigma * math.sqrt(self.dt)
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -85,10 +52,7 @@ def gbm_simulate(params: GbmParams, p0: float = 1.0) -> np.ndarray:
         ValueError: p0 is not positive and finite, or a price of the path
             leaves the float range (overflows, or underflows to 0).
     """
-    if not p0 > 0.0:
-        raise ValueError(f"p0 must be positive, got {p0}")
-    if not math.isfinite(p0):
-        raise ValueError(f"p0 must be finite, got {p0}")
+    check_initial_price(p0)
     rng = np.random.default_rng(params.seed)
     z = _standard_normals(rng, params.n)
     drift, volatility = params.log_step()
@@ -145,12 +109,7 @@ def exceedance_report(sigma_daily: float, drop: float) -> ExceedanceReport:
     k = drop/sigma_daily is the move in daily standard deviations; the
     recurrence time is the reciprocal probability in days.
     """
-    if not sigma_daily > 0.0:
-        raise ValueError(f"sigma_daily must be positive, got {sigma_daily}")
-    if not drop > 0.0:
-        raise ValueError(f"drop must be positive, got {drop}")
-    if not math.isfinite(drop):
-        raise ValueError(f"drop must be finite, got {drop}")
+    check_exceedance(sigma_daily, drop)
     k = drop / sigma_daily
     probability = normal_tail(k)
     recurrence = math.inf if probability == 0.0 else 1.0 / probability

@@ -1,0 +1,411 @@
+"""The values a run is built from, and every check on them, without numpy.
+
+Model variants and parameters, integration controls, sweep axes and specs,
+baseline parameters and the checks of the verify and baseline options all
+live here, and this module imports neither numpy nor scipy.  So the command
+line builds and checks a whole invocation before any numeric module loads:
+a rejected invocation, --help and --version never load them.  The numeric
+modules (model, stability, criteria, simulate, sweep, gbm) import these
+names from here, so their old import paths still work.
+
+Each parameter rule is written once for a point and for a batch: a rule's
+test answers with a bool for float fields and with a bool array for array
+fields (``model.rule_errors`` reads the batch answer).
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from dataclasses import dataclass, fields
+from enum import Enum
+from typing import TYPE_CHECKING, Callable, Mapping
+
+from .errors import (
+    CryptoflowError,
+    NegativeAmplitude,
+    NonFiniteParameter,
+    NonPositiveTimeScale,
+)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+DEFAULT_EPS = 1e-8
+DEFAULT_BAND = 1e-6
+DELTA_MAX = 1e-2
+
+
+class Variant(str, Enum):
+    """Which subset of the state is dynamic."""
+
+    FULL_5X5 = "full5x5"
+    SENTIMENT_3X3 = "sentiment3x3"
+    LIQUIDITY_2X2 = "liquidity2x2"
+
+
+class Zeta2Denominator(str, Enum):
+    """Normalization of the value-sentiment discount (Pa - P)/D."""
+
+    ANCHOR_PA = "anchor_pa"
+    PRICE_P = "price_p"
+
+
+_LABELS = {
+    Variant.FULL_5X5: ("P", "Pa", "L", "zeta1", "zeta2"),
+    Variant.SENTIMENT_3X3: ("P", "L", "zeta1"),
+    Variant.LIQUIDITY_2X2: ("P", "L"),
+}
+
+_IGNORED = {
+    Variant.FULL_5X5: frozenset(),
+    Variant.SENTIMENT_3X3: frozenset({"q2", "c2", "c3"}),
+    Variant.LIQUIDITY_2X2: frozenset({"q1", "q2", "c1", "c2", "c3"}),
+}
+
+# criterion_3x3 is derived for c1 = c and the full-variant Jacobian for
+# c = c1 = c2, so sweeps and verify samples move these clocks together.
+_TIED_CLOCKS = {
+    Variant.FULL_5X5: ("c", "c1", "c2"),
+    Variant.SENTIMENT_3X3: ("c", "c1"),
+    Variant.LIQUIDITY_2X2: ("c",),
+}
+
+
+@dataclass(frozen=True)
+class ModelVariant:
+    """A model variant together with its discount normalization."""
+
+    tag: Variant
+    zeta2_denominator: Zeta2Denominator = Zeta2Denominator.ANCHOR_PA
+
+    @property
+    def dim(self) -> int:
+        return len(_LABELS[self.tag])
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """State component names, in storage order."""
+        return _LABELS[self.tag]
+
+    @property
+    def tied_clocks(self) -> tuple[str, ...]:
+        """Time scales that move together with c, c included."""
+        return _TIED_CLOCKS[self.tag]
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Model parameters: reaction amplitudes and time scales.
+
+    q, q1, q2 are the liquidity, trend and value reaction amplitudes;
+    tau0, c, c1, c2, c3 are the price, liquidity, trend, value and anchor
+    time scales.  Defaults match the command-line defaults.  A batch of
+    points holds arrays of one length in place of floats (a float field
+    holds for every point); the formulas that read params accept both.
+    """
+
+    q: float = 0.5
+    q1: float = 0.5
+    q2: float = 0.5
+    tau0: float = 0.1
+    c: float = 1.0
+    c1: float = 1.0
+    c2: float = 1.0
+    c3: float = 10.0
+
+    @property
+    def K(self) -> float:
+        """Combined feedback strength q + 2*q1."""
+        return self.q + 2.0 * self.q1
+
+    @property
+    def Q(self) -> float:
+        """Stability surplus 1 - K."""
+        return 1.0 - self.K
+
+
+PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
+AMPLITUDES = ("q", "q1", "q2")
+TIME_SCALES = ("tau0", "c", "c1", "c2", "c3")
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A condition on the parameters and the error that reports a breach.
+
+    ``holds`` answers for one point (a bool) or for a batch (a bool array).
+    ``message`` is a ``str.format`` template over the params, named ``p``.
+    """
+
+    error: type[CryptoflowError]
+    holds: Callable[[ModelParams], bool | np.ndarray]
+    message: str
+
+
+def check_rules(rules, params: ModelParams) -> None:
+    """Raise the error of the first rule the point breaks."""
+    for rule in rules:
+        if not rule.holds(params):
+            raise rule.error(rule.message.format(p=params))
+
+
+def _field_rules(error, names, test, requirement) -> tuple[Rule, ...]:
+    return tuple(
+        Rule(error, lambda p, name=name: test(getattr(p, name)),
+             f"{name} {requirement}, got {{p.{name}}}")
+        for name in names
+    )
+
+
+# Checked in this order; the first broken rule names the error.  NaN and
+# +-inf both fail abs(v) < inf, for a float and elementwise for an array.
+PARAM_RULES = (
+    *_field_rules(NonFiniteParameter, PARAM_FIELDS, lambda v: abs(v) < math.inf,
+                  "must be finite"),
+    *_field_rules(NonPositiveTimeScale, TIME_SCALES, lambda v: v > 0.0,
+                  "must be positive"),
+    *_field_rules(NegativeAmplitude, AMPLITUDES, lambda v: v >= 0.0,
+                  "must be nonnegative"),
+)
+
+
+def ignored_fields(variant: ModelVariant) -> frozenset[str]:
+    """Parameter fields the given variant does not read."""
+    return _IGNORED[variant.tag]
+
+
+def validate_params(params: ModelParams, variant: ModelVariant) -> ModelParams:
+    """Check parameter constraints and return the params unchanged.
+
+    All fields are validated, including ones the variant ignores; use
+    :func:`ignored_fields` to see which fields those are.  The same rules
+    (``PARAM_RULES``) mark the invalid points of a batch.
+
+    Raises:
+        NonFiniteParameter: a field is NaN or infinite (checked first).
+        NonPositiveTimeScale: a time scale is zero or negative.
+        NegativeAmplitude: a reaction amplitude is negative.
+    """
+    check_rules(PARAM_RULES, params)
+    return params
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Integration controls.
+
+    step None means "derive from the parameters": the fastest time scale the
+    variant reads, divided by 20.  perturbation is the kick applied to P by
+    :func:`simulate.perturb_and_classify`.
+    """
+
+    step: float | None = None
+    horizon: float = 50.0
+    perturbation: float = 1e-4
+    record_every: int = 1
+
+    def __post_init__(self):
+        if self.step is not None and not self.step > 0.0:
+            raise ValueError(f"step must be positive, got {self.step}")
+        if self.step is not None and not math.isfinite(self.step):
+            raise ValueError(f"step must be finite, got {self.step}")
+        if not self.horizon > 0.0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon}")
+        if self.step is not None and self.step > self.horizon:
+            raise ValueError(
+                f"step {self.step} must not exceed horizon {self.horizon}"
+            )
+        if self.step is not None:
+            self.grid(self.step)
+        if not 0.0 < self.perturbation <= DELTA_MAX:
+            raise ValueError(
+                f"perturbation must lie in (0, {DELTA_MAX}], got {self.perturbation}"
+            )
+        if 1.0 + self.perturbation == 1.0:  # every equilibrium price is 1
+            raise ValueError(
+                f"perturbation {self.perturbation} is too small to move P off 1.0"
+            )
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
+    def grid(self, h: float) -> tuple[int, float]:
+        """Full steps of size h within the horizon, and the last partial step.
+
+        The partial step is 0.0 when the full steps end on the horizon.
+
+        Raises:
+            ValueError: the step count horizon / h is not finite or exceeds
+                sys.maxsize, or the horizon holds no step at all.
+        """
+        count = self.horizon / h
+        if not math.isfinite(count):
+            raise ValueError(
+                f"step count horizon / step = {self.horizon} / {h} is not finite"
+            )
+        if count > sys.maxsize:
+            raise ValueError(
+                f"step count horizon / step = {self.horizon} / {h} exceeds {sys.maxsize}"
+            )
+        n_full = int(math.floor(count + 1e-9))
+        last_partial = self.horizon - n_full * h
+        if last_partial < 1e-9 * h:
+            last_partial = 0.0
+        if n_full == 0 and last_partial == 0.0:
+            raise ValueError(f"horizon {self.horizon} holds no step of size {h}")
+        return n_full, last_partial
+
+
+AXIS_NAMES = ("q", "q1", "q2", "K", "tau0", "c3", "c_over_tau0")
+
+
+class Method(str, Enum):
+    EIGEN = "eigen"
+    CLOSED_FORM = "closed_form"
+
+
+@dataclass(frozen=True)
+class Axis:
+    """An inclusive lattice over one swept quantity.
+
+    Besides raw parameter fields, two derived axes are supported: K sweeps
+    q at held q1 (q = K - 2*q1), and c_over_tau0 sweeps c at held tau0.
+    """
+
+    name: str
+    min: float
+    max: float
+    steps: int
+
+    def __post_init__(self):
+        if self.name not in AXIS_NAMES:
+            raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(
+                f"axis {self.name}: bounds must be finite, got {self.min}, {self.max}"
+            )
+        if not math.isfinite(self.max - self.min):
+            raise ValueError(
+                f"axis {self.name}: span {self.min} to {self.max} overflows"
+            )
+        if not self.min < self.max:
+            raise ValueError(f"axis {self.name}: min {self.min} must be < max {self.max}")
+        if self.steps < 2:
+            raise ValueError(f"axis {self.name}: steps must be >= 2, got {self.steps}")
+
+    def values(self) -> np.ndarray:
+        import numpy as np
+
+        return np.linspace(self.min, self.max, self.steps)
+
+    def fields(self, variant: ModelVariant) -> tuple[str, ...]:
+        """Parameter fields this axis writes on the given variant.
+
+        The c_over_tau0 axis moves every time scale the variant ties to c.
+        """
+        if self.name == "K":
+            return ("q",)
+        if self.name == "c_over_tau0":
+            return variant.tied_clocks
+        return (self.name,)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    variant: ModelVariant
+    fixed: ModelParams
+    axis1: Axis
+    axis2: Axis
+    method: Method
+
+    def __post_init__(self):
+        if self.axis1.name == self.axis2.name:
+            raise ValueError(f"axes must differ, both are {self.axis1.name!r}")
+
+
+def check_seed(seed: int) -> None:
+    """A random seed is a nonnegative integer (numpy's generators need one)."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+@dataclass(frozen=True)
+class GbmParams:
+    """Drift mu and volatility sigma per unit time, step dt, n steps."""
+
+    mu: float = 0.0
+    sigma: float = 0.0075
+    dt: float = 1.0
+    n: int = 250
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.sigma < 0.0:
+            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in ("mu", "sigma", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            drift, volatility = self.log_step()
+        except OverflowError:  # sigma**2 beyond the float range
+            drift = volatility = math.inf
+        if not (math.isfinite(drift) and math.isfinite(volatility)):
+            raise ValueError(
+                f"log-step drift (mu - sigma^2/2) dt and volatility sigma sqrt(dt) "
+                f"must be finite, got mu={self.mu}, sigma={self.sigma}, dt={self.dt}"
+            )
+        check_seed(self.seed)
+
+    def log_step(self) -> tuple[float, float]:
+        """Drift and volatility of log P over one step."""
+        return (self.mu - 0.5 * self.sigma**2) * self.dt, self.sigma * math.sqrt(self.dt)
+
+
+def check_initial_price(p0: float) -> None:
+    """A path's initial price is positive and finite."""
+    if not p0 > 0.0:
+        raise ValueError(f"p0 must be positive, got {p0}")
+    if not math.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
+
+
+def check_exceedance(sigma_daily: float, drop: float,
+                     volatility_name: str = "sigma_daily") -> None:
+    """A drop's exceedance needs a positive volatility per step and a
+    positive, finite drop; ``volatility_name`` names the volatility in the
+    message."""
+    if not sigma_daily > 0.0:
+        raise ValueError(f"{volatility_name} must be positive, got {sigma_daily}")
+    if not drop > 0.0:
+        raise ValueError(f"drop must be positive, got {drop}")
+    if not math.isfinite(drop):
+        raise ValueError(f"drop must be finite, got {drop}")
+
+
+# Fields verify_consistency samples per variant; only these can be pinned.
+SAMPLED_FIELDS = {
+    Variant.LIQUIDITY_2X2: ("q", "tau0", "c"),
+    Variant.SENTIMENT_3X3: ("q", "q1", "tau0", "c"),
+    Variant.FULL_5X5: ("q", "q1", "q2", "tau0", "c3"),
+}
+
+
+def check_verify(variant: ModelVariant, n: int, seed: int,
+                 fixed: Mapping[str, float]) -> None:
+    """The sample count, seed and pinned fields of a consistency check."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    allowed = set(SAMPLED_FIELDS[variant.tag])
+    unknown = set(fixed) - allowed
+    if unknown:
+        raise ValueError(
+            f"cannot pin {sorted(unknown)} for {variant.tag.value}; "
+            f"samplable fields are {sorted(allowed)}"
+        )
+    check_seed(seed)

@@ -9,8 +9,6 @@ the partial trajectory on the exception.
 from __future__ import annotations
 
 import io
-import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO
@@ -18,19 +16,20 @@ from typing import TextIO
 import numpy as np
 
 from .errors import BlowUp, ConvergenceFailure, StateOutOfDomain
-from .model import (
+from .inputs import (
+    DEFAULT_EPS,
+    DELTA_MAX,
     TIME_SCALES,
     ModelParams,
     ModelVariant,
-    _derivative,
-    equilibrium,
+    SimConfig,
     ignored_fields,
     validate_params,
 )
-from .stability import DEFAULT_EPS, eigenvalues, jacobian_stack
+from .model import _derivative, equilibrium
+from .stability import eigenvalues, jacobian_stack
 
 BLOWUP_GUARD = 1e9
-DELTA_MAX = 1e-2
 
 # Growth-rate fit guards: deviations below the roundoff floor carry no decay
 # information, and deviations above the small-signal cap are outside the
@@ -45,73 +44,6 @@ RK4_AMPLIFICATION = (1.0 / 24.0, 1.0 / 6.0, 0.5, 1.0, 1.0)
 # A streamed trajectory CSV holds this many rows' text at a time, whatever
 # the length of the run.
 CSV_ROWS_PER_WRITE = 1024
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Integration controls.
-
-    step None means "derive from the parameters": the fastest time scale the
-    variant reads, divided by 20.  perturbation is the kick applied to P by
-    :func:`perturb_and_classify`.
-    """
-
-    step: float | None = None
-    horizon: float = 50.0
-    perturbation: float = 1e-4
-    record_every: int = 1
-
-    def __post_init__(self):
-        if self.step is not None and not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.step is not None and not math.isfinite(self.step):
-            raise ValueError(f"step must be finite, got {self.step}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if not math.isfinite(self.horizon):
-            raise ValueError(f"horizon must be finite, got {self.horizon}")
-        if self.step is not None and self.step > self.horizon:
-            raise ValueError(
-                f"step {self.step} must not exceed horizon {self.horizon}"
-            )
-        if self.step is not None:
-            self.grid(self.step)
-        if not 0.0 < self.perturbation <= DELTA_MAX:
-            raise ValueError(
-                f"perturbation must lie in (0, {DELTA_MAX}], got {self.perturbation}"
-            )
-        if 1.0 + self.perturbation == 1.0:  # every equilibrium price is 1
-            raise ValueError(
-                f"perturbation {self.perturbation} is too small to move P off 1.0"
-            )
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-
-    def grid(self, h: float) -> tuple[int, float]:
-        """Full steps of size h within the horizon, and the last partial step.
-
-        The partial step is 0.0 when the full steps end on the horizon.
-
-        Raises:
-            ValueError: the step count horizon / h is not finite or exceeds
-                sys.maxsize, or the horizon holds no step at all.
-        """
-        count = self.horizon / h
-        if not math.isfinite(count):
-            raise ValueError(
-                f"step count horizon / step = {self.horizon} / {h} is not finite"
-            )
-        if count > sys.maxsize:
-            raise ValueError(
-                f"step count horizon / step = {self.horizon} / {h} exceeds {sys.maxsize}"
-            )
-        n_full = int(math.floor(count + 1e-9))
-        last_partial = self.horizon - n_full * h
-        if last_partial < 1e-9 * h:
-            last_partial = 0.0
-        if n_full == 0 and last_partial == 0.0:
-            raise ValueError(f"horizon {self.horizon} holds no step of size {h}")
-        return n_full, last_partial
 
 
 @dataclass(frozen=True)

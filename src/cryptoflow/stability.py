@@ -16,18 +16,16 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceFailure, ResidualTooLarge, UnsupportedScaling
-from .model import (
+from .inputs import (
+    DEFAULT_EPS,
     PARAM_FIELDS,
     ModelParams,
     ModelVariant,
     Rule,
     Variant,
     check_rules,
-    equilibrium,
-    rhs,
 )
-
-DEFAULT_EPS = 1e-8
+from .model import equilibrium, rhs
 
 # Central-difference step bounds: below, roundoff dominates; above, truncation.
 NUMERIC_H_MIN = 1e-8

@@ -16,85 +16,25 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from enum import Enum
 from typing import TextIO
 
 import numpy as np
 
 from . import __version__
-from .criteria import DEFAULT_BAND, closed_forms, evaluate_points
-from .model import (
+from .criteria import closed_forms, evaluate_points
+from .inputs import (
+    AXIS_NAMES,
+    DEFAULT_BAND,
+    DEFAULT_EPS,
+    Axis,
+    Method,
     ModelParams,
     ModelVariant,
+    SweepSpec,
     Variant,
     Zeta2Denominator,
 )
-from .stability import DEFAULT_EPS, Verdict
-
-AXIS_NAMES = ("q", "q1", "q2", "K", "tau0", "c3", "c_over_tau0")
-
-
-class Method(str, Enum):
-    EIGEN = "eigen"
-    CLOSED_FORM = "closed_form"
-
-
-@dataclass(frozen=True)
-class Axis:
-    """An inclusive lattice over one swept quantity.
-
-    Besides raw parameter fields, two derived axes are supported: K sweeps
-    q at held q1 (q = K - 2*q1), and c_over_tau0 sweeps c at held tau0.
-    """
-
-    name: str
-    min: float
-    max: float
-    steps: int
-
-    def __post_init__(self):
-        if self.name not in AXIS_NAMES:
-            raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise ValueError(
-                f"axis {self.name}: bounds must be finite, got {self.min}, {self.max}"
-            )
-        if not math.isfinite(self.max - self.min):
-            raise ValueError(
-                f"axis {self.name}: span {self.min} to {self.max} overflows"
-            )
-        if not self.min < self.max:
-            raise ValueError(f"axis {self.name}: min {self.min} must be < max {self.max}")
-        if self.steps < 2:
-            raise ValueError(f"axis {self.name}: steps must be >= 2, got {self.steps}")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.min, self.max, self.steps)
-
-    def fields(self, variant: ModelVariant) -> tuple[str, ...]:
-        """Parameter fields this axis writes on the given variant.
-
-        The c_over_tau0 axis moves every time scale the variant ties to c.
-        """
-        if self.name == "K":
-            return ("q",)
-        if self.name == "c_over_tau0":
-            return variant.tied_clocks
-        return (self.name,)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    variant: ModelVariant
-    fixed: ModelParams
-    axis1: Axis
-    axis2: Axis
-    method: Method
-
-    def __post_init__(self):
-        if self.axis1.name == self.axis2.name:
-            raise ValueError(f"axes must differ, both are {self.axis1.name!r}")
-
+from .stability import Verdict
 
 def _timestamp() -> str:
     """ISO timestamp; honours SOURCE_DATE_EPOCH for reproducible outputs."""

@@ -230,6 +230,17 @@ def test_baseline_rejects_zero_drop(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("verb", [("verify", "--variant", "liquidity2x2", "-n", "20"),
+                                  ("baseline", "-n", "20")], ids=lambda v: v[0])
+def test_a_negative_seed_is_named_and_a_large_one_accepted(capsys, verb):
+    code, out, err = run_cli(capsys, *verb, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert _one_json_line(err)["message"] == "seed must be >= 0, got -1"
+    code, out, _ = run_cli(capsys, *verb, "--seed", str(2**80))
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**80
+
+
 def test_threads_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CRYPTOFLOW_THREADS", "3")
     code, out, _ = run_cli(capsys, "verify", "--variant", "liquidity2x2", "-n", "200")

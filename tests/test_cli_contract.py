@@ -183,7 +183,7 @@ def test_usage_errors_come_before_any_output(tmp_path):
     out = tmp_path / "p.csv"
     code, _, doc = _run("baseline", "--sigma", "0", "--drop", "0.05", "--out", str(out))
     assert code == 2
-    assert "sigma_daily must be positive" in doc["message"]
+    assert doc["message"] == "sigma * sqrt(step) must be positive, got 0.0"
     assert not out.exists()
 
 

@@ -186,3 +186,90 @@ def test_a_cli_process_defaults_native_threads_to_one(user):
         {var: user.get(var, "1") for var in NATIVE_THREAD_VARS}
     if not user:
         assert report["threads"] == 1
+
+
+# Runs the CLI as ``python -m cryptoflow`` does and, as the process ends,
+# writes which of numpy and scipy it loaded to the file $LOADED_REPORT.
+_REPORT_LOADED = """
+import json, os, runpy, sys
+end = os._exit
+def report(code):
+    with open(os.environ["LOADED_REPORT"], "w") as f:
+        json.dump([m for m in ("numpy", "scipy") if m in sys.modules], f)
+    end(code)
+os._exit = report
+sys.argv = ["cryptoflow", *sys.argv[1:]]
+runpy.run_module("cryptoflow", run_name="__main__", alter_sys=True)
+"""
+
+
+def _loaded_by(argv, tmp_path):
+    """Exit code, stdout, stderr and the numeric libraries a CLI process loaded."""
+    env = _env(LOADED_REPORT=str(tmp_path / "loaded.json"))
+    proc = subprocess.run([sys.executable, "-c", _REPORT_LOADED, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return (proc.returncode, proc.stdout, proc.stderr,
+            json.loads((tmp_path / "loaded.json").read_text()))
+
+
+def _usage_error(message):
+    return json.dumps({"error": "UsageError", "message": message}) + "\n"
+
+
+# Invocations the boundary rejects, each with its whole stderr: the point
+# workload's five usage errors, a bad config file, --drop and --sigma checked
+# before the path is simulated, negative seeds, and the verify and baseline
+# options that only the run checked before.
+REJECTED = [
+    (("sweep", "--variant", "liquidity2x2", "--axis1", "bogus:0:1:5", "--axis2", "q:0:1:5"),
+     "axis 'bogus:0:1:5': unknown axis 'bogus'; choose from "
+     "('q', 'q1', 'q2', 'K', 'tau0', 'c3', 'c_over_tau0')"),
+    (("analyze", "--variant", "sentiment3x3", "--tau0", "-0.5"),
+     "tau0 must be positive, got -0.5"),
+    (("simulate", "--variant", "liquidity2x2", "--c", "-1.2"), "c must be positive, got -1.2"),
+    (("simulate", "--variant", "sentiment3x3", "--horizon", "nan"),
+     "horizon must be positive, got nan"),
+    (("verify", "--variant", "liquidity2x2", "-n", "10", "--eps", "nan"),
+     "eps must be >= 0, got nan"),
+    (("analyze", "--config", "{dir}/bad.json"), "config key 'q' must be a number, got 'x'"),
+    # 10^12 normals cannot be allocated: the refusal must come first
+    (("baseline", "-n", "1000000000000", "--drop", "0"), "drop must be positive, got 0.0"),
+    (("baseline", "--drop", "nan"), "drop must be positive, got nan"),
+    (("baseline", "--sigma", "0", "--drop", "0.05"),
+     "sigma * sqrt(step) must be positive, got 0.0"),
+    (("verify", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("baseline", "--seed", "-3"), "seed must be >= 0, got -3"),
+    (("verify", "-n", "0"), "n must be >= 1, got 0"),
+    (("verify", "--variant", "liquidity2x2", "--q1", "0.3"),
+     "cannot pin ['q1'] for liquidity2x2; samplable fields are ['c', 'q', 'tau0']"),
+    (("baseline", "--p0", "0"), "p0 must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REJECTED, ids=[" ".join(a[:3]) for a, _ in REJECTED])
+def test_a_rejected_invocation_loads_neither_numpy_nor_scipy(tmp_path, argv, message):
+    (tmp_path / "bad.json").write_text('{"q": "x"}')
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert _loaded_by(argv, tmp_path) == (2, "", _usage_error(message), [])
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("--version",)], ids=" ".join)
+def test_help_and_version_load_neither_numpy_nor_scipy(tmp_path, capsys, monkeypatch, argv):
+    code, out, err, _ = _in_process(list(argv), capsys, monkeypatch)
+    assert _loaded_by(argv, tmp_path) == (code, out, err, [])
+    assert code == 0 and out and err == ""
+
+
+def test_a_valid_run_loads_numpy_and_scipy(tmp_path):
+    code, out, err, loaded = _loaded_by(("analyze", "--variant", "liquidity2x2"), tmp_path)
+    assert (code, err, loaded) == (0, "", ["numpy", "scipy"])
+    assert json.loads(out)["verdict"]["tag"] == "stable"
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, cryptoflow.cli; print(json.dumps("
+         "[m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]))"],
+        capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

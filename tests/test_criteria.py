@@ -258,3 +258,5 @@ def test_verify_rejects_bad_arguments():
         verify_consistency(SENTIMENT_3X3, n=0)
     with pytest.raises(ValueError):
         verify_consistency(LIQUIDITY_2X2, n=10, fixed={"q1": 0.3})
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        verify_consistency(LIQUIDITY_2X2, n=10, seed=-1)

@@ -106,10 +106,16 @@ def test_exceedance_one_sigma():
 
 
 def test_exceedance_rejects_degenerate_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="drop must be positive"):
         exceedance_report(sigma_daily=0.0075, drop=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma_daily must be positive"):
         exceedance_report(sigma_daily=0.0, drop=0.045)
+
+
+def test_params_reject_a_negative_seed_and_keep_large_ones():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        GbmParams(seed=-1)
+    assert len(gbm_simulate(GbmParams(n=3, seed=2**80))) == 4
 
 
 @pytest.mark.parametrize("kwargs", [
