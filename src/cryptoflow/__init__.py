@@ -10,8 +10,6 @@ and neither numpy nor scipy; the first access to an exported name or to a
 submodule attribute (``cryptoflow.model``) imports the submodule concerned.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -59,12 +57,15 @@ __all__ = ["__version__", *_OWNER]
 
 
 def __getattr__(name):
-    if name in _EXPORTS:  # a submodule, as ``cryptoflow.model``
-        return importlib.import_module(f"{__name__}.{name}")
-    module = _OWNER.get(name)
+    module = name if name in _EXPORTS else _OWNER.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    # -X importtime reports __import__ but not importlib.import_module.
+    # Importing the submodule binds it in this namespace.
+    __import__(f"{__name__}.{module}")
+    if name == module:  # a submodule, as ``cryptoflow.model``
+        return globals()[name]
+    value = getattr(globals()[module], name)
     globals()[name] = value
     return value
 

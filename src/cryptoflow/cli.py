@@ -45,6 +45,7 @@ from .inputs import (
     check_initial_price,
     check_verify,
     ignored_fields,
+    timestamp,
     validate_params,
 )
 
@@ -257,7 +258,9 @@ def parse_config(argv: list[str]) -> Command:
         if verb in ("analyze", "simulate"):
             validate_params(params, variant)
         if verb == "sweep":
-            return replace(cmd, spec=_sweep_spec(variant, params, merged))
+            spec = _sweep_spec(variant, params, merged)
+            timestamp()  # checks SOURCE_DATE_EPOCH; the export reads it again
+            return replace(cmd, spec=spec)
         if verb == "simulate":
             return replace(cmd, sim=SimConfig(step=merged["step"],
                                               horizon=merged["horizon"],

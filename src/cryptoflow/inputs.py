@@ -1,10 +1,11 @@
 """The values a run is built from, and every check on them, without numpy.
 
 Model variants and parameters, integration controls, sweep axes and specs,
-baseline parameters and the checks of the verify and baseline options all
-live here, and this module imports neither numpy nor scipy.  So the command
-line builds and checks a whole invocation before any numeric module loads:
-a rejected invocation, --help and --version never load them.  The numeric
+baseline parameters, the checks of the verify and baseline options and the
+SOURCE_DATE_EPOCH timestamp all live here, and this module imports neither
+numpy nor scipy.  So the command line builds and checks a whole invocation
+before any numeric module loads: a rejected invocation, --help and
+--version never load them.  The numeric
 modules (model, stability, criteria, simulate, sweep, gbm) import these
 names from here, so their old import paths still work.
 
@@ -16,6 +17,7 @@ fields (``model.rule_errors`` reads the batch answer).
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -203,7 +205,6 @@ class SimConfig:
     step: float | None = None
     horizon: float = 50.0
     perturbation: float = 1e-4
-    record_every: int = 1
 
     def __post_init__(self):
         if self.step is not None and not self.step > 0.0:
@@ -228,8 +229,6 @@ class SimConfig:
             raise ValueError(
                 f"perturbation {self.perturbation} is too small to move P off 1.0"
             )
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     def grid(self, h: float) -> tuple[int, float]:
         """Full steps of size h within the horizon, and the last partial step.
@@ -409,3 +408,24 @@ def check_verify(variant: ModelVariant, n: int, seed: int,
             f"samplable fields are {sorted(allowed)}"
         )
     check_seed(seed)
+
+
+def timestamp() -> str:
+    """The UTC time in ISO form, to the second; SOURCE_DATE_EPOCH pins it.
+
+    Raises:
+        ValueError: SOURCE_DATE_EPOCH is not an integer number of seconds
+            that a datetime can hold.
+    """
+    from datetime import datetime, timezone
+
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if epoch is None:
+        return datetime.now(tz=timezone.utc).isoformat(timespec="seconds")
+    try:
+        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValueError(
+            f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {epoch!r}"
+        ) from exc
+    return stamp.isoformat(timespec="seconds")

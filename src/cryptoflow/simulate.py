@@ -148,10 +148,9 @@ def integrate(
     total_steps = n_full + (1 if last_partial else 0)
     derivative = _derivative(variant, params)
 
-    # Row 0 is the initial state; then every record_every-th step and the last.
-    rows = total_steps // config.record_every + 2
-    times = np.empty(rows)
-    states = np.empty((rows, variant.dim))
+    # Row 0 is the initial state, row k the state after k steps.
+    times = np.empty(total_steps + 1)
+    states = np.empty((total_steps + 1, variant.dim))
     times[0] = 0.0
     states[0] = initial
     recorded = 1
@@ -194,12 +193,10 @@ def integrate(
         t_next = (i + 1) * h if i < n_full else horizon
         if _beyond_guard(state):
             raise blow_up(t_next)
-        if (i + 1) % config.record_every == 0 or i == total_steps - 1:
-            times[recorded] = t_next
-            states[recorded] = state
-            recorded += 1
-    return Trajectory(variant=variant, params=params,
-                      times=times[:recorded], states=states[:recorded])
+        times[recorded] = t_next
+        states[recorded] = state
+        recorded += 1
+    return Trajectory(variant=variant, params=params, times=times, states=states)
 
 
 def _fit_growth_rate(traj: Trajectory, reference: np.ndarray, truncated: bool) -> float:
@@ -279,10 +276,13 @@ def perturb_and_classify(
     unstable above 10, indeterminate between.  Runs that abort on the
     blow-up guard or the price floor are unstable by construction (the
     deviation has left the linear neighbourhood entirely) and report the
-    failure time.  A step that gets the growth of an equilibrium mode wrong
-    is rejected once the run has checked the parameters
-    (:func:`_check_step`).
+    failure time.  The parameters and the step (its count over the horizon,
+    then :func:`_check_step`) are checked before anything is integrated.
     """
+    validate_params(params, variant)
+    h = config.step if config.step is not None else default_step(variant, params)
+    config.grid(h)
+    _check_step(variant, params, h, config.horizon)
     reference = equilibrium(variant)
     initial = reference.copy()
     initial[0] += config.perturbation
@@ -293,8 +293,6 @@ def perturb_and_classify(
         traj, failure_time = exc.partial, exc.time
     else:
         failure_time = None
-    h = config.step if config.step is not None else default_step(variant, params)
-    _check_step(variant, params, h, config.horizon)
     if failure_time is not None:
         return PerturbationOutcome(
             verdict=EmpiricalVerdict.UNSTABLE,

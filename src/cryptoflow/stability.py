@@ -27,10 +27,9 @@ from .inputs import (
 )
 from .model import equilibrium, rhs
 
-# Central-difference step bounds: below, roundoff dominates; above, truncation.
-NUMERIC_H_MIN = 1e-8
-NUMERIC_H_MAX = 1e-4
-NUMERIC_H_DEFAULT = 1e-6
+# Central-difference step: roundoff dominates below about 1e-8, truncation
+# above about 1e-4.
+NUMERIC_H = 1e-6
 
 
 class Verdict(str, Enum):
@@ -53,12 +52,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x: complex) -> complex:
-        acc = 0.0 + 0.0j if isinstance(x, complex) else 0.0
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
 
 
 @dataclass(frozen=True)
@@ -146,16 +139,9 @@ def jacobian_analytic(variant: ModelVariant, params: ModelParams) -> np.ndarray:
     return jacobian_stack(variant, params)
 
 
-def jacobian_numeric(
-    variant: ModelVariant,
-    params: ModelParams,
-    h: float = NUMERIC_H_DEFAULT,
-) -> np.ndarray:
+def jacobian_numeric(variant: ModelVariant, params: ModelParams) -> np.ndarray:
     """Central-difference Jacobian of the right-hand side at equilibrium."""
-    if not NUMERIC_H_MIN <= h <= NUMERIC_H_MAX:
-        raise ValueError(
-            f"step h must lie in [{NUMERIC_H_MIN}, {NUMERIC_H_MAX}], got {h}"
-        )
+    h = NUMERIC_H
     x0 = equilibrium(variant)
     n = variant.dim
     jac = np.empty((n, n))
@@ -264,13 +250,13 @@ def _deflate_at_minus_one(coeffs: tuple[float, ...]) -> tuple[tuple[float, ...],
     return tuple(quot), rem
 
 
-def reduced_cubic(params: ModelParams, residual_tol: float = 1e-8) -> Polynomial:
+def reduced_cubic(params: ModelParams) -> Polynomial:
     """Cubic factor of the full-variant characteristic polynomial.
 
     Under the c = c1 = c2 = 1 scaling the 5x5 spectrum carries a double
     eigenvalue at -1; dividing the characteristic polynomial by
     (lambda + 1)^2 leaves a monic cubic holding the nontrivial dynamics.
-    A division remainder above ``residual_tol`` signals that the scaling
+    A division remainder above 1e-8 signals that the scaling
     assumption is violated and raises ResidualTooLarge.
     """
     from .model import FULL_5X5
@@ -278,10 +264,11 @@ def reduced_cubic(params: ModelParams, residual_tol: float = 1e-8) -> Polynomial
     p5 = char_poly(jacobian_analytic(FULL_5X5, params))
     quot1, rem1 = _deflate_at_minus_one(p5.coeffs)
     quot2, rem2 = _deflate_at_minus_one(quot1)
-    if max(abs(rem1), abs(rem2)) > residual_tol:
+    residual = max(abs(rem1), abs(rem2))
+    if residual > 1e-8:
         raise ResidualTooLarge(
             "remainder after dividing by (lambda + 1)^2 is "
-            f"{max(abs(rem1), abs(rem2)):.3g} > {residual_tol:.3g}; "
+            f"{residual:.3g} > 1e-08; "
             "the c = c1 = c2 = 1 scaling does not hold"
         )
     return Polynomial(quot2)

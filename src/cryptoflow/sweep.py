@@ -13,9 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 from typing import TextIO
 
 import numpy as np
@@ -33,22 +31,9 @@ from .inputs import (
     SweepSpec,
     Variant,
     Zeta2Denominator,
+    timestamp,
 )
 from .stability import Verdict
-
-def _timestamp() -> str:
-    """ISO timestamp; honours SOURCE_DATE_EPOCH for reproducible outputs."""
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        try:
-            stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-        except (ValueError, OverflowError, OSError) as exc:
-            raise ValueError(
-                f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {epoch!r}"
-            ) from exc
-    else:
-        stamp = datetime.now(tz=timezone.utc)
-    return stamp.isoformat(timespec="seconds")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +184,7 @@ def run_sweep(
 ) -> StabilityMap:
     """Evaluate every cell of the sweep lattice in one batch."""
     metadata = {
-        "created": _timestamp(),
+        "created": timestamp(),
         "version": __version__,
         "eps": eps,
         "band": band,

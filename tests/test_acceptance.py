@@ -285,7 +285,7 @@ def test_criterion_10_integrator_order():
     x0 = np.array([1.3, 0.9, 0.1])
 
     def final(h):
-        cfg = SimConfig(step=h, horizon=5.0, record_every=10**6)
+        cfg = SimConfig(step=h, horizon=5.0)
         return integrate(SENTIMENT_3X3, p, x0, cfg).final_state
 
     ref = final(1e-4)

@@ -353,7 +353,7 @@ def test_bad_source_date_epoch_exits_2(capsys, monkeypatch):
 
 
 def test_bad_source_date_epoch_in_a_fresh_process():
-    # scipy.special's import reads the variable too; it must not crash first.
+    # the boundary rejects it before numpy.f2py (loaded by scipy.special) reads it
     env = dict(os.environ, SOURCE_DATE_EPOCH="abc")
     proc = subprocess.run([sys.executable, "-m", "cryptoflow", "sweep", "--variant",
                            "liquidity2x2", "--axis1", "q:0:1:3", "--axis2", "tau0:1:2:3"],

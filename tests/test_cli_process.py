@@ -39,7 +39,7 @@ CASES = [
 
 
 def _env(**extra):
-    env = dict(os.environ, SOURCE_DATE_EPOCH="1700000000", **extra)
+    env = {**os.environ, "SOURCE_DATE_EPOCH": "1700000000", **extra}
     env.pop("CRYPTOFLOW_THREADS", None)
     return env
 
@@ -203,9 +203,9 @@ runpy.run_module("cryptoflow", run_name="__main__", alter_sys=True)
 """
 
 
-def _loaded_by(argv, tmp_path):
+def _loaded_by(argv, tmp_path, **env):
     """Exit code, stdout, stderr and the numeric libraries a CLI process loaded."""
-    env = _env(LOADED_REPORT=str(tmp_path / "loaded.json"))
+    env = _env(LOADED_REPORT=str(tmp_path / "loaded.json"), **env)
     proc = subprocess.run([sys.executable, "-c", _REPORT_LOADED, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     return (proc.returncode, proc.stdout, proc.stderr,
@@ -251,6 +251,22 @@ def test_a_rejected_invocation_loads_neither_numpy_nor_scipy(tmp_path, argv, mes
     (tmp_path / "bad.json").write_text('{"q": "x"}')
     argv = [arg.format(dir=tmp_path) for arg in argv]
     assert _loaded_by(argv, tmp_path) == (2, "", _usage_error(message), [])
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
+def test_a_bad_source_date_epoch_on_sweep_loads_neither_numpy_nor_scipy(tmp_path, epoch):
+    sweep = ("sweep", "--variant", "liquidity2x2", "--axis1", "q:0:1:3",
+             "--axis2", "tau0:1:2:3")
+    message = f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {epoch!r}"
+    assert _loaded_by(sweep, tmp_path, SOURCE_DATE_EPOCH=epoch) == \
+        (2, "", _usage_error(message), [])
+
+
+def test_verbs_other_than_sweep_ignore_source_date_epoch(tmp_path):
+    code, out, err, _ = _loaded_by(("analyze", "--variant", "liquidity2x2"), tmp_path,
+                                   SOURCE_DATE_EPOCH="abc")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"]["tag"] == "stable"
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("--version",)], ids=" ".join)

@@ -96,3 +96,16 @@ def test_submodules_resolve_as_package_attributes_in_a_fresh_interpreter():
     )
     assert same[:2] == [True, "cryptoflow.stability"]
     assert same[2:] == [f"cryptoflow.{m}" for m in cryptoflow._EXPORTS]
+
+
+@pytest.mark.parametrize("access", ["cryptoflow.gbm", "cryptoflow.gbm_simulate"])
+def test_a_lazy_load_is_listed_by_importtime(access):
+    # importlib.import_module bypasses -X importtime; the import statement's
+    # machinery does not
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                           f"import cryptoflow; {access}"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+    assert "cryptoflow.gbm" in rows

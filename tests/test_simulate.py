@@ -139,9 +139,8 @@ def reference_integrate(variant, params, initial, config=SimConfig()):
                 f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t_next:.6g}",
                 time=t_next, partial=partial(),
             )
-        if (i + 1) % config.record_every == 0 or i == total_steps - 1:
-            times.append(t_next)
-            recorded.append(state.copy())
+        times.append(t_next)
+        recorded.append(state.copy())
     return partial()
 
 
@@ -177,7 +176,6 @@ def test_default_step_tracks_fastest_relevant_clock():
         {"step": -1.0},
         {"horizon": 0.0},
         {"step": 2.0, "horizon": 1.0},
-        {"record_every": 0},
     ],
 )
 def test_sim_config_rejects_bad_values(kwargs):
@@ -197,7 +195,7 @@ def test_linear_decay_example():
 @pytest.mark.parametrize("variant", [FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2])
 def test_equilibrium_is_a_fixed_point(variant):
     traj = integrate(variant, ModelParams(), equilibrium(variant),
-                     SimConfig(horizon=100.0, record_every=200))
+                     SimConfig(horizon=100.0))
     drift = np.max(np.abs(traj.states - equilibrium(variant)))
     assert drift <= 1e-12
 
@@ -207,7 +205,7 @@ def test_fourth_order_self_convergence():
     x0 = np.array([1.3, 0.9, 0.1])
 
     def final(h):
-        cfg = SimConfig(step=h, horizon=5.0, record_every=10**6)
+        cfg = SimConfig(step=h, horizon=5.0)
         return integrate(SENTIMENT_3X3, p, x0, cfg).final_state
 
     ref = final(1e-4)
@@ -219,8 +217,8 @@ def test_fourth_order_self_convergence():
 def test_time_translation_invariance():
     p = ModelParams(q=0.4, q1=0.3, tau0=0.5, c=1.0, c1=1.0)
     x0 = np.array([1.2, 1.0, 0.05])
-    cfg7 = SimConfig(step=0.01, horizon=7.0, record_every=10**6)
-    cfg14 = SimConfig(step=0.01, horizon=14.0, record_every=10**6)
+    cfg7 = SimConfig(step=0.01, horizon=7.0)
+    cfg14 = SimConfig(step=0.01, horizon=14.0)
     mid = integrate(SENTIMENT_3X3, p, x0, cfg7).final_state
     twice = integrate(SENTIMENT_3X3, p, mid, cfg7).final_state
     once = integrate(SENTIMENT_3X3, p, x0, cfg14).final_state
@@ -228,13 +226,15 @@ def test_time_translation_invariance():
 
 
 def test_trajectory_grid_layout():
+    # every step is recorded: the initial state, then one row per step
     p = ModelParams(q=0.0, tau0=1.0, c=1.0)
     traj = integrate(LIQUIDITY_2X2, p, np.array([1.5, 1.0]),
-                     SimConfig(step=0.1, horizon=1.0, record_every=2))
+                     SimConfig(step=0.1, horizon=1.0))
     assert traj.times[0] == 0.0
-    np.testing.assert_allclose(np.diff(traj.times), 0.2, atol=1e-12)
-    assert traj.times[-1] == pytest.approx(1.0)
-    assert traj.states.shape == (len(traj.times), 2)
+    np.testing.assert_allclose(np.diff(traj.times), 0.1, atol=1e-12)
+    assert traj.times[-1] == 1.0
+    assert traj.states.shape == (11, 2)
+    np.testing.assert_array_equal(traj.states[0], [1.5, 1.0])
 
 
 def test_partial_final_step():
@@ -343,6 +343,18 @@ def test_perturb_rejects_a_step_that_damps_a_growing_mode():
         perturb_and_classify(LIQUIDITY_2X2, p, SimConfig(step=2.0, horizon=40.0))
     out = perturb_and_classify(LIQUIDITY_2X2, p, SimConfig(horizon=40.0))
     assert out.verdict is EmpiricalVerdict.UNSTABLE
+
+
+def test_perturb_rejects_the_step_before_integrating(monkeypatch):
+    # at horizon 10000 this run took seconds before the step was refused
+    def no_run(*args):
+        raise AssertionError("integrated before the step check")
+
+    monkeypatch.setattr("cryptoflow.simulate.integrate", no_run)
+    p = ModelParams(q=1.8095042184673926, tau0=0.02246597284103593, c=0.018166343100721585)
+    with pytest.raises(ValueError, match=r"h=0\.0404042 gets the growth"):
+        perturb_and_classify(LIQUIDITY_2X2, p,
+                             SimConfig(step=0.04040419138104886, horizon=10000.0))
 
 
 def test_step_check_skips_modes_in_the_dead_band():
@@ -497,8 +509,7 @@ def _runs(draw):
         horizon = h * draw(st.integers(1, 150))  # ends on (or next to) a full step
     else:
         horizon = h * draw(st.floats(1.0 if explicit else 0.5, 150.0))
-    config = SimConfig(step=h if explicit else None, horizon=horizon,
-                       record_every=draw(st.sampled_from([1, 2, 3, 7])))
+    config = SimConfig(step=h if explicit else None, horizon=horizon)
     return variant, params, initial, config
 
 
@@ -535,9 +546,9 @@ def test_integrate_equals_reference_bitwise(run):
 ])
 def test_integrate_equals_reference_on_guard_stops(variant, params, initial, step, error,
                                                    message):
-    # horizon 30.05 ends on a partial step; every third step is recorded
+    # horizon 30.05 ends on a partial step
     initial = np.array(initial)
-    config = SimConfig(step=step, horizon=30.05, record_every=3)
+    config = SimConfig(step=step, horizon=30.05)
     expected = _outcome(reference_integrate, variant, params, initial, config)
     assert expected[0] is error and message in expected[1]
     assert _outcome(integrate, variant, params, initial, config) == expected
@@ -548,7 +559,7 @@ def test_integrate_equals_reference_on_complete_runs(variant):
     params = ModelParams(q=0.3, q1=0.2, q2=0.4, tau0=0.5, c3=2.0)
     initial = equilibrium(variant)
     initial[0] += 0.05
-    config = SimConfig(step=0.05, horizon=20.03, record_every=3)
+    config = SimConfig(step=0.05, horizon=20.03)
     expected = _outcome(reference_integrate, variant, params, initial, config)
     assert expected[0] is None
     assert _outcome(integrate, variant, params, initial, config) == expected
