@@ -8,6 +8,7 @@ nothing, so a host process that imports the library keeps its own threading.
 """
 
 import os
+import sys
 from typing import NoReturn
 
 NATIVE_THREAD_VARS = (
@@ -20,12 +21,25 @@ NATIVE_THREAD_VARS = (
 
 
 def main() -> NoReturn:
-    """Default the native thread counts to 1, then run the CLI (``cli.run``)."""
+    """Run ``cli.main`` and end the process without teardown.
+
+    The native thread counts default to 1 first.  ``cli.main`` has flushed
+    stdout; os._exit then skips the interpreter's teardown (unloading numpy
+    and scipy), which takes longer than a small verb's work, so atexit
+    handlers do not run.  argparse's SystemExit for --help and --version
+    leaves the same way.
+    """
     for var in NATIVE_THREAD_VARS:
         os.environ.setdefault(var, "1")
-    from .cli import run
+    from . import cli
 
-    run()
+    try:
+        code = cli.main()
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

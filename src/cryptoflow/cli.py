@@ -21,11 +21,10 @@ import contextlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn, TextIO
+from typing import Callable, Iterator, TextIO
 
 from . import __version__
 from .errors import CryptoflowError
@@ -41,6 +40,7 @@ from .inputs import (
     SimConfig,
     SweepSpec,
     Variant,
+    check_dead_band,
     check_exceedance,
     check_initial_price,
     check_verify,
@@ -63,13 +63,6 @@ class UsageError(ValueError):
     """Bad invocation; maps to exit code 2."""
 
 
-def _dead_band(name: str, value: float) -> None:
-    if not value >= 0.0:
-        raise UsageError(f"{name} must be >= 0, got {value}")
-    if not math.isfinite(value):
-        raise UsageError(f"{name} must be finite, got {value}")
-
-
 def _at_least_one(name: str, value: int) -> None:
     if value < 1:
         raise UsageError(f"{name} must be >= 1, got {value}")
@@ -79,8 +72,8 @@ def _at_least_one(name: str, value: int) -> None:
 class Option:
     """One option: config key, value type, default, help and flags.
 
-    ``check`` is set only where no library object reads and checks the
-    value; it runs on every verb.
+    ``check``, where set, runs on every verb, so every verb rejects a bad
+    value of the option, also a verb that does not read it.
     """
 
     name: str
@@ -101,8 +94,8 @@ OPTIONS = (
            choices=tuple(v.value for v in Variant)),
     *(Option(name, float, getattr(ModelParams, name), f"model parameter {name}")
       for name in PARAM_FIELDS),
-    Option("eps", float, DEFAULT_EPS, "spectral dead band", check=_dead_band),
-    Option("band", float, DEFAULT_BAND, "criterion dead band", check=_dead_band),
+    Option("eps", float, DEFAULT_EPS, "spectral dead band", check=check_dead_band),
+    Option("band", float, DEFAULT_BAND, "criterion dead band", check=check_dead_band),
     Option("seed", int, 0, "random seed"),
     Option("n", int, 10_000, "sample / step count", flags=("-n", "--samples")),
     Option("step", float, SimConfig.step, "integration or path step (default: derived)"),
@@ -115,8 +108,8 @@ OPTIONS = (
     Option("out", str, None, "output file path"),
     Option("format", str, None, "sweep export format (default csv, or from --out suffix)",
            choices=FORMATS),
-    Option("threads", int, None, "validated (>= 1) but has no effect; "
-           "default CRYPTOFLOW_THREADS or 1", check=_at_least_one),
+    Option("threads", int, 1, "validated (>= 1) but has no effect",
+           check=_at_least_one),
     Option("mu", float, GbmParams.mu, "baseline drift per unit time"),
     Option("sigma", float, GbmParams.sigma, "baseline volatility per unit time"),
     Option("p0", float, 1.0, "baseline initial price"),
@@ -202,14 +195,6 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _env_threads() -> int:
-    env = os.environ.get("CRYPTOFLOW_THREADS", "1")
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise UsageError(f"CRYPTOFLOW_THREADS must be an integer, got {env!r}") from exc
-
-
 def _parse_axis(text: str) -> Axis:
     parts = text.split(":")
     if len(parts) != 4:
@@ -244,8 +229,6 @@ def parse_config(argv: list[str]) -> Command:
     flags = {opt.name: getattr(args, opt.name) for opt in OPTIONS
              if getattr(args, opt.name) is not None}
     merged = {opt.name: opt.default for opt in OPTIONS} | config | flags
-    if merged["threads"] is None:
-        merged["threads"] = _env_threads()
     for opt in OPTIONS:
         if opt.check is not None:
             opt.check(opt.name, merged[opt.name])
@@ -507,14 +490,10 @@ def execute(cmd: Command) -> int:
 
     numpy and scipy load here, not at import: every numeric module is
     imported whichever verb runs, so each valid run loads the same modules.
-    Each runner imports the names it calls.  (``from . import x`` would load
-    them through the package's lazy ``__getattr__``, which -X importtime
-    does not report.)
+    Each runner imports the names it calls.
     """
-    import cryptoflow.criteria  # noqa: F401  (loads model and stability)
-    import cryptoflow.gbm  # noqa: F401
-    import cryptoflow.simulate  # noqa: F401
-    import cryptoflow.sweep  # noqa: F401
+    # criteria loads model and stability
+    from . import criteria, gbm, simulate, sweep  # noqa: F401
 
     return _RUNNERS[cmd.verb](cmd)
 
@@ -545,19 +524,3 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(_error_json(type(exc).__name__, exc))
         return 3
 
-
-def run() -> NoReturn:
-    """Process entry point: run main() and end the process without teardown.
-
-    main() has flushed stdout; os._exit then skips the interpreter's
-    teardown (unloading numpy and scipy), which takes longer than a small
-    verb's work, so atexit handlers do not run.  argparse's SystemExit for
-    --help and --version leaves the same way.
-    """
-    try:
-        code = main()
-    except SystemExit as exc:
-        code = 0 if exc.code is None else exc.code
-    if sys.stderr is not None:
-        sys.stderr.flush()
-    os._exit(code)

@@ -31,6 +31,7 @@ from .inputs import (
     ModelVariant,
     Rule,
     Variant,
+    check_dead_band,
     check_rules,
     check_verify,
 )
@@ -408,8 +409,14 @@ def verify_consistency(
     ``fixed`` pins sampled fields to given values (e.g. {"q2": 0.0} on the
     full variant selects the q2 = 0 criterion and additionally reports the
     agreement rate of the 1/c3 + 1/tau0 > K shortcut for the record).
+
+    Raises:
+        ValueError: ``eps`` or ``band`` is negative, NaN or infinite, or
+            ``n``, ``seed`` or ``fixed`` is refused by ``check_verify``.
     """
     fixed = dict(fixed) if fixed else {}
+    check_dead_band("eps", eps)
+    check_dead_band("band", band)
     check_verify(variant, n, seed, fixed)
 
     # only the full variant samples q2

@@ -1,13 +1,11 @@
 """The values a run is built from, and every check on them, without numpy.
 
 Model variants and parameters, integration controls, sweep axes and specs,
-baseline parameters, the checks of the verify and baseline options and the
-SOURCE_DATE_EPOCH timestamp all live here, and this module imports neither
-numpy nor scipy.  So the command line builds and checks a whole invocation
-before any numeric module loads: a rejected invocation, --help and
---version never load them.  The numeric
-modules (model, stability, criteria, simulate, sweep, gbm) import these
-names from here, so their old import paths still work.
+baseline parameters, the checks of the dead bands and of the verify and
+baseline options and the SOURCE_DATE_EPOCH timestamp all live here, and this
+module imports neither numpy nor scipy.  So the command line builds and
+checks a whole invocation before any numeric module loads: a rejected
+invocation, --help and --version never load them.
 
 Each parameter rule is written once for a point and for a batch: a rule's
 test answers with a bool for float fields and with a bool array for array
@@ -36,6 +34,14 @@ if TYPE_CHECKING:
 DEFAULT_EPS = 1e-8
 DEFAULT_BAND = 1e-6
 DELTA_MAX = 1e-2
+
+
+def check_dead_band(name: str, value: float) -> None:
+    """A dead band (``eps`` or ``band``) is nonnegative and finite."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 class Variant(str, Enum):
@@ -258,6 +264,8 @@ class SimConfig:
 
 
 AXIS_NAMES = ("q", "q1", "q2", "K", "tau0", "c3", "c_over_tau0")
+# The field each derived axis holds at its fixed value.
+_HELD = {"K": "q1", "c_over_tau0": "tau0"}
 
 
 class Method(str, Enum):
@@ -313,6 +321,10 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """Two axes over the ``fixed`` parameters.  An axis may not write a field
+    the other writes or holds (K holds q1, c_over_tau0 holds tau0): the axis
+    values would mislabel the cells."""
+
     variant: ModelVariant
     fixed: ModelParams
     axis1: Axis
@@ -320,8 +332,18 @@ class SweepSpec:
     method: Method
 
     def __post_init__(self):
-        if self.axis1.name == self.axis2.name:
-            raise ValueError(f"axes must differ, both are {self.axis1.name!r}")
+        a, b = self.axis1, self.axis2
+        if a.name == b.name:
+            raise ValueError(f"axes must differ, both are {a.name!r}")
+        shared = set(a.fields(self.variant)) & set(b.fields(self.variant))
+        if shared:
+            raise ValueError(f"axes {a.name!r} and {b.name!r} both write "
+                             f"{', '.join(sorted(shared))}")
+        for writer, holder in ((a, b), (b, a)):
+            held = _HELD.get(holder.name)
+            if held in writer.fields(self.variant):
+                raise ValueError(f"axis {writer.name!r} writes {held}, which "
+                                 f"axis {holder.name!r} holds at its fixed value")
 
 
 def check_seed(seed: int) -> None:

@@ -31,22 +31,7 @@ import numpy as np
 
 from .errors import StateOutOfDomain
 
-# The value types and their checks live in the numpy-free inputs module;
-# they stay importable from here.
-from .inputs import (
-    AMPLITUDES,
-    PARAM_FIELDS,
-    PARAM_RULES,
-    TIME_SCALES,
-    ModelParams,
-    ModelVariant,
-    Rule,
-    Variant,
-    Zeta2Denominator,
-    check_rules,
-    ignored_fields,
-    validate_params,
-)
+from .inputs import ModelParams, ModelVariant, Variant, Zeta2Denominator
 
 # Prices below this floor are treated as a domain exit, not clamped.
 P_FLOOR = 1e-9

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import BlowUp, ConvergenceFailure, StateOutOfDomain
 from .inputs import (
     DEFAULT_EPS,
-    DELTA_MAX,
     TIME_SCALES,
     ModelParams,
     ModelVariant,

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .criteria import closed_forms, evaluate_points
 from .inputs import (
-    AXIS_NAMES,
     DEFAULT_BAND,
     DEFAULT_EPS,
     Axis,
@@ -31,6 +30,7 @@ from .inputs import (
     SweepSpec,
     Variant,
     Zeta2Denominator,
+    check_dead_band,
     timestamp,
 )
 from .stability import Verdict
@@ -182,7 +182,13 @@ def run_sweep(
     eps: float = DEFAULT_EPS,
     band: float = DEFAULT_BAND,
 ) -> StabilityMap:
-    """Evaluate every cell of the sweep lattice in one batch."""
+    """Evaluate every cell of the sweep lattice in one batch.
+
+    Raises:
+        ValueError: ``eps`` or ``band`` is negative, NaN or infinite.
+    """
+    check_dead_band("eps", eps)
+    check_dead_band("band", band)
     metadata = {
         "created": timestamp(),
         "version": __version__,

@@ -316,7 +316,6 @@ def _run(args, env):
 
 def test_criterion_12_byte_identical_reruns(tmp_path):
     env = dict(os.environ)
-    env.pop("CRYPTOFLOW_THREADS", None)
     pinned = dict(env, SOURCE_DATE_EPOCH="1700000000")
     checks = []
 

@@ -39,9 +39,7 @@ CASES = [
 
 
 def _env(**extra):
-    env = {**os.environ, "SOURCE_DATE_EPOCH": "1700000000", **extra}
-    env.pop("CRYPTOFLOW_THREADS", None)
-    return env
+    return {**os.environ, "SOURCE_DATE_EPOCH": "1700000000", **extra}
 
 
 def _out_bytes(argv):
@@ -58,7 +56,6 @@ def _out_bytes(argv):
 
 def _in_process(argv, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    monkeypatch.delenv("CRYPTOFLOW_THREADS", raising=False)
     try:
         code = main(argv)
     except SystemExit as exc:  # --help and --version
@@ -218,8 +215,8 @@ def _usage_error(message):
 
 # Invocations the boundary rejects, each with its whole stderr: the point
 # workload's five usage errors, a bad config file, --drop and --sigma checked
-# before the path is simulated, negative seeds, and the verify and baseline
-# options that only the run checked before.
+# before the path is simulated, negative seeds, the verify and baseline
+# options that only the run checked before, and sweep axes that collide.
 REJECTED = [
     (("sweep", "--variant", "liquidity2x2", "--axis1", "bogus:0:1:5", "--axis2", "q:0:1:5"),
      "axis 'bogus:0:1:5': unknown axis 'bogus'; choose from "
@@ -243,6 +240,8 @@ REJECTED = [
     (("verify", "--variant", "liquidity2x2", "--q1", "0.3"),
      "cannot pin ['q1'] for liquidity2x2; samplable fields are ['c', 'q', 'tau0']"),
     (("baseline", "--p0", "0"), "p0 must be positive, got 0.0"),
+    (("sweep", "--axis1", "K:0:4:3", "--axis2", "q:0:1:3", "--variant", "liquidity2x2"),
+     "axes 'K' and 'q' both write q"),
 ]
 
 

@@ -1,5 +1,8 @@
 """Closed-form criteria against the eigenvalue route."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,3 +263,11 @@ def test_verify_rejects_bad_arguments():
         verify_consistency(LIQUIDITY_2X2, n=10, fixed={"q1": 0.3})
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         verify_consistency(LIQUIDITY_2X2, n=10, seed=-1)
+    # The command line's messages.  Let through, eps=inf would exclude every
+    # sample and report no mismatch.
+    for bad, message in [({"eps": -1.0}, "eps must be >= 0, got -1.0"),
+                         ({"eps": math.inf}, "eps must be finite, got inf"),
+                         ({"band": math.nan}, "band must be >= 0, got nan"),
+                         ({"band": -math.inf}, "band must be >= 0, got -inf")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_consistency(FULL_5X5, n=50, **bad)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cryptoflow import (
     FULL_5X5,
     LIQUIDITY_2X2,
+    SENTIMENT_3X3,
     Axis,
     Method,
     ModelParams,
@@ -61,6 +63,45 @@ def test_spec_rejects_duplicate_axes():
                   Axis("q", 2, 3, 3), Method.EIGEN)
 
 
+# Each pair, in either order, overwrites a field the other axis writes or holds.
+_HOLDS_Q1 = "axis 'q1' writes q1, which axis 'K' holds at its fixed value"
+_HOLDS_TAU0 = "axis 'tau0' writes tau0, which axis 'c_over_tau0' holds at its fixed value"
+CONFLICTS = [("K", "q", "axes 'K' and 'q' both write q"),
+             ("q", "K", "axes 'q' and 'K' both write q"),
+             ("K", "q1", _HOLDS_Q1), ("q1", "K", _HOLDS_Q1),
+             ("c_over_tau0", "tau0", _HOLDS_TAU0), ("tau0", "c_over_tau0", _HOLDS_TAU0)]
+
+
+@pytest.mark.parametrize("variant", [FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2],
+                         ids=lambda v: v.tag.value)
+@pytest.mark.parametrize("first,second,message", CONFLICTS,
+                         ids=[f"{a}x{b}" for a, b, _ in CONFLICTS])
+def test_spec_rejects_axes_that_write_the_same_or_a_held_field(variant, first, second,
+                                                               message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepSpec(variant, ModelParams(), Axis(first, 0, 1, 3), Axis(second, 1, 2, 3),
+                  Method.EIGEN)
+
+
+@pytest.mark.parametrize("pair", [("K", "tau0"), ("q", "c_over_tau0"),
+                                  ("K", "c_over_tau0")], ids="x".join)
+def test_spec_accepts_the_benchmark_axis_pairs(pair):
+    for first, second in (pair, pair[::-1]):
+        for variant in (FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2):
+            SweepSpec(variant, ModelParams(), Axis(first, 0, 1, 3),
+                      Axis(second, 1, 2, 3), Method.EIGEN)
+
+
+def test_run_sweep_rejects_bad_dead_bands():
+    # The command line's messages, before any cell is evaluated.
+    for bad, message in [({"eps": math.nan}, "eps must be >= 0, got nan"),
+                         ({"eps": math.inf}, "eps must be finite, got inf"),
+                         ({"band": -1.0}, "band must be >= 0, got -1.0"),
+                         ({"band": math.inf}, "band must be finite, got inf")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_sweep(liq_spec(), **bad)
+
+
 def test_two_by_two_csv_layout():
     spec = liq_spec(q=(0.5, 1.0, 2), ratio=(1.0, 2.0, 2))
     result = run_sweep(spec)
@@ -102,7 +143,8 @@ def test_json_writes_non_finite_fixed_fields_and_metadata_as_json():
     # q1 at inf under a K axis, so fixed and metadata may hold NaN or inf.
     spec = SweepSpec(LIQUIDITY_2X2, ModelParams(q=math.nan, q1=math.inf),
                      Axis("K", 0.0, 1.0, 2), Axis("tau0", 1.0, 2.0, 2), Method.EIGEN)
-    result = run_sweep(spec, eps=math.inf)
+    result = run_sweep(spec)
+    result.metadata["eps"] = math.inf
     text = export_map(result, "json")
     doc = json.loads(text, parse_constant=_reject_constant)
     assert doc["fixed"]["q"] is None and doc["fixed"]["q1"] == "inf"
