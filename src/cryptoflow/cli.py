@@ -327,14 +327,7 @@ def _closed_form_doc(variant: ModelVariant, params: ModelParams, band: float) ->
         except CryptoflowError as exc:
             out[name] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
-        if isinstance(result, bool):
-            out[name] = {"satisfied": result}
-        else:
-            out[name] = {
-                "verdict": result.verdict.value,
-                "margin": result.margin,
-                "binding": result.binding,
-            }
+        out[name] = {"satisfied": result} if isinstance(result, bool) else asdict(result)
     return out
 
 
@@ -416,30 +409,9 @@ def _run_verify(cmd: Command) -> int:
         eps=opts["eps"],
         fixed=cmd.pins or None,
     )
-    doc = {
-        "version": __version__,
-        "variant": report.variant_tag,
-        "criterion": report.criterion,
-        "samples": report.samples,
-        "agreements": report.agreements,
-        "mismatches": report.mismatches,
-        "excluded": report.excluded,
-        "seed": report.seed,
-        "band": report.band,
-        "eps": report.eps,
-        "pinned": {k: cmd.pins[k] for k in sorted(cmd.pins)},
-        "simple_condition_agreement": report.simple_condition_agreement,
-        "mismatch_list": [
-            {
-                "params": asdict(m.params),
-                "criterion_verdict": m.criterion_verdict.value,
-                "spectral_verdict": m.spectral_verdict.value,
-                "margin": m.margin,
-                "max_real": m.max_real,
-            }
-            for m in report.mismatch_list
-        ],
-    }
+    doc = asdict(report)
+    doc["variant"] = doc.pop("variant_tag")
+    doc.update(version=__version__, agreements=report.agreements, pinned=cmd.pins)
     _emit(doc, opts["out"])
     return 1 if report.mismatches > 0 else 0
 
@@ -455,22 +427,12 @@ def _run_baseline(cmd: Command) -> int:
         with _output(opts["out"]) as stream:
             gbm_path_csv(gbm, path, stream)
     doc = {
+        **asdict(gbm),
         "version": __version__,
-        "mu": gbm.mu,
-        "sigma": gbm.sigma,
-        "dt": gbm.dt,
-        "n": gbm.n,
-        "seed": gbm.seed,
         "p0": opts["p0"],
         "final_price": float(path[-1]),
         "log_return_total": math.log(float(path[-1]) / float(path[0])),
-        "exceedance": None if report is None else {
-            "sigma_daily": report.sigma_daily,
-            "drop": report.drop,
-            "k": report.k,
-            "probability": report.probability,
-            "recurrence_days": report.recurrence_days,
-        },
+        "exceedance": None if report is None else asdict(report),
     }
     _emit(doc, None)
     return 0

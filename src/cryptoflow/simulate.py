@@ -290,26 +290,17 @@ def perturb_and_classify(
         traj = integrate(variant, params, initial, config)
     except (BlowUp, StateOutOfDomain) as exc:
         traj, failure_time = exc.partial, exc.time
+        verdict, ratio = EmpiricalVerdict.UNSTABLE, float("inf")
     else:
         failure_time = None
-    if failure_time is not None:
-        return PerturbationOutcome(
-            verdict=EmpiricalVerdict.UNSTABLE,
-            growth_rate=_fit_growth_rate(traj, reference, truncated=True),
-            deviation_ratio=float("inf"),
-            failure_time=failure_time,
-            trajectory=traj,
-            step=h,
-        )
-
-    d0 = float(np.linalg.norm(traj.states[0] - reference))
-    d_end = float(np.linalg.norm(traj.final_state - reference))
-    ratio = d_end / d0
+        d0 = float(np.linalg.norm(traj.states[0] - reference))
+        ratio = float(np.linalg.norm(traj.final_state - reference)) / d0
+        verdict = _ratio_verdict(ratio)
     return PerturbationOutcome(
-        verdict=_ratio_verdict(ratio),
-        growth_rate=_fit_growth_rate(traj, reference, truncated=False),
+        verdict=verdict,
+        growth_rate=_fit_growth_rate(traj, reference, truncated=failure_time is not None),
         deviation_ratio=ratio,
-        failure_time=None,
+        failure_time=failure_time,
         trajectory=traj,
         step=h,
     )

@@ -92,8 +92,8 @@ class StabilityMap:
             "variant": self.spec.variant.tag.value,
             "zeta2_denominator": self.spec.variant.zeta2_denominator.value,
             "method": self.spec.method.value,
-            "axis1": _axis_doc(self.spec.axis1),
-            "axis2": _axis_doc(self.spec.axis2),
+            "axis1": asdict(self.spec.axis1),
+            "axis2": asdict(self.spec.axis2),
             "fixed": {k: _json_number(v) for k, v in asdict(self.spec.fixed).items()},
             "values": [[_json_number(v) for v in row] for row in self.values.tolist()],
             "verdicts": [[v.value for v in row] for row in self.verdicts],
@@ -149,10 +149,6 @@ def _json_number(x: float) -> float | str | None:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
-
-
-def _axis_doc(axis: Axis) -> dict:
-    return {"name": axis.name, "min": axis.min, "max": axis.max, "steps": axis.steps}
 
 
 def _cell_params(spec: SweepSpec) -> tuple[ModelParams, np.ndarray]:

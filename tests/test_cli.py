@@ -408,3 +408,69 @@ def test_simulate_rejects_a_step_that_gets_a_mode_wrong(tmp_path, capsys):
     assert out == "" and not out_file.exists()
     message = _one_json_line(err)["message"]
     assert "h=0.3" in message and "lambda=-9.44076" in message
+
+
+# Each verb's JSON document, key by key.  Several are built from the library's
+# result types, so renaming a field there would rename a key here.
+ANALYZE_KEYS = {"band", "closed_form", "eigenvalues", "eps", "ignored_fields", "jacobian",
+                "params", "variant", "verdict", "version", "zeta2_denominator"}
+SIMULATE_KEYS = {"delta", "deviation_ratio", "failure_time", "growth_rate", "horizon",
+                 "params", "step", "variant", "verdict", "version"}
+VERIFY_KEYS = {"agreements", "band", "criterion", "eps", "excluded", "mismatch_list",
+               "mismatches", "pinned", "samples", "seed", "simple_condition_agreement",
+               "variant", "version"}
+BASELINE_KEYS = {"dt", "exceedance", "final_price", "log_return_total", "mu", "n", "p0",
+                 "seed", "sigma", "version"}
+SWEEP_KEYS = {"axis1", "axis2", "fixed", "flags", "metadata", "method", "values",
+              "variant", "verdicts", "type", "zeta2_denominator"}
+
+
+def _document(capsys, *args, code=0):
+    got, out, err = run_cli(capsys, *args)
+    assert (got, err) == (code, "")
+    return json.loads(out)
+
+
+def test_analyze_document_keys(capsys):
+    doc = _document(capsys, "analyze")
+    assert set(doc) == ANALYZE_KEYS
+    assert set(doc["params"]) == set(ModelParams.__dataclass_fields__)
+    assert set(doc["verdict"]) == {"max_real", "oscillatory", "tag"}
+    entries = {frozenset(entry) for entry in doc["closed_form"].values()}
+    entries |= {frozenset(entry) for entry in _document(
+        capsys, "analyze", "--tau0", "1e-200", "--c3", "1e-200")["closed_form"].values()}
+    assert entries == {frozenset({"binding", "margin", "verdict"}),
+                       frozenset({"error"}), frozenset({"satisfied"})}
+
+
+def test_simulate_document_keys(capsys):
+    assert set(_document(capsys, "simulate", "--horizon", "1")) == SIMULATE_KEYS
+
+
+def test_verify_document_keys(capsys):
+    assert set(_document(capsys, "verify", "-n", "20")) == VERIFY_KEYS
+    # the absolute dead band makes this run report mismatches (see README)
+    doc = _document(capsys, "verify", "--variant", "full5x5", "--q2", "1e300", "-n", "20",
+                    code=1)
+    assert set(doc) == VERIFY_KEYS
+    assert doc["mismatch_list"]
+    for entry in doc["mismatch_list"]:
+        assert set(entry) == {"criterion_verdict", "margin", "max_real", "params",
+                              "spectral_verdict"}
+        assert set(entry["params"]) == set(ModelParams.__dataclass_fields__)
+
+
+def test_baseline_document_keys(capsys):
+    assert set(_document(capsys, "baseline", "-n", "5")) == BASELINE_KEYS
+    doc = _document(capsys, "baseline", "-n", "5", "--drop", "0.05")
+    assert set(doc) == BASELINE_KEYS
+    assert set(doc["exceedance"]) == {"drop", "k", "probability", "recurrence_days",
+                                      "sigma_daily"}
+
+
+def test_sweep_document_keys(capsys):
+    doc = _document(capsys, "sweep", "--variant", "liquidity2x2", "--axis1", "q:0:1:3",
+                    "--axis2", "tau0:1:2:3", "--format", "json")
+    assert set(doc) == SWEEP_KEYS
+    for axis in (doc["axis1"], doc["axis2"]):
+        assert set(axis) == {"max", "min", "name", "steps"}

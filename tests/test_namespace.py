@@ -2,7 +2,7 @@
 
 Each exported name is imported from the submodule that owns it on first
 access and is that submodule's own object; importing the package sets no
-environment variable.
+environment variable, and importing ``gbm`` leaves SOURCE_DATE_EPOCH as it was.
 """
 
 import importlib
@@ -17,8 +17,8 @@ import cryptoflow
 from cryptoflow.__main__ import NATIVE_THREAD_VARS
 
 
-def _fresh(code):
-    env = dict(os.environ)
+def _fresh(code, **environ):
+    env = dict(os.environ, **environ)
     for var in NATIVE_THREAD_VARS:
         env.pop(var, None)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -42,6 +42,15 @@ def test_import_and_first_access_set_no_thread_variable():
         f"print(json.dumps([os.environ.get(v) for v in {NATIVE_THREAD_VARS!r}]))"
     )
     assert env == [None] * len(NATIVE_THREAD_VARS)
+
+
+def test_importing_gbm_keeps_a_bad_source_date_epoch():
+    # numpy.f2py, loaded by scipy.special, raises on a non-integer value;
+    # gbm hides the variable for that import and puts it back
+    epoch = _fresh("import json, os, cryptoflow.gbm; "
+                   "print(json.dumps(os.environ.get('SOURCE_DATE_EPOCH')))",
+                   SOURCE_DATE_EPOCH="abc")
+    assert epoch == "abc"
 
 
 def test_first_access_imports_only_the_owning_submodule():
