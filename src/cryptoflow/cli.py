@@ -461,11 +461,7 @@ def execute(cmd: Command) -> int:
 
 
 def _error_json(name: str, exc: BaseException) -> str:
-    doc = {"error": name, "message": str(exc)}
-    time = getattr(exc, "time", None)
-    if time is not None:
-        doc["time"] = time
-    return json.dumps(_sanitize(doc), sort_keys=True) + "\n"
+    return json.dumps({"error": name, "message": str(exc)}, sort_keys=True) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

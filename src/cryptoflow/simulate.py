@@ -107,12 +107,13 @@ def default_step(variant: ModelVariant, params: ModelParams) -> float:
     return min(getattr(params, name) for name in scales) / 20.0
 
 
-def _beyond_guard(state) -> bool:
-    """A component is NaN or exceeds the blow-up guard in magnitude."""
+def _within_guard(state: list[float], t: float) -> list[float]:
+    """The state itself, or BlowUp at time t if a component is NaN or exceeds the guard."""
     for x in state:
         if not abs(x) <= BLOWUP_GUARD:
-            return True
-    return False
+            raise BlowUp(f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t:.6g}",
+                         time=t)
+    return state
 
 
 def integrate(
@@ -125,13 +126,16 @@ def integrate(
 
     The parameters and the initial shape are checked once; each RK4 stage
     then works on plain floats through the variant's derivative
-    (``model._derivative``).  The result equals, bit for bit, that of the
-    same RK4 written on numpy arrays around :func:`model.rhs`.
+    (``model._derivative``), and the guard checks every stage's state and
+    every step's result.  The result equals, bit for bit, that of the same
+    RK4 written on numpy arrays around :func:`model.rhs`.
 
     Raises:
         BlowUp: a component exceeded the guard in magnitude, or is NaN;
-            carries the time and the partial run.
-        StateOutOfDomain: a stage state fell below the price floor; same.
+            carries the time (the stage's time, or the step's end time when
+            the step's result is past the guard) and the partial run.
+        StateOutOfDomain: a stage state fell below the price floor; carries
+            the stage's time and the partial run.
         ValueError: the initial state has the wrong shape, or the step
             count horizon / step is not finite.
     """
@@ -152,49 +156,29 @@ def integrate(
     states = np.empty((total_steps + 1, variant.dim))
     times[0] = 0.0
     states[0] = initial
-    recorded = 1
-
-    def partial_trajectory() -> Trajectory:
-        return Trajectory(
-            variant=variant,
-            params=params,
-            times=times[:recorded].copy(),
-            states=states[:recorded].copy(),
-        )
-
-    def blow_up(t: float) -> BlowUp:
-        return BlowUp(
-            f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t:.6g}",
-            time=t,
-            partial=partial_trajectory(),
-        )
-
-    def guarded_derivative(stage: list[float], t: float) -> tuple[float, ...]:
-        if _beyond_guard(stage):
-            raise blow_up(t)
-        try:
-            return derivative(stage)
-        except StateOutOfDomain as exc:
-            raise StateOutOfDomain(str(exc), time=t, partial=partial_trajectory()) from None
 
     state = initial.tolist()
-    for i in range(total_steps):
-        t = i * h
-        hi = h if i < n_full else last_partial
-        half = 0.5 * hi
-        k1 = guarded_derivative(state, t)
-        k2 = guarded_derivative([x + half * k for x, k in zip(state, k1)], t)
-        k3 = guarded_derivative([x + half * k for x, k in zip(state, k2)], t)
-        k4 = guarded_derivative([x + hi * k for x, k in zip(state, k3)], t)
-        sixth = hi / 6.0
-        state = [x + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        t_next = (i + 1) * h if i < n_full else horizon
-        if _beyond_guard(state):
-            raise blow_up(t_next)
-        times[recorded] = t_next
-        states[recorded] = state
-        recorded += 1
+    try:
+        for i in range(total_steps):
+            t = i * h
+            hi = h if i < n_full else last_partial
+            half = 0.5 * hi
+            k1 = derivative(_within_guard(state, t))
+            k2 = derivative(_within_guard([x + half * k for x, k in zip(state, k1)], t))
+            k3 = derivative(_within_guard([x + half * k for x, k in zip(state, k2)], t))
+            k4 = derivative(_within_guard([x + hi * k for x, k in zip(state, k3)], t))
+            sixth = hi / 6.0
+            t = (i + 1) * h if i < n_full else horizon
+            state = _within_guard([x + sixth * (a + 2.0 * b + 2.0 * c + d)
+                                   for x, a, b, c, d in zip(state, k1, k2, k3, k4)], t)
+            times[i + 1] = t
+            states[i + 1] = state
+    except (BlowUp, StateOutOfDomain) as exc:
+        # The run stopped within step i, so rows 0..i are recorded.
+        exc.time = t
+        exc.partial = Trajectory(variant=variant, params=params,
+                                 times=times[:i + 1].copy(), states=states[:i + 1].copy())
+        raise
     return Trajectory(variant=variant, params=params, times=times, states=states)
 
 

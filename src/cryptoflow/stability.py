@@ -25,7 +25,7 @@ from .inputs import (
     Variant,
     check_rules,
 )
-from .model import equilibrium, rhs
+from .model import FULL_5X5, equilibrium, rhs
 
 # Central-difference step: roundoff dominates below about 1e-8, truncation
 # above about 1e-4.
@@ -91,39 +91,30 @@ def jacobian_scope(variant: ModelVariant) -> tuple[Rule, ...]:
 def jacobian_stack(variant: ModelVariant, params: ModelParams) -> np.ndarray:
     """Closed-form Jacobians at the flat equilibrium, one per point.
 
-    With float fields the result is one (dim, dim) matrix; with array fields
-    of shape (n,) it is an (n, dim, dim) stack.  Entries are computed with the
-    same operations either way, so each matrix of a stack equals the single
-    point's matrix bitwise.  The scope is not checked here.  With array
-    fields, entries that overflow or divide by zero come back non-finite
-    without a warning.
+    The one table below is the full variant's Jacobian; a smaller variant's
+    Jacobian is that table restricted to the rows and columns of its own
+    states (``variant.labels``).  With float fields the result is one
+    (dim, dim) matrix; with array fields of shape (n,) it is an
+    (n, dim, dim) stack.  Entries are computed with the same operations
+    either way, so each matrix of a stack equals the single point's matrix
+    bitwise.  The scope is not checked here.  With array fields, entries
+    that overflow or divide by zero come back non-finite without a warning.
     """
     q, q1, q2, tau0, c, c1, c2, c3 = (getattr(params, name) for name in PARAM_FIELDS)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if variant.tag is Variant.LIQUIDITY_2X2:
-            rows = [
-                [-1.0 / tau0, 1.0 / tau0],
-                [-q / c, (q - 1.0) / c],
-            ]
-        elif variant.tag is Variant.SENTIMENT_3X3:
-            rows = [
-                [-1.0 / tau0, 1.0 / tau0, 2.0 / tau0],
-                [-q / c, (q - 1.0) / c, 2.0 * q / c],
-                [-q1 / c1, q1 / c1, (2.0 * q1 - 1.0) / c1],
-            ]
-        else:
-            rows = [
-                [-1.0 / tau0, 0.0, 1.0 / tau0, 2.0 / tau0, 2.0 / tau0],
-                [1.0 / c3, -1.0 / c3, 0.0, 0.0, 0.0],
-                [-q / c, 0.0, (q - 1.0) / c, 2.0 * q / c, 2.0 * q / c],
-                [-q1 / c1, 0.0, q1 / c1, (2.0 * q1 - 1.0) / c1, 2.0 * q1 / c1],
-                [-q2 / c2, q2 / c2, 0.0, 0.0, -1.0 / c2],
-            ]
+        rows = [
+            [-1.0 / tau0, 0.0, 1.0 / tau0, 2.0 / tau0, 2.0 / tau0],
+            [1.0 / c3, -1.0 / c3, 0.0, 0.0, 0.0],
+            [-q / c, 0.0, (q - 1.0) / c, 2.0 * q / c, 2.0 * q / c],
+            [-q1 / c1, 0.0, q1 / c1, (2.0 * q1 - 1.0) / c1, 2.0 * q1 / c1],
+            [-q2 / c2, q2 / c2, 0.0, 0.0, -1.0 / c2],
+        ]
+    kept = [FULL_5X5.labels.index(name) for name in variant.labels]
     shape = np.broadcast(q, q1, q2, tau0, c, c1, c2, c3).shape
-    jac = np.empty(shape + (len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            jac[..., i, j] = entry
+    jac = np.empty(shape + (len(kept), len(kept)))
+    for i, row in enumerate(kept):
+        for j, col in enumerate(kept):
+            jac[..., i, j] = rows[row][col]
     return jac
 
 
@@ -259,8 +250,6 @@ def reduced_cubic(params: ModelParams) -> Polynomial:
     A division remainder above 1e-8 signals that the scaling
     assumption is violated and raises ResidualTooLarge.
     """
-    from .model import FULL_5X5
-
     p5 = char_poly(jacobian_analytic(FULL_5X5, params))
     quot1, rem1 = _deflate_at_minus_one(p5.coeffs)
     quot2, rem2 = _deflate_at_minus_one(quot1)
