@@ -20,12 +20,12 @@ _EXPORTS = {
         "DegreeOutOfRange",
     ),
     "inputs": (
-        "Variant", "Zeta2Denominator", "ModelVariant", "ModelParams",
+        "Variant", "ModelParams",
         "validate_params", "ignored_fields", "DEFAULT_EPS", "DEFAULT_BAND",
         "SimConfig", "Axis", "SweepSpec", "Method", "GbmParams",
     ),
     "model": (
-        "FULL_5X5", "FULL_5X5_PRICE_NORM", "SENTIMENT_3X3", "LIQUIDITY_2X2", "P_FLOOR",
+        "FULL_5X5", "SENTIMENT_3X3", "LIQUIDITY_2X2", "P_FLOOR",
         "rhs", "equilibrium",
     ),
     "stability": (

@@ -36,7 +36,6 @@ from .inputs import (
     GbmParams,
     Method,
     ModelParams,
-    ModelVariant,
     SimConfig,
     SweepSpec,
     Variant,
@@ -126,7 +125,7 @@ class Command:
     """A resolved invocation and the library objects its verb runs on."""
 
     verb: str
-    variant: ModelVariant
+    variant: Variant
     params: ModelParams
     options: dict
     spec: SweepSpec | None = None
@@ -206,7 +205,7 @@ def _parse_axis(text: str) -> Axis:
         raise UsageError(f"axis {text!r}: {exc}") from exc
 
 
-def _sweep_spec(variant: ModelVariant, params: ModelParams, opts: dict) -> SweepSpec:
+def _sweep_spec(variant: Variant, params: ModelParams, opts: dict) -> SweepSpec:
     if opts["axis1"] is None or opts["axis2"] is None:
         raise UsageError("sweep requires --axis1 and --axis2")
     axes = (_parse_axis(opts["axis1"]), _parse_axis(opts["axis2"]))
@@ -234,7 +233,7 @@ def parse_config(argv: list[str]) -> Command:
             opt.check(opt.name, merged[opt.name])
 
     verb = args.verb
-    variant = ModelVariant(Variant(merged.pop("variant")))
+    variant = Variant(merged.pop("variant"))
     params = ModelParams(**{key: merged.pop(key) for key in PARAM_FIELDS})
     cmd = Command(verb=verb, variant=variant, params=params, options=merged)
     try:
@@ -317,7 +316,7 @@ def _emit(doc: dict, out: str | None) -> None:
             stream.write("\n")
 
 
-def _closed_form_doc(variant: ModelVariant, params: ModelParams, band: float) -> dict:
+def _closed_form_doc(variant: Variant, params: ModelParams, band: float) -> dict:
     from .criteria import closed_forms
 
     out = {}
@@ -340,19 +339,14 @@ def _run_analyze(cmd: Command) -> int:
     verdict = classify(spectrum, opts["eps"])
     doc = {
         "version": __version__,
-        "variant": cmd.variant.tag.value,
-        "zeta2_denominator": cmd.variant.zeta2_denominator.value,
+        "variant": cmd.variant.value,
         "params": asdict(cmd.params),
         "ignored_fields": sorted(ignored_fields(cmd.variant)),
         "eps": opts["eps"],
         "band": opts["band"],
         "jacobian": [[float(x) for x in row] for row in jac],
         "eigenvalues": [[z.real, z.imag] for z in spectrum.eigenvalues],
-        "verdict": {
-            "tag": verdict.tag.value,
-            "oscillatory": verdict.oscillatory,
-            "max_real": verdict.max_real,
-        },
+        "verdict": asdict(verdict),
         "closed_form": _closed_form_doc(cmd.variant, cmd.params, opts["band"]),
     }
     _emit(doc, opts["out"])
@@ -383,7 +377,7 @@ def _run_simulate(cmd: Command) -> int:
             outcome.trajectory.to_csv(stream)
     doc = {
         "version": __version__,
-        "variant": cmd.variant.tag.value,
+        "variant": cmd.variant.value,
         "params": asdict(cmd.params),
         "horizon": sim.horizon,
         "step": outcome.step,
@@ -410,7 +404,6 @@ def _run_verify(cmd: Command) -> int:
         fixed=cmd.pins or None,
     )
     doc = asdict(report)
-    doc["variant"] = doc.pop("variant_tag")
     doc.update(version=__version__, agreements=report.agreements, pinned=cmd.pins)
     _emit(doc, opts["out"])
     return 1 if report.mismatches > 0 else 0

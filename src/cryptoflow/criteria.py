@@ -28,7 +28,6 @@ from .inputs import (
     SAMPLED_FIELDS,
     TIME_SCALES,
     ModelParams,
-    ModelVariant,
     Rule,
     Variant,
     check_dead_band,
@@ -192,7 +191,7 @@ def simple_condition_5x5(params: ModelParams) -> bool:
 
 
 def closed_forms(
-    variant: ModelVariant, q2_zero: bool = False
+    variant: Variant, q2_zero: bool = False
 ) -> list[tuple[str, Callable[[ModelParams, float], CriterionResult | bool]]]:
     """The closed forms that apply to a variant, by name; the first gives its verdict.
 
@@ -202,9 +201,9 @@ def closed_forms(
     bool and never gives a verdict.  The criteria are looked up when this is
     called, so wrappers installed on this module's names are used.
     """
-    if variant.tag is Variant.LIQUIDITY_2X2:
+    if variant is Variant.LIQUIDITY_2X2:
         return [("criterion_2x2", criterion_2x2)]
-    if variant.tag is Variant.SENTIMENT_3X3:
+    if variant is Variant.SENTIMENT_3X3:
         return [("criterion_3x3", criterion_3x3)]
     exact = [("rh_5x5", rh_5x5), ("criterion_5x5_q2zero", criterion_5x5_q2zero)]
     if q2_zero:
@@ -269,7 +268,7 @@ def _codes(stable: np.ndarray, unstable: np.ndarray) -> np.ndarray:
 
 
 def evaluate_points(
-    variant: ModelVariant,
+    variant: Variant,
     params: ModelParams,
     criterion: str | None,
     tolerance: float,
@@ -339,7 +338,7 @@ class Mismatch:
 class ConsistencyReport:
     """Outcome of a randomized closed-form vs. eigenvalue cross-check."""
 
-    variant_tag: str
+    variant: Variant
     criterion: str
     samples: int
     mismatches: int
@@ -360,7 +359,7 @@ _UNSAMPLED = {**dict.fromkeys(AMPLITUDES, 0.0), **dict.fromkeys(TIME_SCALES, 1.0
 
 
 def _sample_params(
-    variant: ModelVariant,
+    variant: Variant,
     rng: np.random.Generator,
     fixed: Mapping[str, float],
     m: int,
@@ -368,7 +367,7 @@ def _sample_params(
     """m sample points, drawn in the order of a loop over points and fields."""
     columns = {name: np.full(m, value) for name, value in _UNSAMPLED.items()}
     drawn = []
-    for name in SAMPLED_FIELDS[variant.tag]:
+    for name in SAMPLED_FIELDS[variant]:
         if name in fixed:
             columns[name] = np.full(m, float(fixed[name]))
         else:
@@ -389,7 +388,7 @@ def _sample_params(
 
 
 def verify_consistency(
-    variant: ModelVariant,
+    variant: Variant,
     n: int = 10_000,
     seed: int = 0,
     band: float = DEFAULT_BAND,
@@ -459,7 +458,7 @@ def verify_consistency(
     if q2_pinned_zero:
         agreement = simple_agree / compared if compared else float("nan")
     return ConsistencyReport(
-        variant_tag=variant.tag.value,
+        variant=variant,
         criterion=criterion_name,
         samples=n,
         mismatches=len(mismatches),

@@ -44,62 +44,46 @@ def check_dead_band(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+# The parameter fields each state's equation reads (see ``model``).
+_STATE_FIELDS = {
+    "P": ("tau0",),
+    "Pa": ("c3",),
+    "L": ("q", "c"),
+    "zeta1": ("q1", "c1"),
+    "zeta2": ("q2", "c2"),
+}
+
+
 class Variant(str, Enum):
-    """Which subset of the state is dynamic."""
+    """A model variant: which states are dynamic (``labels``, in storage order).
 
-    FULL_5X5 = "full5x5"
-    SENTIMENT_3X3 = "sentiment3x3"
-    LIQUIDITY_2X2 = "liquidity2x2"
+    The smaller variants' facts are restrictions of the full variant's: the
+    fields a variant reads are those its states' equations read.
+    """
 
+    FULL_5X5 = "full5x5", ("P", "Pa", "L", "zeta1", "zeta2")
+    SENTIMENT_3X3 = "sentiment3x3", ("P", "L", "zeta1")
+    LIQUIDITY_2X2 = "liquidity2x2", ("P", "L")
 
-class Zeta2Denominator(str, Enum):
-    """Normalization of the value-sentiment discount (Pa - P)/D."""
-
-    ANCHOR_PA = "anchor_pa"
-    PRICE_P = "price_p"
-
-
-_LABELS = {
-    Variant.FULL_5X5: ("P", "Pa", "L", "zeta1", "zeta2"),
-    Variant.SENTIMENT_3X3: ("P", "L", "zeta1"),
-    Variant.LIQUIDITY_2X2: ("P", "L"),
-}
-
-_IGNORED = {
-    Variant.FULL_5X5: frozenset(),
-    Variant.SENTIMENT_3X3: frozenset({"q2", "c2", "c3"}),
-    Variant.LIQUIDITY_2X2: frozenset({"q1", "q2", "c1", "c2", "c3"}),
-}
-
-# criterion_3x3 is derived for c1 = c and the full-variant Jacobian for
-# c = c1 = c2, so sweeps and verify samples move these clocks together.
-_TIED_CLOCKS = {
-    Variant.FULL_5X5: ("c", "c1", "c2"),
-    Variant.SENTIMENT_3X3: ("c", "c1"),
-    Variant.LIQUIDITY_2X2: ("c",),
-}
-
-
-@dataclass(frozen=True)
-class ModelVariant:
-    """A model variant together with its discount normalization."""
-
-    tag: Variant
-    zeta2_denominator: Zeta2Denominator = Zeta2Denominator.ANCHOR_PA
+    def __new__(cls, value: str, labels: tuple[str, ...]):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.labels = labels
+        return member
 
     @property
     def dim(self) -> int:
-        return len(_LABELS[self.tag])
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """State component names, in storage order."""
-        return _LABELS[self.tag]
+        return len(self.labels)
 
     @property
     def tied_clocks(self) -> tuple[str, ...]:
-        """Time scales that move together with c, c included."""
-        return _TIED_CLOCKS[self.tag]
+        """Time scales that move together with c, c included.
+
+        criterion_3x3 is derived for c1 = c and the full-variant Jacobian for
+        c = c1 = c2, so sweeps and verify samples move these clocks together.
+        """
+        return tuple(name for name in ("c", "c1", "c2")
+                     if name not in ignored_fields(self))
 
 
 @dataclass(frozen=True)
@@ -178,12 +162,13 @@ PARAM_RULES = (
 )
 
 
-def ignored_fields(variant: ModelVariant) -> frozenset[str]:
+def ignored_fields(variant: Variant) -> frozenset[str]:
     """Parameter fields the given variant does not read."""
-    return _IGNORED[variant.tag]
+    return frozenset(PARAM_FIELDS).difference(
+        *(_STATE_FIELDS[label] for label in variant.labels))
 
 
-def validate_params(params: ModelParams, variant: ModelVariant) -> ModelParams:
+def validate_params(params: ModelParams, variant: Variant) -> ModelParams:
     """Check parameter constraints and return the params unchanged.
 
     All fields are validated, including ones the variant ignores; use
@@ -307,7 +292,7 @@ class Axis:
 
         return np.linspace(self.min, self.max, self.steps)
 
-    def fields(self, variant: ModelVariant) -> tuple[str, ...]:
+    def fields(self, variant: Variant) -> tuple[str, ...]:
         """Parameter fields this axis writes on the given variant.
 
         The c_over_tau0 axis moves every time scale the variant ties to c.
@@ -325,7 +310,7 @@ class SweepSpec:
     the other writes or holds (K holds q1, c_over_tau0 holds tau0): the axis
     values would mislabel the cells."""
 
-    variant: ModelVariant
+    variant: Variant
     fixed: ModelParams
     axis1: Axis
     axis2: Axis
@@ -417,16 +402,16 @@ SAMPLED_FIELDS = {
 }
 
 
-def check_verify(variant: ModelVariant, n: int, seed: int,
+def check_verify(variant: Variant, n: int, seed: int,
                  fixed: Mapping[str, float]) -> None:
     """The sample count, seed and pinned fields of a consistency check."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    allowed = set(SAMPLED_FIELDS[variant.tag])
+    allowed = set(SAMPLED_FIELDS[variant])
     unknown = set(fixed) - allowed
     if unknown:
         raise ValueError(
-            f"cannot pin {sorted(unknown)} for {variant.tag.value}; "
+            f"cannot pin {sorted(unknown)} for {variant.value}; "
             f"samplable fields are {sorted(allowed)}"
         )
     check_seed(seed)

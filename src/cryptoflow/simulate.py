@@ -20,7 +20,7 @@ from .inputs import (
     DEFAULT_EPS,
     TIME_SCALES,
     ModelParams,
-    ModelVariant,
+    Variant,
     SimConfig,
     ignored_fields,
     validate_params,
@@ -49,7 +49,7 @@ CSV_ROWS_PER_WRITE = 1024
 class Trajectory:
     """Recorded integration output on a uniform (plus final) time grid."""
 
-    variant: ModelVariant
+    variant: Variant
     params: ModelParams
     times: np.ndarray
     states: np.ndarray
@@ -101,7 +101,7 @@ def _ratio_verdict(ratio: float) -> EmpiricalVerdict:
     return EmpiricalVerdict.INDETERMINATE
 
 
-def default_step(variant: ModelVariant, params: ModelParams) -> float:
+def default_step(variant: Variant, params: ModelParams) -> float:
     """Fastest time scale the variant reads, divided by 20."""
     scales = set(TIME_SCALES) - ignored_fields(variant)
     return min(getattr(params, name) for name in scales) / 20.0
@@ -117,7 +117,7 @@ def _within_guard(state: list[float], t: float) -> list[float]:
 
 
 def integrate(
-    variant: ModelVariant,
+    variant: Variant,
     params: ModelParams,
     initial: np.ndarray,
     config: SimConfig = SimConfig(),
@@ -206,7 +206,7 @@ def _fit_growth_rate(traj: Trajectory, reference: np.ndarray, truncated: bool) -
     return float(slope)
 
 
-def _check_step(variant: ModelVariant, params: ModelParams, h: float,
+def _check_step(variant: Variant, params: ModelParams, h: float,
                 horizon: float) -> None:
     """Reject a step at which RK4 gets the growth of a linear mode wrong.
 
@@ -249,7 +249,7 @@ def _check_step(variant: ModelVariant, params: ModelParams, h: float,
 
 
 def perturb_and_classify(
-    variant: ModelVariant,
+    variant: Variant,
     params: ModelParams,
     config: SimConfig = SimConfig(),
 ) -> PerturbationOutcome:

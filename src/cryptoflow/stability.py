@@ -19,8 +19,8 @@ from .errors import ConvergenceFailure, ResidualTooLarge, UnsupportedScaling
 from .inputs import (
     DEFAULT_EPS,
     PARAM_FIELDS,
+    PARAM_RULES,
     ModelParams,
-    ModelVariant,
     Rule,
     Variant,
     check_rules,
@@ -70,7 +70,6 @@ class StabilityVerdict:
     tag: Verdict
     oscillatory: bool
     max_real: float
-    eps: float
 
 
 # The full variant's closed-form Jacobian is derived for c = c1 = c2.
@@ -83,12 +82,12 @@ _JACOBIAN_SCOPE = {
 }
 
 
-def jacobian_scope(variant: ModelVariant) -> tuple[Rule, ...]:
+def jacobian_scope(variant: Variant) -> tuple[Rule, ...]:
     """Conditions under which the variant's closed-form Jacobian holds."""
-    return _JACOBIAN_SCOPE.get(variant.tag, ())
+    return _JACOBIAN_SCOPE.get(variant, ())
 
 
-def jacobian_stack(variant: ModelVariant, params: ModelParams) -> np.ndarray:
+def jacobian_stack(variant: Variant, params: ModelParams) -> np.ndarray:
     """Closed-form Jacobians at the flat equilibrium, one per point.
 
     The one table below is the full variant's Jacobian; a smaller variant's
@@ -118,19 +117,21 @@ def jacobian_stack(variant: ModelVariant, params: ModelParams) -> np.ndarray:
     return jac
 
 
-def jacobian_analytic(variant: ModelVariant, params: ModelParams) -> np.ndarray:
+def jacobian_analytic(variant: Variant, params: ModelParams) -> np.ndarray:
     """Closed-form Jacobian at the flat equilibrium.
 
-    The full variant is only supported with equal reaction time scales
-    c = c1 = c2 (the scaling under which its closed form is derived);
-    unequal scales raise UnsupportedScaling.  The smaller variants accept
-    general time scales.
+    The parameters are checked first (``validate_params``'s rules), so a
+    zero clock raises NonPositiveTimeScale, not ZeroDivisionError.  The full
+    variant is only supported with equal reaction time scales c = c1 = c2
+    (the scaling under which its closed form is derived); unequal scales
+    raise UnsupportedScaling.  The smaller variants accept general time
+    scales.
     """
-    check_rules(jacobian_scope(variant), params)
+    check_rules((*PARAM_RULES, *jacobian_scope(variant)), params)
     return jacobian_stack(variant, params)
 
 
-def jacobian_numeric(variant: ModelVariant, params: ModelParams) -> np.ndarray:
+def jacobian_numeric(variant: Variant, params: ModelParams) -> np.ndarray:
     """Central-difference Jacobian of the right-hand side at equilibrium."""
     h = NUMERIC_H
     x0 = equilibrium(variant)
@@ -280,4 +281,4 @@ def classify(spectrum: Spectrum, eps: float = DEFAULT_EPS) -> StabilityVerdict:
     oscillatory = any(
         abs(z.real - mr) <= eps and abs(z.imag) > eps for z in spectrum.eigenvalues
     )
-    return StabilityVerdict(tag=tag, oscillatory=oscillatory, max_real=mr, eps=eps)
+    return StabilityVerdict(tag=tag, oscillatory=oscillatory, max_real=mr)

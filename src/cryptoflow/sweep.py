@@ -26,10 +26,8 @@ from .inputs import (
     Axis,
     Method,
     ModelParams,
-    ModelVariant,
     SweepSpec,
     Variant,
-    Zeta2Denominator,
     check_dead_band,
     timestamp,
 )
@@ -89,8 +87,7 @@ class StabilityMap:
         """
         doc = {
             "type": "stability_map",
-            "variant": self.spec.variant.tag.value,
-            "zeta2_denominator": self.spec.variant.zeta2_denominator.value,
+            "variant": self.spec.variant.value,
             "method": self.spec.method.value,
             "axis1": asdict(self.spec.axis1),
             "axis2": asdict(self.spec.axis2),
@@ -125,7 +122,7 @@ class StabilityMap:
         out.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">\n'
-            f"<title>{self.spec.variant.tag.value} {self.spec.method.value} "
+            f"<title>{self.spec.variant.value} {self.spec.method.value} "
             f"{self.spec.axis1.name} vs {self.spec.axis2.name}</title>\n"
         )
         for i, verdicts in enumerate(self.verdicts):
@@ -260,15 +257,16 @@ def export_map(stability_map: StabilityMap, fmt: str,
 
 
 def map_from_json(text: str) -> StabilityMap:
-    """Inverse of StabilityMap.to_json, reconstructing an equal map."""
+    """Inverse of StabilityMap.to_json, reconstructing an equal map.
+
+    Keys it does not read are ignored, so maps written by earlier versions,
+    which carry one more key, still load.
+    """
     doc = json.loads(text)
     if doc.get("type") != "stability_map":
         raise ValueError("not a stability map document")
-    variant = ModelVariant(
-        Variant(doc["variant"]), Zeta2Denominator(doc["zeta2_denominator"])
-    )
     spec = SweepSpec(
-        variant=variant,
+        variant=Variant(doc["variant"]),
         fixed=ModelParams(**{k: _NON_FINITE.get(v, v) for k, v in doc["fixed"].items()}),
         axis1=Axis(**doc["axis1"]),
         axis2=Axis(**doc["axis2"]),

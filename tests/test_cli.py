@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from cryptoflow import FULL_5X5, LIQUIDITY_2X2, SENTIMENT_3X3, ModelParams, Variant
+from conftest import positional_ids
+from cryptoflow import FULL_5X5, LIQUIDITY_2X2, SENTIMENT_3X3, ModelParams
 from cryptoflow.cli import main
 from cryptoflow.criteria import closed_forms
 
@@ -167,15 +168,16 @@ def test_verify_pins_explicit_params(capsys):
     assert doc["simple_condition_agreement"] is not None
 
 
-@pytest.mark.parametrize("variant", [FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2])
+@pytest.mark.parametrize("variant", [FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2],
+                         ids=positional_ids(3))
 def test_verbs_read_one_closed_form_table(capsys, variant):
-    tag = variant.tag.value
+    tag = variant.value
     forms = closed_forms(variant)
     code, out, _ = run_cli(capsys, "analyze", "--variant", tag)
     assert code == 0
     assert set(json.loads(out)["closed_form"]) == {name for name, _ in forms}
 
-    pin = ["--q2", "0"] if variant.tag is Variant.FULL_5X5 else ["--q", "0.3"]
+    pin = ["--q2", "0"] if variant is FULL_5X5 else ["--q", "0.3"]
     for extra, q2_zero in (([], False), (pin, pin[0] == "--q2")):
         code, out, _ = run_cli(capsys, "verify", "--variant", tag, "-n", "50", *extra)
         assert code == 0
@@ -413,7 +415,7 @@ def test_simulate_rejects_a_step_that_gets_a_mode_wrong(tmp_path, capsys):
 # Each verb's JSON document, key by key.  Several are built from the library's
 # result types, so renaming a field there would rename a key here.
 ANALYZE_KEYS = {"band", "closed_form", "eigenvalues", "eps", "ignored_fields", "jacobian",
-                "params", "variant", "verdict", "version", "zeta2_denominator"}
+                "params", "variant", "verdict", "version"}
 SIMULATE_KEYS = {"delta", "deviation_ratio", "failure_time", "growth_rate", "horizon",
                  "params", "step", "variant", "verdict", "version"}
 VERIFY_KEYS = {"agreements", "band", "criterion", "eps", "excluded", "mismatch_list",
@@ -422,7 +424,7 @@ VERIFY_KEYS = {"agreements", "band", "criterion", "eps", "excluded", "mismatch_l
 BASELINE_KEYS = {"dt", "exceedance", "final_price", "log_return_total", "mu", "n", "p0",
                  "seed", "sigma", "version"}
 SWEEP_KEYS = {"axis1", "axis2", "fixed", "flags", "metadata", "method", "values",
-              "variant", "verdicts", "type", "zeta2_denominator"}
+              "variant", "verdicts", "type"}
 
 
 def _document(capsys, *args, code=0):

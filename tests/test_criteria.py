@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import positional_ids
 from cryptoflow import (
     FULL_5X5,
     LIQUIDITY_2X2,
@@ -227,7 +228,8 @@ def test_rh_matches_hurwitz_on_reduced_cubic():
         assert hurwitz_stable(reduced_cubic(p)) == (r.verdict is Verdict.STABLE)
 
 
-@pytest.mark.parametrize("variant", [LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5])
+@pytest.mark.parametrize("variant", [LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5],
+                         ids=positional_ids(3))
 def test_verify_finds_no_mismatches(variant):
     report = verify_consistency(variant, n=500, seed=7)
     assert report.mismatches == 0

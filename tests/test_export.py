@@ -83,7 +83,7 @@ def _reference_map_svg(m):
     n1, n2 = m.shape
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{n1 * 8}" '
              f'height="{n2 * 8}" viewBox="0 0 {n1 * 8} {n2 * 8}">',
-             f"<title>{m.spec.variant.tag.value} {m.spec.method.value} "
+             f"<title>{m.spec.variant.value} {m.spec.method.value} "
              f"{m.spec.axis1.name} vs {m.spec.axis2.name}</title>"]
     for i in range(n1):
         for j in range(n2):

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import positional_ids
 from cryptoflow import (
     FULL_5X5,
-    FULL_5X5_PRICE_NORM,
     LIQUIDITY_2X2,
     SENTIMENT_3X3,
     Axis,
@@ -45,7 +45,7 @@ from cryptoflow.criteria import CHUNK, closed_forms
 from cryptoflow.inputs import AXIS_NAMES
 from cryptoflow.stability import dominant_real_parts
 
-VARIANTS = (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5, FULL_5X5_PRICE_NORM)
+VARIANTS = (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5)
 
 
 # ---------------------------------------------------------------- references
@@ -93,9 +93,9 @@ def assert_sweep_matches_reference(spec, eps=1e-8, band=1e-6):
 
 
 SAMPLED = {
-    LIQUIDITY_2X2.tag: ("q", "tau0", "c"),
-    SENTIMENT_3X3.tag: ("q", "q1", "tau0", "c"),
-    FULL_5X5.tag: ("q", "q1", "q2", "tau0", "c3"),
+    LIQUIDITY_2X2: ("q", "tau0", "c"),
+    SENTIMENT_3X3: ("q", "q1", "tau0", "c"),
+    FULL_5X5: ("q", "q1", "q2", "tau0", "c3"),
 }
 
 
@@ -108,7 +108,7 @@ def reference_verify(variant, n, seed=0, band=1e-6, eps=1e-8, fixed=None):
     mismatches, excluded, compared, simple_agree = [], 0, 0, 0
     for _ in range(n):
         values = dict(q=0.0, q1=0.0, q2=0.0, tau0=1.0, c=1.0, c1=1.0, c2=1.0, c3=1.0)
-        for field in SAMPLED[variant.tag]:
+        for field in SAMPLED[variant]:
             if field in fixed:
                 values[field] = float(fixed[field])
             else:
@@ -132,7 +132,7 @@ def reference_verify(variant, n, seed=0, band=1e-6, eps=1e-8, fixed=None):
     agreement = None
     if q2_zero:
         agreement = simple_agree / compared if compared else float("nan")
-    return ConsistencyReport(variant.tag.value, name, n, len(mismatches), excluded,
+    return ConsistencyReport(variant, name, n, len(mismatches), excluded,
                              seed, band, eps, tuple(mismatches), agreement)
 
 
@@ -183,7 +183,7 @@ def test_sweep_equals_per_cell_reference(spec, eps, band):
 
 
 @pytest.mark.parametrize("method", list(Method))
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS, ids=positional_ids(len(VARIANTS)))
 def test_sweep_across_chunk_boundaries(variant, method):
     # 41 x 26 = 1066 cells: one full chunk and a partial one.
     spec = SweepSpec(variant, ModelParams(q1=0.4, q2=0.3, tau0=0.7, c3=2.0),
@@ -249,7 +249,7 @@ def test_dominant_real_part_breaks_ties_like_the_sorted_spectrum(matrices):
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
 @pytest.mark.parametrize("variant,fixed", [
     (LIQUIDITY_2X2, None), (SENTIMENT_3X3, {"q": 0.3}), (FULL_5X5, {"q2": 0.0}),
-])
+], ids=positional_ids(3, "None", "fixed1", "fixed2"))
 def test_verify_equals_per_sample_reference(variant, fixed, n):
     report = verify_consistency(variant, n=n, seed=n, fixed=fixed)
     assert_same_report(report, reference_verify(variant, n, seed=n, fixed=fixed))
@@ -268,7 +268,7 @@ def test_verify_ten_thousand_samples_equal_reference():
 def test_verify_property(variant, n, seed, pin, band, eps, value):
     fixed = None
     if pin:
-        field = SAMPLED[variant.tag][0 if variant.tag is not FULL_5X5.tag else 2]
+        field = SAMPLED[variant][0 if variant is not FULL_5X5 else 2]
         fixed = {field: value}
     report = verify_consistency(variant, n=n, seed=seed, band=band, eps=eps, fixed=fixed)
     assert_same_report(report, reference_verify(variant, n, seed, band, eps, fixed))
@@ -304,7 +304,7 @@ def test_verify_raises_for_a_sample_it_cannot_evaluate():
     # Q = -inf and c/tau0 = inf
     (SENTIMENT_3X3, "criterion_3x3", {"q1": 1e308, "c": 1e300, "c1": 1e300,
                                       "tau0": 1e-10}),
-])
+], ids=positional_ids(3, "rh_5x5-point0", "rh_5x5-point1", "criterion_3x3-point2"))
 def test_nan_margin_is_invalid(variant, criterion, point):
     good = ModelParams()
     bad = ModelParams(**point)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cryptoflow import (
     FULL_5X5,
-    FULL_5X5_PRICE_NORM,
     LIQUIDITY_2X2,
     SENTIMENT_3X3,
     ModelParams,
@@ -119,29 +118,6 @@ def test_rhs_example_value_sentiment():
     state = np.array([1.1, 1.0, 1.0, 0.0, 0.0])
     out = rhs(FULL_5X5, p, state)
     assert out[4] == pytest.approx(-0.1, abs=1e-15)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    params=params_strategy(),
-    p=st.floats(min_value=0.5, max_value=2.0),
-    liq=st.floats(min_value=0.5, max_value=2.0),
-    z1=st.floats(min_value=-0.3, max_value=0.3),
-    z2=st.floats(min_value=-0.3, max_value=0.3),
-)
-def test_denominator_variants_agree_when_anchored_at_price(params, p, liq, z1, z2):
-    state = np.array([p, p, liq, z1, z2])
-    a = rhs(FULL_5X5, params, state)
-    b = rhs(FULL_5X5_PRICE_NORM, params, state)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_denominator_variants_differ_otherwise():
-    params = ModelParams(q2=1.0)
-    state = np.array([1.1, 1.0, 1.0, 0.0, 0.0])
-    a = rhs(FULL_5X5, params, state)
-    b = rhs(FULL_5X5_PRICE_NORM, params, state)
-    assert a[4] != b[4]
 
 
 @settings(max_examples=100, deadline=None)

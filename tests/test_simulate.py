@@ -17,9 +17,9 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from conftest import positional_ids
 from cryptoflow import (
     FULL_5X5,
-    FULL_5X5_PRICE_NORM,
     LIQUIDITY_2X2,
     P_FLOOR,
     SENTIMENT_3X3,
@@ -39,11 +39,10 @@ from cryptoflow import (
     rhs,
     validate_params,
 )
-from cryptoflow.model import Variant, Zeta2Denominator
 from cryptoflow.simulate import BLOWUP_GUARD, RK4_AMPLIFICATION, _check_step
 from cryptoflow.stability import DEFAULT_EPS, eigenvalues, jacobian_stack
 
-VARIANTS = (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5, FULL_5X5_PRICE_NORM)
+VARIANTS = (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5)
 
 
 # ---------------------------------------------------------------- references
@@ -52,21 +51,21 @@ def reference_rhs(variant, params, state):
     state = np.asarray(state, dtype=float)
     if state.shape != (variant.dim,):
         raise ValueError(
-            f"state must have shape ({variant.dim},) for {variant.tag.value}, "
+            f"state must have shape ({variant.dim},) for {variant.value}, "
             f"got {state.shape}"
         )
     if state[0] < P_FLOOR:
         raise StateOutOfDomain(f"P = {state[0]} below floor {P_FLOOR}")
-    if variant.tag is Variant.FULL_5X5 and state[1] < P_FLOOR:
+    if variant is FULL_5X5 and state[1] < P_FLOOR:
         raise StateOutOfDomain(f"Pa = {state[1]} below floor {P_FLOOR}")
 
-    if variant.tag is Variant.LIQUIDITY_2X2:
+    if variant is LIQUIDITY_2X2:
         p, liq = state
         excess = liq - p
         return np.array([excess / params.tau0,
                          (1.0 - liq + params.q * excess) / params.c])
 
-    if variant.tag is Variant.SENTIMENT_3X3:
+    if variant is SENTIMENT_3X3:
         p, liq, z1 = state
         s = 1.0 + 2.0 * z1
         excess = s * liq - p
@@ -79,10 +78,7 @@ def reference_rhs(variant, params, state):
     p, pa, liq, z1, z2 = state
     s = 1.0 + 2.0 * z1 + 2.0 * z2
     excess = s * liq - p
-    if variant.zeta2_denominator is Zeta2Denominator.ANCHOR_PA:
-        discount = (pa - p) / pa
-    else:
-        discount = (pa - p) / p
+    discount = (pa - p) / pa
     return np.array([
         excess / params.tau0,
         (p - pa) / params.c3,
@@ -192,7 +188,8 @@ def test_linear_decay_example():
     assert traj.final_state[1] == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("variant", [FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2])
+@pytest.mark.parametrize("variant", [FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2],
+                         ids=positional_ids(3))
 def test_equilibrium_is_a_fixed_point(variant):
     traj = integrate(variant, ModelParams(), equilibrium(variant),
                      SimConfig(horizon=100.0))
@@ -524,7 +521,7 @@ def test_integrate_equals_reference_bitwise(run):
     assert _outcome(integrate, variant, params, initial, config) == expected
 
 
-@pytest.mark.parametrize("variant,params,initial,step,error,message", [
+GUARD_STOPS = [
     # a stage state leaves the guard at t = 24
     (LIQUIDITY_2X2, ModelParams(q=3.6, tau0=1.5, c=1.2), [0.885, 1.0], 0.1,
      BlowUp, "at t=24"),
@@ -532,18 +529,25 @@ def test_integrate_equals_reference_bitwise(run):
                            c3=0.56), [0.81, 1.0, 1.0, 0.0, 0.0], 0.01,
      BlowUp, "at t=0.55"),
     # the end-of-step guard trips at t = 1.6
-    (FULL_5X5_PRICE_NORM, ModelParams(q=1.9, q1=1.8, q2=0.9, tau0=1.5, c=1.07, c1=1.5,
-                                      c2=0.77, c3=9.0), [0.86, 1.0, 1.0, 0.0, 0.0], 0.2,
+    (FULL_5X5, ModelParams(q=0.96, q1=1.81, q2=0.24, tau0=1.96, c=0.4, c1=1.82, c2=1.44,
+                           c3=2.51), [0.87, 1.0, 1.0, 0.0, 0.0], 0.2,
      BlowUp, "at t=1.6"),
     # a stage price falls below the floor
     (SENTIMENT_3X3, ModelParams(q=0.01, q1=1.7, tau0=1.5, c=0.5, c1=1.75),
      [0.95, 1.0, 0.0], 0.2, StateOutOfDomain, "P = -0.35371103388597264"),
-    (FULL_5X5_PRICE_NORM, ModelParams(q=1.55, q1=0.27, q2=1.44, tau0=1.07, c=0.76, c1=1.07,
-                                      c2=1.8, c3=9.4), [0.91, 1.0, 1.0, 0.0, 0.0], 0.1,
-     StateOutOfDomain, "P = -0.4329404206554023"),
+    (FULL_5X5, ModelParams(q=0.41, q1=1.7, q2=1.53, tau0=0.73, c=1.14, c1=1.06, c2=1.41,
+                           c3=7.99), [0.81, 1.0, 1.0, 0.0, 0.0], 0.1,
+     StateOutOfDomain, "P = -0.18269496663864848"),
     (FULL_5X5, ModelParams(), [1.0, 5e-10, 1.0, 0.0, 0.0], 0.01,
      StateOutOfDomain, "Pa = 5e-10"),
-])
+]
+
+
+@pytest.mark.parametrize(
+    "variant,params,initial,step,error,message", GUARD_STOPS,
+    ids=positional_ids(len(GUARD_STOPS), *(
+        f"params{i}-initial{i}-{step}-{error.__name__}-{message}"
+        for i, (_, _, _, step, error, message) in enumerate(GUARD_STOPS))))
 def test_integrate_equals_reference_on_guard_stops(variant, params, initial, step, error,
                                                    message):
     # horizon 30.05 ends on a partial step
@@ -554,7 +558,7 @@ def test_integrate_equals_reference_on_guard_stops(variant, params, initial, ste
     assert _outcome(integrate, variant, params, initial, config) == expected
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS, ids=positional_ids(len(VARIANTS)))
 def test_integrate_equals_reference_on_complete_runs(variant):
     params = ModelParams(q=0.3, q1=0.2, q2=0.4, tau0=0.5, c3=2.0)
     initial = equilibrium(variant)
@@ -583,7 +587,7 @@ def test_rhs_equals_reference_bitwise(data):
     assert outcome(rhs) == outcome(reference_rhs)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS, ids=positional_ids(len(VARIANTS)))
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e9])
 def test_non_finite_initial_component_blows_up_at_t0(variant, value):
     for k in range(variant.dim):

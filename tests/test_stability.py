@@ -6,6 +6,7 @@ from cryptoflow import (
     LIQUIDITY_2X2,
     SENTIMENT_3X3,
     ModelParams,
+    NonPositiveTimeScale,
     Polynomial,
     ResidualTooLarge,
     UnsupportedScaling,
@@ -51,6 +52,15 @@ def test_jacobian_full_requires_equal_reaction_scales():
     with pytest.raises(UnsupportedScaling):
         jacobian_analytic(FULL_5X5, ModelParams(c=1.0, c1=2.0, c2=1.0))
 
+
+
+@pytest.mark.parametrize("variant,params", [
+    (LIQUIDITY_2X2, ModelParams(c3=0.0)),  # a clock the variant does not read
+    (FULL_5X5, ModelParams(tau0=0.0)),
+])
+def test_jacobian_rejects_a_zero_clock_by_name(variant, params):
+    with pytest.raises(NonPositiveTimeScale):
+        jacobian_analytic(variant, params)
 
 def test_numeric_jacobian_matches_analytic():
     rng = np.random.default_rng(3)

@@ -73,7 +73,7 @@ CONFLICTS = [("K", "q", "axes 'K' and 'q' both write q"),
 
 
 @pytest.mark.parametrize("variant", [FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2],
-                         ids=lambda v: v.tag.value)
+                         ids=lambda v: v.value)
 @pytest.mark.parametrize("first,second,message", CONFLICTS,
                          ids=[f"{a}x{b}" for a, b, _ in CONFLICTS])
 def test_spec_rejects_axes_that_write_the_same_or_a_held_field(variant, first, second,
