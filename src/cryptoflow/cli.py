@@ -6,9 +6,10 @@ Values resolve flag > config file > default; the config file is a flat JSON
 object keyed by option names.  ``parse_config`` builds the objects a verb runs
 on (from ``inputs``), and each object checks the values it reads, so a verb
 rejects bad values of the options it reads before any work, and ignores the
-others.  This module and ``inputs`` import neither numpy nor scipy; only
-``execute`` loads the numeric modules, once the command is valid, so a
-rejected invocation, --help and --version never load them.  Exit codes: 0
+others.  It returns the verb's run: the verb's runner bound to those objects,
+called with no arguments.  This module and ``inputs`` import neither numpy
+nor scipy; only ``execute`` loads the numeric modules, once the run is built,
+so a rejected invocation, --help and --version never load them.  Exit codes: 0
 success, 1 verification found mismatches, 2 usage error, 3 runtime failure
 such as an --out file that cannot be written (2 and 3 are reported as a
 single JSON object on stderr).
@@ -23,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
@@ -120,20 +122,6 @@ _CONFIG_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
                  str: (str, "a string")}
 
 
-@dataclass(frozen=True)
-class Command:
-    """A resolved invocation and the library objects its verb runs on."""
-
-    verb: str
-    variant: Variant
-    params: ModelParams
-    options: dict
-    spec: SweepSpec | None = None
-    sim: SimConfig | None = None
-    gbm: GbmParams | None = None
-    pins: dict[str, float] | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}")
@@ -217,11 +205,13 @@ def _sweep_spec(variant: Variant, params: ModelParams, opts: dict) -> SweepSpec:
                      method=Method(opts["method"]))
 
 
-def parse_config(argv: list[str]) -> Command:
-    """Parse argv into a Command (flag > config > default).
+def parse_config(argv: list[str]) -> Callable[[], int]:
+    """Parse argv (flag > config > default) into the verb's run.
 
     Builds the library objects the verb runs on, which check the values
     they read; a model parameter rule broken here becomes a UsageError.
+    The run is the verb's runner bound to those objects and to the option
+    values it reads; called with no arguments, it returns the exit code.
     """
     args = _build_parser().parse_args(argv)
     config = _load_config(args.config) if args.config else {}
@@ -232,39 +222,45 @@ def parse_config(argv: list[str]) -> Command:
         if opt.check is not None:
             opt.check(opt.name, merged[opt.name])
 
-    verb = args.verb
-    variant = Variant(merged.pop("variant"))
-    params = ModelParams(**{key: merged.pop(key) for key in PARAM_FIELDS})
-    cmd = Command(verb=verb, variant=variant, params=params, options=merged)
+    verb, out = args.verb, merged["out"]
+    variant = Variant(merged["variant"])
+    params = ModelParams(**{key: merged[key] for key in PARAM_FIELDS})
+    bands = {"eps": merged["eps"], "band": merged["band"]}
     try:
-        if verb in ("analyze", "simulate"):
+        if verb == "analyze":
             validate_params(params, variant)
+            return partial(_run_analyze, variant, params, **bands, out=out)
         if verb == "sweep":
             spec = _sweep_spec(variant, params, merged)
             timestamp()  # checks SOURCE_DATE_EPOCH; the export reads it again
-            return replace(cmd, spec=spec)
+            fmt = merged["format"]
+            if fmt is None:
+                suffix = Path(out).suffix.lstrip(".") if out else ""
+                fmt = suffix if suffix in FORMATS else "csv"
+            return partial(_run_sweep, spec, **bands, fmt=fmt, out=out)
         if verb == "simulate":
-            return replace(cmd, sim=SimConfig(step=merged["step"],
-                                              horizon=merged["horizon"],
-                                              perturbation=merged["delta"]))
+            validate_params(params, variant)
+            sim = SimConfig(step=merged["step"], horizon=merged["horizon"],
+                            perturbation=merged["delta"])
+            return partial(_run_simulate, variant, params, sim, out=out)
         if verb == "verify":
             pins = {key: getattr(params, key) for key in PARAM_FIELDS
                     if key in config or key in flags}
             validate_params(ModelParams(**pins), variant)
             check_verify(variant, merged["n"], merged["seed"], pins)
-            return replace(cmd, pins=pins)
-        if verb == "baseline":
-            step = merged["step"]
-            gbm = GbmParams(mu=merged["mu"], sigma=merged["sigma"],
-                            dt=GbmParams.dt if step is None else step,
-                            n=merged["n"], seed=merged["seed"])
-            check_initial_price(merged["p0"])
-            if merged["drop"] is not None:
-                check_exceedance(gbm.log_step()[1], merged["drop"], "sigma * sqrt(step)")
-            return replace(cmd, gbm=gbm)
+            return partial(_run_verify, variant, pins, n=merged["n"],
+                           seed=merged["seed"], **bands, out=out)
+        # baseline
+        step = merged["step"]
+        gbm = GbmParams(mu=merged["mu"], sigma=merged["sigma"],
+                        dt=GbmParams.dt if step is None else step,
+                        n=merged["n"], seed=merged["seed"])
+        check_initial_price(merged["p0"])
+        if merged["drop"] is not None:
+            check_exceedance(gbm.log_step()[1], merged["drop"], "sigma * sqrt(step)")
+        return partial(_run_baseline, gbm, p0=merged["p0"], drop=merged["drop"], out=out)
     except CryptoflowError as exc:
         raise UsageError(str(exc)) from exc
-    return cmd
 
 
 def _finite(x):
@@ -308,8 +304,9 @@ def _output(path: str | None) -> Iterator[TextIO]:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    """Write the verb's JSON document to the --out file, if any, then stdout."""
-    doc = _sanitize(doc)
+    """Write the verb's JSON document, stamped with the package version, to
+    the --out file, if any, then stdout."""
+    doc = _sanitize({**doc, "version": __version__})
     for path in (out, None) if out else (None,):
         with _output(path) as stream:
             json.dump(doc, stream, sort_keys=True, indent=2)
@@ -330,55 +327,48 @@ def _closed_form_doc(variant: Variant, params: ModelParams, band: float) -> dict
     return out
 
 
-def _run_analyze(cmd: Command) -> int:
+def _run_analyze(variant: Variant, params: ModelParams, eps: float, band: float,
+                 out: str | None) -> int:
     from .stability import classify, eigenvalues, jacobian_analytic
 
-    opts = cmd.options
-    jac = jacobian_analytic(cmd.variant, cmd.params)
+    jac = jacobian_analytic(variant, params)
     spectrum = eigenvalues(jac)
-    verdict = classify(spectrum, opts["eps"])
     doc = {
-        "version": __version__,
-        "variant": cmd.variant.value,
-        "params": asdict(cmd.params),
-        "ignored_fields": sorted(ignored_fields(cmd.variant)),
-        "eps": opts["eps"],
-        "band": opts["band"],
+        "variant": variant.value,
+        "params": asdict(params),
+        "ignored_fields": sorted(ignored_fields(variant)),
+        "eps": eps,
+        "band": band,
         "jacobian": [[float(x) for x in row] for row in jac],
         "eigenvalues": [[z.real, z.imag] for z in spectrum.eigenvalues],
-        "verdict": asdict(verdict),
-        "closed_form": _closed_form_doc(cmd.variant, cmd.params, opts["band"]),
+        "verdict": asdict(classify(spectrum, eps)),
+        "closed_form": _closed_form_doc(variant, params, band),
     }
-    _emit(doc, opts["out"])
+    _emit(doc, out)
     return 0
 
 
-def _run_sweep(cmd: Command) -> int:
+def _run_sweep(spec: SweepSpec, eps: float, band: float, fmt: str,
+               out: str | None) -> int:
     from .sweep import export_map, run_sweep
 
-    opts = cmd.options
-    result = run_sweep(cmd.spec, eps=opts["eps"], band=opts["band"])
-    fmt = opts["format"]
-    if fmt is None:
-        suffix = Path(opts["out"]).suffix.lstrip(".") if opts["out"] else ""
-        fmt = suffix if suffix in FORMATS else "csv"
-    with _output(opts["out"]) as stream:
+    result = run_sweep(spec, eps=eps, band=band)
+    with _output(out) as stream:
         export_map(result, fmt, stream)
     return 0
 
 
-def _run_simulate(cmd: Command) -> int:
+def _run_simulate(variant: Variant, params: ModelParams, sim: SimConfig,
+                  out: str | None) -> int:
     from .simulate import perturb_and_classify
 
-    sim = cmd.sim
-    outcome = perturb_and_classify(cmd.variant, cmd.params, sim)
-    if cmd.options["out"]:
-        with _output(cmd.options["out"]) as stream:
+    outcome = perturb_and_classify(variant, params, sim)
+    if out:
+        with _output(out) as stream:
             outcome.trajectory.to_csv(stream)
     doc = {
-        "version": __version__,
-        "variant": cmd.variant.value,
-        "params": asdict(cmd.params),
+        "variant": variant.value,
+        "params": asdict(params),
         "horizon": sim.horizon,
         "step": outcome.step,
         "delta": sim.perturbation,
@@ -391,38 +381,30 @@ def _run_simulate(cmd: Command) -> int:
     return 0
 
 
-def _run_verify(cmd: Command) -> int:
+def _run_verify(variant: Variant, pins: dict[str, float], n: int, seed: int,
+                eps: float, band: float, out: str | None) -> int:
     from .criteria import verify_consistency
 
-    opts = cmd.options
-    report = verify_consistency(
-        cmd.variant,
-        n=opts["n"],
-        seed=opts["seed"],
-        band=opts["band"],
-        eps=opts["eps"],
-        fixed=cmd.pins or None,
-    )
+    report = verify_consistency(variant, n=n, seed=seed, band=band, eps=eps,
+                                fixed=pins or None)
     doc = asdict(report)
-    doc.update(version=__version__, agreements=report.agreements, pinned=cmd.pins)
-    _emit(doc, opts["out"])
+    doc.update(agreements=report.agreements, pinned=pins)
+    _emit(doc, out)
     return 1 if report.mismatches > 0 else 0
 
 
-def _run_baseline(cmd: Command) -> int:
+def _run_baseline(gbm: GbmParams, p0: float, drop: float | None,
+                  out: str | None) -> int:
     from .gbm import exceedance_report, gbm_path_csv, gbm_simulate
 
-    opts, gbm = cmd.options, cmd.gbm
-    path = gbm_simulate(gbm, p0=opts["p0"])
-    report = None if opts["drop"] is None \
-        else exceedance_report(gbm.log_step()[1], opts["drop"])
-    if opts["out"]:
-        with _output(opts["out"]) as stream:
+    path = gbm_simulate(gbm, p0=p0)
+    report = None if drop is None else exceedance_report(gbm.log_step()[1], drop)
+    if out:
+        with _output(out) as stream:
             gbm_path_csv(gbm, path, stream)
     doc = {
         **asdict(gbm),
-        "version": __version__,
-        "p0": opts["p0"],
+        "p0": p0,
         "final_price": float(path[-1]),
         "log_return_total": math.log(float(path[-1]) / float(path[0])),
         "exceedance": None if report is None else asdict(report),
@@ -431,17 +413,8 @@ def _run_baseline(cmd: Command) -> int:
     return 0
 
 
-_RUNNERS = {
-    "analyze": _run_analyze,
-    "sweep": _run_sweep,
-    "simulate": _run_simulate,
-    "verify": _run_verify,
-    "baseline": _run_baseline,
-}
-
-
-def execute(cmd: Command) -> int:
-    """Run a resolved command; returns the process exit code.
+def execute(run: Callable[[], int]) -> int:
+    """Call a verb's run from ``parse_config``; returns the process exit code.
 
     numpy and scipy load here, not at import: every numeric module is
     imported whichever verb runs, so each valid run loads the same modules.
@@ -450,7 +423,7 @@ def execute(cmd: Command) -> int:
     # criteria loads model and stability
     from . import criteria, gbm, simulate, sweep  # noqa: F401
 
-    return _RUNNERS[cmd.verb](cmd)
+    return run()
 
 
 def _error_json(name: str, exc: BaseException) -> str:

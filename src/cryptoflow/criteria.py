@@ -13,7 +13,9 @@ spectrum or one closed form) and is what sweeps and verify call.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Mapping
 
 import numpy as np
@@ -83,21 +85,28 @@ def _margin_3x3(p):
     return p.Q + p.c / p.tau0, "K_threshold"
 
 
-def _margin_5x5_q2zero(p):
-    return p.Q + 1.0 / p.tau0, "K_threshold"
-
-
 def _margin_rh_5x5(p):
     # See rh_5x5 for the derivation.
-    tau0, c3 = p.tau0, p.c3
-    a2 = p.Q + 1.0 / tau0 + 1.0 / c3
-    a1 = p.Q / c3 + 1.0 / tau0 + 2.0 * p.q2 / tau0 + 1.0 / (tau0 * c3)
-    a0 = 1.0 / (tau0 * c3)
+    tau0, c, c3 = p.tau0, p.c, p.c3
+    a2 = p.Q / c + 1.0 / tau0 + 1.0 / c3
+    a1 = p.Q / (c3 * c) + 1.0 / (c * tau0) + 2.0 * p.q2 / (c * tau0) + 1.0 / (tau0 * c3)
+    a0 = 1.0 / (tau0 * c3 * c)
     slack_a2 = a2
     slack_prod = (a2 * a1 - a0) / (1.0 + a0)
     a2_binds = slack_a2 <= slack_prod
     return (np.where(a2_binds, slack_a2, slack_prod),
             np.where(a2_binds, "a2_positive", "a2a1_exceeds_a0"))
+
+
+def _tied_clocks(name: str, variant: Variant) -> Rule:
+    """The variant's tied clocks are equal (``Variant.tied_clocks``)."""
+    clocks = variant.tied_clocks
+    pairs = list(zip(clocks, clocks[1:]))
+    return Rule(ScalingOutOfScope,
+                lambda p: reduce(operator.and_, (getattr(p, a) == getattr(p, b)
+                                                 for a, b in pairs), True),
+                f"{name} is derived for {' = '.join(clocks)}, got "
+                + ", ".join(f"{clock}={{p.{clock}}}" for clock in clocks))
 
 
 def _unit_scaling(name: str) -> Rule:
@@ -108,17 +117,17 @@ def _unit_scaling(name: str) -> Rule:
 
 
 # Each criterion: the scope it is derived for, and its margin with the name
-# of the binding inequality.
+# of the binding inequality.  At q2 = 0 the full variant's zeta2 and Pa
+# decouple (eigenvalues -1/c2 and -1/c3), leaving the 3x3 block.
 _CRITERIA = {
     "criterion_2x2": ((), _margin_2x2),
-    "criterion_3x3": ((Rule(ScalingOutOfScope, lambda p: p.c == p.c1,
-                            "criterion_3x3 is derived for c = c1, got c={p.c}, c1={p.c1}"),),
+    "criterion_3x3": ((_tied_clocks("criterion_3x3", Variant.SENTIMENT_3X3),),
                       _margin_3x3),
     "criterion_5x5_q2zero": ((Rule(OutOfScope, lambda p: p.q2 == 0.0,
                                    "criterion_5x5_q2zero requires q2 = 0, got q2={p.q2}"),
-                              _unit_scaling("criterion_5x5_q2zero")),
-                             _margin_5x5_q2zero),
-    "rh_5x5": ((_unit_scaling("rh_5x5"),), _margin_rh_5x5),
+                              _tied_clocks("criterion_5x5_q2zero", Variant.FULL_5X5)),
+                             _margin_3x3),
+    "rh_5x5": ((_tied_clocks("rh_5x5", Variant.FULL_5X5),), _margin_rh_5x5),
 }
 
 
@@ -152,18 +161,22 @@ def criterion_3x3(params: ModelParams, band: float = DEFAULT_BAND) -> CriterionR
 def criterion_5x5_q2zero(
     params: ModelParams, band: float = DEFAULT_BAND
 ) -> CriterionResult:
-    """Full variant with value sentiment off: stable iff Q + 1/tau0 > 0."""
+    """Full variant with value sentiment off: stable iff Q + c/tau0 > 0.
+
+    Derived for c = c1 = c2.  At q2 = 0 zeta2 and Pa decouple, so the
+    threshold is criterion_3x3's.
+    """
     return _criterion("criterion_5x5_q2zero", params, band)
 
 
 def rh_5x5(params: ModelParams, band: float = DEFAULT_BAND) -> CriterionResult:
-    """Routh--Hurwitz conditions for the full variant at c = c1 = c2 = 1.
+    """Routh--Hurwitz conditions for the full variant at tied clocks c = c1 = c2.
 
-    With the double eigenvalue at -1 split off, the remaining cubic
+    With the double eigenvalue at -1/c split off, the remaining cubic
     lambda^3 + a2 lambda^2 + a1 lambda + a0 has
-        a2 = Q + 1/tau0 + 1/c3
-        a1 = Q/c3 + 1/tau0 + 2 q2/tau0 + 1/(tau0 c3)
-        a0 = 1/(tau0 c3)  (always positive),
+        a2 = Q/c + 1/tau0 + 1/c3
+        a1 = Q/(c3 c) + 1/(c tau0) + 2 q2/(c tau0) + 1/(tau0 c3)
+        a0 = 1/(tau0 c3 c)  (always positive),
     so stability is exactly {a2 > 0, a2*a1 > a0}.  Each inequality yields a
     normalized slack (lhs - rhs)/(1 + |rhs|); the margin is the smaller one.
     """
@@ -173,7 +186,8 @@ def rh_5x5(params: ModelParams, band: float = DEFAULT_BAND) -> CriterionResult:
 def sufficient_5x5(params: ModelParams) -> bool:
     """Sufficient (not necessary) stability conditions for the full variant.
 
-    Requires 1/c3 + 1/tau0 > K and 1/c3 + 1/tau0 > K/c3 - 2 q2/tau0.
+    Derived for unit clocks c = c1 = c2 = 1, the paper's scaling.  Requires
+    1/c3 + 1/tau0 > K and 1/c3 + 1/tau0 > K/c3 - 2 q2/tau0.
     """
     check_rules((_unit_scaling("sufficient_5x5"),), params)
     lhs = 1.0 / params.c3 + 1.0 / params.tau0
@@ -184,7 +198,7 @@ def simple_condition_5x5(params: ModelParams) -> bool:
     """Diagnostic shortcut 1/c3 + 1/tau0 > K; reported, never used as a verdict.
 
     At q2 = 0 this looks tempting but does not match the spectrum (the exact
-    threshold is Q + 1/tau0 > 0); verify_consistency reports its agreement
+    threshold is Q + c/tau0 > 0); verify_consistency reports its agreement
     rate for the record.  Accepts a batch of points as well.
     """
     return 1.0 / params.c3 + 1.0 / params.tau0 > params.K

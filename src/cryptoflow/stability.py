@@ -184,10 +184,16 @@ def char_poly(m: np.ndarray) -> Polynomial:
 
 
 def eigenvalues(m: np.ndarray) -> Spectrum:
-    """Eigenvalues of a real square matrix, deterministically ordered."""
+    """Eigenvalues of a real square matrix, deterministically ordered.
+
+    A matrix with a NaN or infinite entry raises ConvergenceFailure before
+    any iteration runs.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ConvergenceFailure("matrix has a non-finite entry; no eigenvalues computed")
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

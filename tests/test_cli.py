@@ -390,6 +390,14 @@ def test_analyze_reports_nan_margin_as_closed_form_error(capsys):
                               "at these parameters"}
 
 
+def test_an_overflowing_jacobian_is_not_reported_as_a_failed_iteration(capsys):
+    # 1/tau0 overflows, so no eigenvalue iteration runs
+    code, out, err = run_cli(capsys, "analyze", "--variant", "full5x5", "--tau0", "1e-310")
+    assert (code, out) == (3, "")
+    assert _one_json_line(err) == {"error": "ConvergenceFailure", "message":
+                                   "matrix has a non-finite entry; no eigenvalues computed"}
+
+
 def test_simulate_csv_holds_the_trajectory(tmp_path, capsys):
     out_file = tmp_path / "traj.csv"
     code, out, _ = run_cli(capsys, "simulate", "--variant", "full5x5", "--horizon", "1",

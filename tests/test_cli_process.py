@@ -288,3 +288,30 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy():
         capture_output=True, text=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+# One valid invocation of each verb, parsed in a fresh interpreter: it
+# reports, per verb, how many arguments the returned run requires, then which
+# of numpy and scipy are loaded.
+_PARSE_VALID = """
+import inspect, json, sys
+from cryptoflow.cli import parse_config
+runs = [parse_config(argv) for argv in json.loads(sys.argv[1])]
+required = [[p.name for p in inspect.signature(run).parameters.values()
+             if p.default is p.empty] for run in runs]
+print(json.dumps([[callable(run), names] for run, names in zip(runs, required)]
+                 + [[m for m in ("numpy", "scipy") if m in sys.modules]]))
+"""
+
+
+def test_parsing_a_valid_invocation_loads_neither_numpy_nor_scipy(tmp_path):
+    valid = [["analyze", "--variant", "full5x5", "--out", str(tmp_path / "a.json")],
+             [*SWEEP, "--method", "closed_form"],
+             ["simulate", "--variant", "sentiment3x3", "--horizon", "2"],
+             ["verify", "--variant", "full5x5", "--q2", "0", "-n", "20"],
+             ["baseline", "-n", "50", "--drop", "0.045"]]
+    proc = subprocess.run([sys.executable, "-c", _PARSE_VALID, json.dumps(valid)],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[True, []]] * len(valid) + [[]]
+    assert not (tmp_path / "a.json").exists()  # parsing writes nothing

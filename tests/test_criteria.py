@@ -13,11 +13,14 @@ from cryptoflow import (
     FULL_5X5,
     LIQUIDITY_2X2,
     SENTIMENT_3X3,
+    Axis,
     DegreeOutOfRange,
+    Method,
     ModelParams,
     OutOfScope,
     Polynomial,
     ScalingOutOfScope,
+    SweepSpec,
     Verdict,
     criterion_2x2,
     criterion_3x3,
@@ -25,10 +28,13 @@ from cryptoflow import (
     hurwitz_stable,
     reduced_cubic,
     rh_5x5,
+    run_sweep,
     simple_condition_5x5,
     sufficient_5x5,
     verify_consistency,
 )
+from cryptoflow import criteria
+from cryptoflow.inputs import PARAM_FIELDS
 
 
 def unit_scaled(q=0.5, q1=0.5, q2=0.5, tau0=1.0, c3=1.0):
@@ -79,7 +85,8 @@ def test_3x3_boundary_is_marginal():
 
 
 def test_3x3_requires_tied_scales():
-    with pytest.raises(ScalingOutOfScope):
+    with pytest.raises(ScalingOutOfScope, match=re.escape(
+            "criterion_3x3 is derived for c = c1, got c=1.0, c1=2.0")):
         criterion_3x3(ModelParams(c=1.0, c1=2.0))
 
 
@@ -118,8 +125,9 @@ def test_q2zero_boundary_is_marginal():
 def test_q2zero_scope_errors():
     with pytest.raises(OutOfScope):
         criterion_5x5_q2zero(unit_scaled(q2=0.5))
-    with pytest.raises(ScalingOutOfScope):
-        criterion_5x5_q2zero(ModelParams(q2=0.0, c=2.0, c1=2.0, c2=2.0))
+    with pytest.raises(ScalingOutOfScope, match=re.escape(
+            "criterion_5x5_q2zero is derived for c = c1 = c2, got c=1.0, c1=2.0, c2=1.0")):
+        criterion_5x5_q2zero(ModelParams(q2=0.0, c=1.0, c1=2.0))
 
 
 def test_rh_stable_example():
@@ -145,9 +153,44 @@ def test_rh_a2_binding():
     assert r.margin == pytest.approx(-0.5)
 
 
-def test_rh_requires_unit_scaling():
-    with pytest.raises(ScalingOutOfScope):
-        rh_5x5(ModelParams(c=2.0, c1=2.0, c2=2.0))
+def test_rh_requires_tied_clocks():
+    with pytest.raises(ScalingOutOfScope, match=re.escape(
+            "rh_5x5 is derived for c = c1 = c2, got c=1.0, c1=2.0, c2=1.0")):
+        rh_5x5(ModelParams(c=1.0, c1=2.0))
+
+
+@pytest.mark.parametrize("name,q2", [("rh_5x5", None), ("criterion_5x5_q2zero", 0.0)])
+def test_tied_clock_closed_forms_agree_with_the_spectrum_sampled(name, q2):
+    # log-uniform points with c = c1 = c2 anywhere in [1e-2, 10], not only at 1
+    rng = np.random.default_rng(7)
+    m = 20_000
+    q, q1, q2s = 10.0 ** rng.uniform(-3, 1, size=(3, m))
+    tau0, c, c3 = 10.0 ** rng.uniform(-2, 1, size=(3, m))
+    batch = ModelParams(q=q, q1=q1, q2=q2s if q2 is None else np.full(m, q2),
+                        tau0=tau0, c=c, c1=c, c2=c, c3=c3)
+    closed = criteria.evaluate_points(FULL_5X5, batch, name, 1e-6)
+    spectral = criteria.evaluate_points(FULL_5X5, batch, None, 1e-8)
+    compared = (np.abs(closed.values) > 1e-6) & (np.abs(spectral.values) > 1e-8)
+    assert compared.sum() > 0.99 * m
+    assert np.array_equal(closed.codes[compared], spectral.codes[compared])
+    assert set(closed.verdicts) == {Verdict.STABLE, Verdict.UNSTABLE}
+    single = getattr(criteria, name)
+    for i in range(0, m, 200):  # the single-point route gives the batch's bits
+        point = ModelParams(**{f: getattr(batch, f)[i].item() for f in PARAM_FIELDS})
+        assert single(point).margin == closed.values[i]
+
+
+def test_full_closed_form_sweep_over_the_clock_ratio_equals_the_eigen_sweep():
+    def sweep(method):
+        return run_sweep(SweepSpec(FULL_5X5, ModelParams(),
+                                   Axis("c_over_tau0", 0.05, 3.0, 31),
+                                   Axis("q", 0.0, 4.0, 31), method))
+
+    closed, eigen = sweep(Method.CLOSED_FORM), sweep(Method.EIGEN)
+    assert closed.verdicts == eigen.verdicts
+    cells = [v for row in closed.verdicts for v in row]
+    assert Verdict.INVALID not in cells
+    assert {Verdict.STABLE, Verdict.UNSTABLE} <= set(cells)
 
 
 def test_sufficient_examples():

@@ -5,6 +5,7 @@ from cryptoflow import (
     FULL_5X5,
     LIQUIDITY_2X2,
     SENTIMENT_3X3,
+    ConvergenceFailure,
     ModelParams,
     NonPositiveTimeScale,
     Polynomial,
@@ -173,6 +174,15 @@ def test_eigenvalues_similarity_invariance():
 def test_eigenvalues_rejects_nonsquare():
     with pytest.raises(ValueError):
         eigenvalues(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_eigenvalues_names_a_non_finite_entry(entry):
+    m = np.diag([-1.0, -2.0])
+    m[0, 1] = entry
+    with pytest.raises(ConvergenceFailure, match="^matrix has a non-finite entry; "
+                                                 "no eigenvalues computed$"):
+        eigenvalues(m)
 
 
 def test_reduced_cubic_binomial():
