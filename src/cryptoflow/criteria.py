@@ -38,10 +38,10 @@ from .inputs import (
 )
 from .model import rule_errors
 from .stability import (
+    JACOBIAN_RULES,
     Polynomial,
     Verdict,
     dominant_real_parts,
-    jacobian_scope,
     jacobian_stack,
 )
 
@@ -109,26 +109,28 @@ def _tied_clocks(name: str, variant: Variant) -> Rule:
                 + ", ".join(f"{clock}={{p.{clock}}}" for clock in clocks))
 
 
-def _unit_scaling(name: str) -> Rule:
-    return Rule(ScalingOutOfScope,
-                lambda p: (p.c == 1.0) & (p.c1 == 1.0) & (p.c2 == 1.0),
-                f"{name} is derived for c = c1 = c2 = 1, "
-                "got c={p.c}, c1={p.c1}, c2={p.c2}")
-
-
-# Each criterion: the scope it is derived for, and its margin with the name
-# of the binding inequality.  At q2 = 0 the full variant's zeta2 and Pa
-# decouple (eigenvalues -1/c2 and -1/c3), leaving the 3x3 block.
+# Each criterion: its rules in order (the parameter rules, then the scope it
+# is derived for), which the scalar criterion and the batch kernel both check,
+# and its margin with the name of the binding inequality.  At q2 = 0 the full
+# variant's zeta2 and Pa decouple (eigenvalues -1/c2 and -1/c3), leaving the
+# 3x3 block.
 _CRITERIA = {
-    "criterion_2x2": ((), _margin_2x2),
-    "criterion_3x3": ((_tied_clocks("criterion_3x3", Variant.SENTIMENT_3X3),),
+    "criterion_2x2": (PARAM_RULES, _margin_2x2),
+    "criterion_3x3": ((*PARAM_RULES,
+                       _tied_clocks("criterion_3x3", Variant.SENTIMENT_3X3)),
                       _margin_3x3),
-    "criterion_5x5_q2zero": ((Rule(OutOfScope, lambda p: p.q2 == 0.0,
+    "criterion_5x5_q2zero": ((*PARAM_RULES,
+                              Rule(OutOfScope, lambda p: p.q2 == 0.0,
                                    "criterion_5x5_q2zero requires q2 = 0, got q2={p.q2}"),
                               _tied_clocks("criterion_5x5_q2zero", Variant.FULL_5X5)),
                              _margin_3x3),
-    "rh_5x5": ((_tied_clocks("rh_5x5", Variant.FULL_5X5),), _margin_rh_5x5),
+    "rh_5x5": ((*PARAM_RULES, _tied_clocks("rh_5x5", Variant.FULL_5X5)), _margin_rh_5x5),
 }
+
+_SUFFICIENT_5X5_RULES = (*PARAM_RULES, Rule(
+    ScalingOutOfScope,
+    lambda p: (p.c == 1.0) & (p.c1 == 1.0) & (p.c2 == 1.0),
+    "sufficient_5x5 is derived for c = c1 = c2 = 1, got c={p.c}, c1={p.c1}, c2={p.c2}"))
 
 
 def _undefined_margin(name: str) -> ConvergenceFailure:
@@ -136,8 +138,8 @@ def _undefined_margin(name: str) -> ConvergenceFailure:
 
 
 def _criterion(name: str, params: ModelParams, band: float) -> CriterionResult:
-    scope, margin = _CRITERIA[name]
-    check_rules(scope, params)
+    rules, margin = _CRITERIA[name]
+    check_rules(rules, params)
     try:
         value, binding = margin(params)
     except ZeroDivisionError:
@@ -189,7 +191,7 @@ def sufficient_5x5(params: ModelParams) -> bool:
     Derived for unit clocks c = c1 = c2 = 1, the paper's scaling.  Requires
     1/c3 + 1/tau0 > K and 1/c3 + 1/tau0 > K/c3 - 2 q2/tau0.
     """
-    check_rules((_unit_scaling("sufficient_5x5"),), params)
+    check_rules(_SUFFICIENT_5X5_RULES, params)
     lhs = 1.0 / params.c3 + 1.0 / params.tau0
     return lhs > params.K and lhs > params.K / params.c3 - 2.0 * params.q2 / params.tau0
 
@@ -228,13 +230,15 @@ def closed_forms(
 def hurwitz_stable(poly: Polynomial) -> bool:
     """All roots in the open left half plane, decided by Hurwitz minors.
 
-    Accepts monic real polynomials of degree 1 through 5.  Builds the
-    Hurwitz matrix H[i,j] = a_{n-1+i-2j} (coefficients indexed by power,
-    zero outside 0..n) and requires every leading principal minor > 0.
+    Accepts monic polynomials of degree 1 through 5 with finite coefficients.
+    Builds the Hurwitz matrix H[i,j] = a_{n-1+i-2j} (coefficients indexed by
+    power, zero outside 0..n) and requires every leading principal minor > 0.
     """
     n = poly.degree
     if not 1 <= n <= 5:
         raise DegreeOutOfRange(f"degree must be 1..5, got {n}")
+    if not np.isfinite(poly.coeffs).all():
+        raise ValueError("polynomial coefficients must be finite")
     if abs(poly.coeffs[0] - 1.0) > 1e-12:
         raise ValueError(f"polynomial must be monic, leading coefficient {poly.coeffs[0]}")
     # a[k] = coefficient of lambda^k
@@ -274,13 +278,6 @@ class PointVerdicts:
         return [VERDICTS[code] for code in self.codes.tolist()]
 
 
-def _codes(stable: np.ndarray, unstable: np.ndarray) -> np.ndarray:
-    codes = np.full(len(stable), _MARGINAL, dtype=np.int8)
-    codes[stable] = _STABLE
-    codes[unstable] = _UNSTABLE
-    return codes
-
-
 def evaluate_points(
     variant: Variant,
     params: ModelParams,
@@ -294,45 +291,47 @@ def evaluate_points(
     spectrum: the Jacobians of ``CHUNK`` points at a time are stacked and
     solved in one eigenvalue call, and ``tolerance`` is the spectral dead
     band eps.  Otherwise the route is the named closed form (a name from
-    :func:`closed_forms`) and ``tolerance`` is its dead band.  Each value and
-    verdict equals what the single-point functions give for that point.  A
-    point is Invalid when it breaks the first of, in order: the parameter
-    rules of ``validate_params``, the route's scope, a solvable spectrum
-    (ConvergenceFailure), a margin that is a number (ConvergenceFailure).
-    An Invalid point never affects the others.
+    :func:`closed_forms`) and ``tolerance`` is its dead band.  Each value,
+    verdict and error class equals what the single-point function gives or
+    raises for that point.  A point is Invalid when it breaks the first of
+    the route's rules (``JACOBIAN_RULES`` or the criterion's), or when its
+    value is NaN (an unsolvable spectrum or a margin that is not a number:
+    ConvergenceFailure).  An Invalid point never affects the others.
     """
     columns = np.broadcast_arrays(*(getattr(params, name) for name in PARAM_FIELDS))
     n = len(columns[0])
     values = np.full(n, np.nan)
     codes = np.full(n, _INVALID, dtype=np.int8)
     errors = np.full(n, None, dtype=object)
+    # The route's rules, its value, and the sign that makes stable positive.
     if criterion is None:
-        scope, margin = jacobian_scope(variant), None
+        rules, sign = JACOBIAN_RULES[variant], -1.0
+
+        def value_of(points):
+            return dominant_real_parts(jacobian_stack(variant, points))
     else:
-        scope, margin = _CRITERIA[criterion]
+        (rules, margin), sign = _CRITERIA[criterion], 1.0
+
+        def value_of(points):
+            return margin(points)[0]
     for start in range(0, n, CHUNK):
         part = slice(start, start + CHUNK)
         chunk = ModelParams(**{name: column[part]
                                for name, column in zip(PARAM_FIELDS, columns)})
-        chunk_errors = rule_errors((*PARAM_RULES, *scope), chunk)
+        chunk_errors = rule_errors(rules, chunk)
         valid = np.flatnonzero(chunk_errors == None)  # noqa: E711 (elementwise)
         points = ModelParams(**{name: getattr(chunk, name)[valid] for name in PARAM_FIELDS})
-        if margin is None:
-            value, failed = dominant_real_parts(jacobian_stack(variant, points))
-            chunk_errors[valid[failed]] = ConvergenceFailure
-            valid = valid[~failed]
-            value = value[~failed]
-            tags = _codes(value < -tolerance, value > tolerance)
-        else:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                value = margin(points)[0]
-            undefined = np.isnan(value)
-            chunk_errors[valid[undefined]] = ConvergenceFailure
-            valid = valid[~undefined]
-            value = value[~undefined]
-            tags = _codes(value > tolerance, value < -tolerance)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value = value_of(points)
+        undefined = np.isnan(value)
+        chunk_errors[valid[undefined]] = ConvergenceFailure
+        valid = valid[~undefined]
+        value = value[~undefined]
+        # Negation is exact: -max Re > eps exactly when max Re < -eps.
+        signed = sign * value
         values[start + valid] = value
-        codes[start + valid] = tags
+        codes[start + valid] = np.select([signed > tolerance, signed < -tolerance],
+                                         [_STABLE, _UNSTABLE], _MARGINAL)
         errors[part] = chunk_errors
     return PointVerdicts(values=values, codes=codes, errors=errors)
 

@@ -72,19 +72,16 @@ class StabilityVerdict:
     max_real: float
 
 
-# The full variant's closed-form Jacobian is derived for c = c1 = c2.
-_JACOBIAN_SCOPE = {
-    Variant.FULL_5X5: (Rule(
+# Each variant's closed-form Jacobian holds under its rules, checked in order:
+# the parameter rules, then on the full variant the c = c1 = c2 it is derived for.
+JACOBIAN_RULES = {
+    **dict.fromkeys(Variant, PARAM_RULES),
+    Variant.FULL_5X5: (*PARAM_RULES, Rule(
         UnsupportedScaling,
         lambda p: (p.c == p.c1) & (p.c1 == p.c2),
         "full variant Jacobian requires c = c1 = c2, got c={p.c}, c1={p.c1}, c2={p.c2}",
-    ),),
+    )),
 }
-
-
-def jacobian_scope(variant: Variant) -> tuple[Rule, ...]:
-    """Conditions under which the variant's closed-form Jacobian holds."""
-    return _JACOBIAN_SCOPE.get(variant, ())
 
 
 def jacobian_stack(variant: Variant, params: ModelParams) -> np.ndarray:
@@ -96,7 +93,7 @@ def jacobian_stack(variant: Variant, params: ModelParams) -> np.ndarray:
     (dim, dim) matrix; with array fields of shape (n,) it is an
     (n, dim, dim) stack.  Entries are computed with the same operations
     either way, so each matrix of a stack equals the single point's matrix
-    bitwise.  The scope is not checked here.  With array fields, entries
+    bitwise.  No rule is checked here.  With array fields, entries
     that overflow or divide by zero come back non-finite without a warning.
     """
     q, q1, q2, tau0, c, c1, c2, c3 = (getattr(params, name) for name in PARAM_FIELDS)
@@ -120,14 +117,14 @@ def jacobian_stack(variant: Variant, params: ModelParams) -> np.ndarray:
 def jacobian_analytic(variant: Variant, params: ModelParams) -> np.ndarray:
     """Closed-form Jacobian at the flat equilibrium.
 
-    The parameters are checked first (``validate_params``'s rules), so a
-    zero clock raises NonPositiveTimeScale, not ZeroDivisionError.  The full
-    variant is only supported with equal reaction time scales c = c1 = c2
-    (the scaling under which its closed form is derived); unequal scales
-    raise UnsupportedScaling.  The smaller variants accept general time
-    scales.
+    The variant's ``JACOBIAN_RULES`` are checked first: the parameter rules
+    (``validate_params``'s), so a zero clock raises NonPositiveTimeScale, not
+    ZeroDivisionError; then, on the full variant, equal reaction time scales
+    c = c1 = c2 (the scaling under which its closed form is derived), whose
+    breach raises UnsupportedScaling.  The smaller variants accept general
+    time scales.
     """
-    check_rules((*PARAM_RULES, *jacobian_scope(variant)), params)
+    check_rules(JACOBIAN_RULES[variant], params)
     return jacobian_stack(variant, params)
 
 
@@ -202,8 +199,8 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     return Spectrum(tuple(ordered))
 
 
-def dominant_real_parts(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dominant real part of each matrix of an (n, d, d) stack, and where it failed.
+def dominant_real_parts(stack: np.ndarray) -> np.ndarray:
+    """Dominant real part of each matrix of an (n, d, d) stack, NaN where it failed.
 
     The whole stack goes through one ``np.linalg.eigvals`` call.  Each value
     equals ``classify(eigenvalues(m)).max_real`` bitwise, sign of zero
@@ -212,31 +209,28 @@ def dominant_real_parts(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     non-finite entry fails, as it does in ``eigenvalues``.  If LAPACK fails
     on the stack, or returns a non-finite spectrum, the matrices concerned go
     through ``eigenvalues`` one at a time, so one bad matrix fails alone.
-    Failed entries hold NaN.
+    A failed matrix gets NaN.
     """
-    n = len(stack)
-    max_real = np.full(n, np.nan)
-    failed = ~np.isfinite(stack).all(axis=(1, 2))
-    retry = np.zeros(n, dtype=bool)
-    solvable = np.flatnonzero(~failed)
+    max_real = np.full(len(stack), np.nan)
+    solvable = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
+    retry = solvable
     try:
         vals = np.linalg.eigvals(stack[solvable])
     except np.linalg.LinAlgError:
-        retry[solvable] = True
+        pass
     else:
         re, im = vals.real, vals.imag
         tied = re == re.max(axis=1, keepdims=True)
         lowest = np.where(tied, im, np.inf).min(axis=1, keepdims=True)
         first = (tied & (im == lowest)).argmax(axis=1)
         max_real[solvable] = re[np.arange(len(solvable)), first]
-        retry[solvable] = ~np.isfinite(vals).all(axis=1)
-    for i in np.flatnonzero(retry):
+        retry = solvable[~np.isfinite(vals).all(axis=1)]
+    for i in retry:
         try:
             max_real[i] = eigenvalues(stack[i]).max_real
         except ConvergenceFailure:
             max_real[i] = np.nan
-            failed[i] = True
-    return max_real, failed
+    return max_real
 
 
 def _deflate_at_minus_one(coeffs: tuple[float, ...]) -> tuple[tuple[float, ...], float]:

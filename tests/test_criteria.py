@@ -17,6 +17,8 @@ from cryptoflow import (
     DegreeOutOfRange,
     Method,
     ModelParams,
+    NegativeAmplitude,
+    NonPositiveTimeScale,
     OutOfScope,
     Polynomial,
     ScalingOutOfScope,
@@ -214,6 +216,19 @@ def test_sufficient_implies_rh_stable_sampled():
     assert hits > 100  # the check must not be vacuous
 
 
+@pytest.mark.parametrize("name", ["criterion_2x2", "criterion_3x3", "criterion_5x5_q2zero",
+                                  "rh_5x5", "sufficient_5x5"])
+@pytest.mark.parametrize("point,error", [
+    ({"tau0": -1.0}, NonPositiveTimeScale),
+    ({"tau0": 0.0}, NonPositiveTimeScale),
+    ({"q": -3.0}, NegativeAmplitude),
+], ids=["tau0=-1", "tau0=0", "q=-3"])
+def test_closed_forms_check_the_parameter_rules_first(name, point, error):
+    # q2 = 0 puts every closed form in scope
+    with pytest.raises(error):
+        getattr(criteria, name)(ModelParams(q2=0.0, **point))
+
+
 def test_simple_condition_is_just_the_shortcut():
     assert simple_condition_5x5(unit_scaled(q=0.1, q1=0.1, tau0=1.0, c3=1.0))
     assert not simple_condition_5x5(unit_scaled(q=3.0, q1=0.5, tau0=1.0, c3=1.0))
@@ -239,6 +254,12 @@ def test_hurwitz_degree_range():
 def test_hurwitz_requires_monic():
     with pytest.raises(ValueError):
         hurwitz_stable(Polynomial((2.0, 1.0)))
+
+
+@pytest.mark.parametrize("coeff", [math.inf, math.nan])
+def test_hurwitz_rejects_non_finite_coefficients(coeff):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        hurwitz_stable(Polynomial((1.0, coeff)))
 
 
 def test_hurwitz_against_root_oracle():

@@ -42,7 +42,7 @@ from cryptoflow import (
 )
 from cryptoflow import criteria
 from cryptoflow.criteria import CHUNK, closed_forms
-from cryptoflow.inputs import AXIS_NAMES
+from cryptoflow.inputs import AXIS_NAMES, PARAM_FIELDS
 from cryptoflow.stability import dominant_real_parts
 
 VARIANTS = (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5)
@@ -238,9 +238,9 @@ def test_lapack_failure_on_a_stack_fails_only_its_matrix(monkeypatch):
 def test_dominant_real_part_breaks_ties_like_the_sorted_spectrum(matrices):
     # 0.0 and -0.0 tie; the eigenvalue sorted first decides the sign of zero.
     stack = np.array(matrices, dtype=float)
-    max_real, failed = dominant_real_parts(stack)
+    max_real = dominant_real_parts(stack)
     expected = np.array([classify(eigenvalues(m)).max_real for m in stack])
-    assert not failed.any()
+    assert not np.isnan(max_real).any()
     assert max_real.tobytes() == expected.tobytes()
 
 
@@ -320,3 +320,34 @@ def test_nan_margin_is_invalid(variant, criterion, point):
     assert result.values[0] == expected.margin
     with pytest.raises(ConvergenceFailure, match="not a number"):
         dict(closed_forms(variant))[criterion](bad, 1e-6)
+
+
+# Valid points among points that break a parameter rule or a route's scope,
+# or whose value is NaN (test_nan_margin_is_invalid's cases).
+MIXED_POINTS = [
+    {}, {"q2": 0.0}, {"tau0": -1.0}, {"tau0": 0.0}, {"q": -3.0}, {"q2": 0.0, "tau0": 0.0},
+    {"c1": 2.0}, {"tau0": 1e-200, "c3": 1e-200}, {"tau0": 1e-310},
+    {"q1": 1e308, "c": 1e300, "c1": 1e300, "tau0": 1e-10},
+]
+ROUTES = [(variant, name) for variant in VARIANTS
+          for name in (None, *dict(closed_forms(variant))) if name != "sufficient_5x5"]
+
+
+def _scalar_outcome(variant, criterion, params):
+    try:
+        if criterion is None:
+            return classify(eigenvalues(jacobian_analytic(variant, params)), 1e-6).tag, None
+        return dict(closed_forms(variant))[criterion](params, 1e-6).verdict, None
+    except CryptoflowError as exc:
+        return Verdict.INVALID, type(exc)
+
+
+@pytest.mark.parametrize("variant,criterion", ROUTES,
+                         ids=positional_ids(len(ROUTES), *(str(c) for _, c in ROUTES)))
+def test_invalid_reason_is_the_scalar_error(variant, criterion):
+    points = [ModelParams(**point) for point in MIXED_POINTS]
+    batch = ModelParams(**{name: np.array([getattr(p, name) for p in points])
+                           for name in PARAM_FIELDS})
+    result = criteria.evaluate_points(variant, batch, criterion, 1e-6)
+    assert list(zip(result.verdicts, result.errors.tolist())) == [
+        _scalar_outcome(variant, criterion, p) for p in points]
