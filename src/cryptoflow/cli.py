@@ -118,6 +118,8 @@ OPTIONS = (
 )
 
 _OPTIONS_BY_NAME = {opt.name: opt for opt in OPTIONS}
+_NUMERIC_FLAGS = {flag for opt in OPTIONS if opt.type is not str
+                  for flag in opt.option_strings}
 _CONFIG_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
                  str: (str, "a string")}
 
@@ -151,6 +153,31 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb, text in VERBS.items():
         sub.add_parser(verb, parents=[shared], help=text)
     return parser
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """argv with ``--mu -1e-4`` written ``--mu=-1e-4``.
+
+    argparse reads a token as a negative number only in the forms -1 and
+    -.5, so it takes -1e-4, -1E-4 or -inf after a numeric option for a flag.
+    Here such a token becomes that option's value, as with ``=``.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in _NUMERIC_FLAGS
+                and token.startswith("-") and _is_number(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _load_config(path: str) -> dict:
@@ -213,7 +240,7 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
     The run is the verb's runner bound to those objects and to the option
     values it reads; called with no arguments, it returns the exit code.
     """
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_bind_negative_values(argv))
     config = _load_config(args.config) if args.config else {}
     flags = {opt.name: getattr(args, opt.name) for opt in OPTIONS
              if getattr(args, opt.name) is not None}
@@ -235,7 +262,7 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
             timestamp()  # checks SOURCE_DATE_EPOCH; the export reads it again
             fmt = merged["format"]
             if fmt is None:
-                suffix = Path(out).suffix.lstrip(".") if out else ""
+                suffix = Path(out).suffix.lstrip(".").lower() if out else ""
                 fmt = suffix if suffix in FORMATS else "csv"
             return partial(_run_sweep, spec, **bands, fmt=fmt, out=out)
         if verb == "simulate":

@@ -1,10 +1,10 @@
 """Closed-form stability criteria and their spectral cross-validation.
 
 Each criterion returns a signed margin normalized so that positive means
-stable; verdicts use a dead band around zero so that points on the boundary
-come back Marginal instead of flipping on roundoff.  ``verify_consistency``
-samples random parameter points and checks the closed forms against the
-eigenvalue route end to end.
+stable; ``stability.verdict_codes`` gives the verdict with a dead band around
+zero, so that points on the boundary come back Marginal instead of flipping on
+roundoff.  ``verify_consistency`` samples random parameter points and checks
+the closed forms against the eigenvalue route end to end.
 
 Every margin is written once, on ``ModelParams`` whose fields are floats or
 arrays; ``evaluate_points`` runs a batch of points through one route (the
@@ -38,11 +38,16 @@ from .inputs import (
 )
 from .model import rule_errors
 from .stability import (
+    INVALID,
     JACOBIAN_RULES,
+    MARGINAL,
+    STABLE,
+    VERDICTS,
     Polynomial,
     Verdict,
     dominant_real_parts,
     jacobian_stack,
+    verdict_codes,
 )
 
 # Points per stacked eigen solve: enough to amortise the per-call cost of
@@ -65,16 +70,6 @@ class CriterionResult:
     verdict: Verdict
     margin: float
     binding: str
-
-
-def _from_margin(margin: float, binding: str, band: float) -> CriterionResult:
-    if margin > band:
-        verdict = Verdict.STABLE
-    elif margin < -band:
-        verdict = Verdict.UNSTABLE
-    else:
-        verdict = Verdict.MARGINAL
-    return CriterionResult(verdict=verdict, margin=margin, binding=binding)
 
 
 def _margin_2x2(p):
@@ -147,7 +142,8 @@ def _criterion(name: str, params: ModelParams, band: float) -> CriterionResult:
         raise _undefined_margin(name) from None
     if np.isnan(value):
         raise _undefined_margin(name)
-    return _from_margin(float(value), str(binding), band)
+    margin = float(value)
+    return CriterionResult(VERDICTS[verdict_codes(margin, band)], margin, str(binding))
 
 
 def criterion_2x2(params: ModelParams, band: float = DEFAULT_BAND) -> CriterionResult:
@@ -254,11 +250,6 @@ def hurwitz_stable(poly: Polynomial) -> bool:
     return True
 
 
-# PointVerdicts.codes index this tuple.
-VERDICTS = (Verdict.STABLE, Verdict.MARGINAL, Verdict.UNSTABLE, Verdict.INVALID)
-_STABLE, _MARGINAL, _UNSTABLE, _INVALID = range(len(VERDICTS))
-
-
 @dataclass(frozen=True)
 class PointVerdicts:
     """Per-point outcome of :func:`evaluate_points`, in input order.
@@ -289,19 +280,19 @@ def evaluate_points(
     ``params`` holds an array of length n for at least one field; a float
     field holds for every point.  With ``criterion`` None the route is the
     spectrum: the Jacobians of ``CHUNK`` points at a time are stacked and
-    solved in one eigenvalue call, and ``tolerance`` is the spectral dead
-    band eps.  Otherwise the route is the named closed form (a name from
-    :func:`closed_forms`) and ``tolerance`` is its dead band.  Each value,
-    verdict and error class equals what the single-point function gives or
-    raises for that point.  A point is Invalid when it breaks the first of
-    the route's rules (``JACOBIAN_RULES`` or the criterion's), or when its
-    value is NaN (an unsolvable spectrum or a margin that is not a number:
-    ConvergenceFailure).  An Invalid point never affects the others.
+    solved in one eigenvalue call.  Otherwise the route is the named closed
+    form (a name from :func:`closed_forms`).  ``tolerance`` is the route's
+    dead band in ``verdict_codes``.  Each value, verdict and error class
+    equals what the single-point function gives or raises for that point.
+    A point is Invalid when it breaks the first of the route's rules
+    (``JACOBIAN_RULES`` or the criterion's), or when its value is NaN (an
+    unsolvable spectrum or a margin that is not a number: ConvergenceFailure).
+    An Invalid point never affects the others.
     """
     columns = np.broadcast_arrays(*(getattr(params, name) for name in PARAM_FIELDS))
     n = len(columns[0])
     values = np.full(n, np.nan)
-    codes = np.full(n, _INVALID, dtype=np.int8)
+    codes = np.full(n, INVALID, dtype=np.int8)
     errors = np.full(n, None, dtype=object)
     # The route's rules, its value, and the sign that makes stable positive.
     if criterion is None:
@@ -327,11 +318,9 @@ def evaluate_points(
         chunk_errors[valid[undefined]] = ConvergenceFailure
         valid = valid[~undefined]
         value = value[~undefined]
-        # Negation is exact: -max Re > eps exactly when max Re < -eps.
-        signed = sign * value
         values[start + valid] = value
-        codes[start + valid] = np.select([signed > tolerance, signed < -tolerance],
-                                         [_STABLE, _UNSTABLE], _MARGINAL)
+        # Negating max Re is exact, so no point moves across the band.
+        codes[start + valid] = verdict_codes(sign * value, tolerance)
         errors[part] = chunk_errors
     return PointVerdicts(values=values, codes=codes, errors=errors)
 
@@ -412,11 +401,10 @@ def verify_consistency(
 
     Samples n parameter points log-uniformly (amplitudes in [1e-3, 10], time
     scales in [1e-2, 10]), evaluates both routes on batches of ``CHUNK``
-    points, and counts disagreements.  Points within ``band`` of the
-    criterion boundary or within ``eps`` of the spectral boundary are
-    excluded rather than compared.  A sample that cannot be evaluated (a
-    pinned value breaks a parameter rule, or its spectrum cannot be solved)
-    raises that error.
+    points, and counts disagreements.  A point that either route finds
+    Marginal is excluded rather than compared.  A sample that cannot be
+    evaluated (a pinned value breaks a parameter rule, or its spectrum cannot
+    be solved) raises that error.
 
     ``fixed`` pins sampled fields to given values (e.g. {"q2": 0.0} on the
     full variant selects the q2 = 0 criterion and additionally reports the
@@ -437,21 +425,19 @@ def verify_consistency(
 
     rng = np.random.default_rng(seed)
     mismatches: list[Mismatch] = []
-    excluded = 0
     simple_agree = 0
     compared = 0
     for start in range(0, n, CHUNK):
         params = _sample_params(variant, rng, fixed, min(CHUNK, n - start))
         closed = evaluate_points(variant, params, criterion_name, band)
         spectral = evaluate_points(variant, params, None, eps)
-        invalid = np.flatnonzero((closed.codes == _INVALID) | (spectral.codes == _INVALID))
+        invalid = np.flatnonzero((closed.codes == INVALID) | (spectral.codes == INVALID))
         if invalid.size:
             i = invalid[0]
             error = closed.errors[i] or spectral.errors[i]
             raise error(f"verify sample {start + i} cannot be evaluated "
                         f"({error.__name__})")
-        kept = ~((np.abs(closed.values) <= band) | (np.abs(spectral.values) <= eps))
-        excluded += int(np.count_nonzero(~kept))
+        kept = (closed.codes != MARGINAL) & (spectral.codes != MARGINAL)
         compared += int(np.count_nonzero(kept))
         for i in np.flatnonzero(kept & (closed.codes != spectral.codes)):
             mismatches.append(Mismatch(
@@ -463,8 +449,8 @@ def verify_consistency(
                 max_real=spectral.values[i].item(),
             ))
         if q2_pinned_zero:
-            predicted = np.where(simple_condition_5x5(params), _STABLE, _UNSTABLE)
-            agree = predicted == spectral.codes
+            # a kept point is stable or unstable on the spectrum
+            agree = simple_condition_5x5(params) == (spectral.codes == STABLE)
             simple_agree += int(np.count_nonzero(kept & agree))
 
     agreement = None
@@ -475,7 +461,7 @@ def verify_consistency(
         criterion=criterion_name,
         samples=n,
         mismatches=len(mismatches),
-        excluded=excluded,
+        excluded=n - compared,
         seed=seed,
         band=band,
         eps=eps,

@@ -26,7 +26,7 @@ from .inputs import (
     validate_params,
 )
 from .model import _derivative, equilibrium
-from .stability import eigenvalues, jacobian_stack
+from .stability import STABLE, UNSTABLE, eigenvalues, jacobian_stack, verdict_codes
 
 BLOWUP_GUARD = 1e9
 
@@ -211,10 +211,10 @@ def _check_step(variant: Variant, params: ModelParams, h: float,
     """Reject a step at which RK4 gets the growth of a linear mode wrong.
 
     Over one step RK4 multiplies an equilibrium mode lambda by R(h lambda)
-    where the flow multiplies it by exp(h lambda).  The step is rejected when,
-    for a mode outside the dead band |Re lambda| <= DEFAULT_EPS, RK4 turns
-    decay into growth or growth into decay (|R| >= 1 with Re lambda < 0, or
-    |R| <= 1 with Re lambda > 0) and the mode's own ratio over the horizon,
+    where the flow multiplies it by exp(h lambda).  The step is rejected when
+    RK4 turns decay into growth or growth into decay (|R| >= 1 on a stable
+    mode, |R| <= 1 on an unstable one, as ``verdict_codes`` of -Re lambda
+    with DEFAULT_EPS decides) and the mode's own ratio over the horizon,
     exp(horizon Re lambda) against |R|^(horizon / h), falls in a different
     verdict.  So a mode next to a Hopf boundary, where RK4's damping flips
     the sign of a tiny growth rate yet both ratios stay near 1, passes.  A
@@ -236,9 +236,10 @@ def _check_step(variant: Variant, params: ModelParams, h: float,
         gain[np.isnan(gain)] = np.inf  # h * lambda overflowed
         exact = np.exp(horizon * lam.real)
         stepped = gain ** (horizon / h)
+    sides = verdict_codes(-lam.real, DEFAULT_EPS)
     for i, mode in enumerate(lam):
-        flipped = ((mode.real < -DEFAULT_EPS and gain[i] >= 1.0)
-                   or (mode.real > DEFAULT_EPS and gain[i] <= 1.0))
+        flipped = ((sides[i] == STABLE and gain[i] >= 1.0)
+                   or (sides[i] == UNSTABLE and gain[i] <= 1.0))
         if flipped and _ratio_verdict(exact[i]) is not _ratio_verdict(stepped[i]):
             raise ValueError(
                 f"step h={h:g} gets the growth of the mode lambda={mode:.6g} wrong: "

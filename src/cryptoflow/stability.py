@@ -39,6 +39,21 @@ class Verdict(str, Enum):
     INVALID = "invalid"
 
 
+VERDICTS = (Verdict.STABLE, Verdict.MARGINAL, Verdict.UNSTABLE, Verdict.INVALID)
+STABLE, MARGINAL, UNSTABLE, INVALID = range(len(VERDICTS))
+
+
+def verdict_codes(signed, band):
+    """The dead-band rule every verdict comes from, as ``VERDICTS`` indices.
+
+    ``signed``, a float or an array, is positive on the stable side.  Stable
+    where signed > band, unstable where signed < -band, marginal otherwise:
+    the band is inclusive and NaN is marginal.
+    """
+    # STABLE, MARGINAL, UNSTABLE are 0, 1, 2
+    return MARGINAL - (signed > band) + (signed < -band)
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial with coefficients stored leading-first."""
@@ -265,20 +280,13 @@ def reduced_cubic(params: ModelParams) -> Polynomial:
 
 
 def classify(spectrum: Spectrum, eps: float = DEFAULT_EPS) -> StabilityVerdict:
-    """Spectral verdict from the dominant real part.
+    """Spectral verdict: ``verdict_codes`` of -max Re with the dead band eps.
 
-    Stable if max Re < -eps, Unstable if > eps, Marginal inside the band.
     The verdict is oscillatory when an eigenvalue attaining the dominant
     real part (within eps) has |Im| > eps.
     """
     mr = spectrum.max_real
-    if mr < -eps:
-        tag = Verdict.STABLE
-    elif mr > eps:
-        tag = Verdict.UNSTABLE
-    else:
-        tag = Verdict.MARGINAL
     oscillatory = any(
         abs(z.real - mr) <= eps and abs(z.imag) > eps for z in spectrum.eigenvalues
     )
-    return StabilityVerdict(tag=tag, oscillatory=oscillatory, max_real=mr)
+    return StabilityVerdict(VERDICTS[verdict_codes(-mr, eps)], oscillatory, mr)

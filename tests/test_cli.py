@@ -9,7 +9,7 @@ import pytest
 
 from conftest import positional_ids
 from cryptoflow import FULL_5X5, LIQUIDITY_2X2, SENTIMENT_3X3, ModelParams
-from cryptoflow.cli import main
+from cryptoflow.cli import OPTIONS, main
 from cryptoflow.criteria import closed_forms
 
 
@@ -484,3 +484,37 @@ def test_sweep_document_keys(capsys):
     assert set(doc) == SWEEP_KEYS
     for axis in (doc["axis1"], doc["axis2"]):
         assert set(axis) == {"max", "min", "name", "steps"}
+
+
+NUMERIC_FLAGS = [flag for opt in OPTIONS if opt.type is not str
+                 for flag in opt.option_strings]
+
+
+@pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+def test_a_negative_value_in_exponent_form_is_the_option_value(capsys, flag):
+    """argparse reads -1e-4 as a flag; after a numeric option, spaced or with
+    ``=``, it is that option's value."""
+    for value in ("-1e-4", "-1E-4", "-.5e-3"):
+        for verb in (("analyze", "--variant", "liquidity2x2"), ("baseline", "-n", "3")):
+            spaced = run_cli(capsys, *verb, flag, value)
+            assert spaced == run_cli(capsys, *verb, f"{flag}={value}")
+            assert "expected one argument" not in spaced[2]
+
+
+def test_a_negative_value_in_exponent_form_reaches_its_check(capsys):
+    code, out, _ = run_cli(capsys, "baseline", "--mu", "-1e-4", "-n", "3")
+    assert code == 0
+    assert json.loads(out)["mu"] == -1e-4
+    code, _, err = run_cli(capsys, "analyze", "--q", "-1e-3")
+    assert code == 2
+    assert "q must be nonnegative" in err
+
+
+@pytest.mark.parametrize("name,start", [("map.SVG", "<svg"), ("map.Json", "{")])
+def test_sweep_reads_the_out_suffix_without_regard_to_case(tmp_path, capsys, name, start):
+    out_file = tmp_path / name
+    code, _, _ = run_cli(capsys, "sweep", "--variant", "liquidity2x2",
+                         "--axis1", "q:0:2:3", "--axis2", "tau0:0.5:1.5:3",
+                         "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_text().startswith(start)

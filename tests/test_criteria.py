@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from cryptoflow import (
     ScalingOutOfScope,
     SweepSpec,
     Verdict,
+    classify,
     criterion_2x2,
     criterion_3x3,
     criterion_5x5_q2zero,
+    eigenvalues,
     hurwitz_stable,
+    jacobian_analytic,
     reduced_cubic,
     rh_5x5,
     run_sweep,
@@ -37,6 +41,14 @@ from cryptoflow import (
 )
 from cryptoflow import criteria
 from cryptoflow.inputs import PARAM_FIELDS
+from cryptoflow.stability import (
+    MARGINAL,
+    STABLE,
+    UNSTABLE,
+    VERDICTS,
+    Spectrum,
+    verdict_codes,
+)
 
 
 def unit_scaled(q=0.5, q1=0.5, q2=0.5, tau0=1.0, c3=1.0):
@@ -343,3 +355,72 @@ def test_verify_rejects_bad_arguments():
                          ({"band": -math.inf}, "band must be >= 0, got -inf")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_consistency(FULL_5X5, n=50, **bad)
+
+
+def _edges(value):
+    """(band, code) pairs at the edge of the dead band for a signed value:
+    the band equal to |value| (Marginal) and one float narrower (decided)."""
+    decided = STABLE if value > 0 else UNSTABLE
+    if math.isinf(value):
+        return [(sys.float_info.max, decided)]
+    if value == 0.0:
+        return [(0.0, MARGINAL)]
+    return [(abs(value), MARGINAL), (np.nextafter(abs(value), 0.0), decided)]
+
+
+def test_the_dead_band_edge_is_the_same_on_every_route():
+    """A value at exactly +-band is Marginal and the next float outward is
+    decided, on every route: ``verdict_codes``, ``classify``, a scalar closed
+    form, both routes of ``evaluate_points``, and verify's exclusion.  Signed
+    zeros, infinities and NaN go through each route that can produce them (a
+    NaN margin or a non-finite Jacobian is Invalid before the dead band)."""
+    band = 0.25
+    signed = [band, -band, np.nextafter(band, np.inf), np.nextafter(-band, -np.inf),
+              0.0, -0.0, np.inf, -np.inf, np.nan]
+    expected = [MARGINAL, MARGINAL, STABLE, UNSTABLE,
+                MARGINAL, MARGINAL, STABLE, UNSTABLE, MARGINAL]
+    assert [verdict_codes(float(x), band) for x in signed] == expected
+    assert verdict_codes(np.array(signed), band).tolist() == expected
+    assert [verdict_codes(x, 0.0) for x in (0.0, -0.0, 5e-324, -5e-324)] == [
+        MARGINAL, MARGINAL, STABLE, UNSTABLE]
+    # The spectral route's signed value is -max Re.
+    for x, code in zip(signed, expected):
+        assert classify(Spectrum((complex(-x, 0.0),)), eps=band).tag is VERDICTS[code]
+
+    # criterion_3x3 margins 1.5, -1, 0, inf and -inf.
+    points = [{"q": 0.5}, {"q": 3.0}, {"q": 2.0},
+              {"q": 0.5, "c": 1e300, "c1": 1e300, "tau0": 1e-10},
+              {"q": 1e308, "q1": 1e308}]
+    base = {"q": 0.0, "q1": 0.0, "tau0": 1.0, "c": 1.0, "c1": 1.0}
+    scalars = [ModelParams(**{**base, **p}) for p in points]
+    batch = ModelParams(**{name: np.array([getattr(p, name) for p in scalars])
+                           for name in base})
+    margins = [criterion_3x3(p, 0.0).margin for p in scalars]
+    assert margins == [1.5, -1.0, 0.0, math.inf, -math.inf]
+    for i, margin in enumerate(margins):
+        for edge, code in _edges(margin):
+            assert criterion_3x3(scalars[i], edge).verdict is VERDICTS[code]
+            result = criteria.evaluate_points(SENTIMENT_3X3, batch, "criterion_3x3", edge)
+            assert result.codes[i] == code
+    max_real = criteria.evaluate_points(SENTIMENT_3X3, batch, None, 0.0).values
+    for i, value in enumerate(max_real):
+        if math.isnan(value):  # the Jacobian overflowed: Invalid
+            continue
+        spectrum = eigenvalues(jacobian_analytic(SENTIMENT_3X3, scalars[i]))
+        for edge, code in _edges(-value):
+            assert classify(spectrum, edge).tag is VERDICTS[code]
+            assert criteria.evaluate_points(SENTIMENT_3X3, batch, None, edge).codes[i] == code
+
+    # verify excludes a sample that either route finds Marginal.  Every
+    # sample is the pinned point, so the band is read off its own values.
+    for q in (0.5, 3.0):
+        pins = {"q": q, "tau0": 1.0, "c": 1.0}
+        point = ModelParams(**pins)
+        margin = criterion_2x2(point).margin
+        value = classify(eigenvalues(jacobian_analytic(LIQUIDITY_2X2, point))).max_real
+        cases = [({"band": edge, "eps": 0.0}, code) for edge, code in _edges(margin)]
+        cases += [({"band": 0.0, "eps": edge}, code) for edge, code in _edges(-value)]
+        for bands, code in cases:
+            report = verify_consistency(LIQUIDITY_2X2, n=3, fixed=pins, **bands)
+            assert report.excluded == (3 if code == MARGINAL else 0)
+            assert report.agreements == 3 - report.excluded
