@@ -120,6 +120,10 @@ OPTIONS = (
 _OPTIONS_BY_NAME = {opt.name: opt for opt in OPTIONS}
 _NUMERIC_FLAGS = {flag for opt in OPTIONS if opt.type is not str
                   for flag in opt.option_strings}
+# The long flags of a verb's parser, which argparse also takes by unique prefix.
+_LONG_FLAGS = ("--config", "--help", *(flag for opt in OPTIONS
+                                       for flag in opt.option_strings
+                                       if flag.startswith("--")))
 _CONFIG_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
                  str: (str, "a string")}
 
@@ -163,16 +167,26 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _is_numeric_flag(token: str) -> bool:
+    """A numeric option's flag, or a prefix of exactly one long flag, a numeric one."""
+    if token in _NUMERIC_FLAGS:
+        return True
+    matches = [flag for flag in _LONG_FLAGS if flag.startswith(token)]
+    return token.startswith("--") and len(matches) == 1 and matches[0] in _NUMERIC_FLAGS
+
+
 def _bind_negative_values(argv: list[str]) -> list[str]:
     """argv with ``--mu -1e-4`` written ``--mu=-1e-4``.
 
     argparse reads a token as a negative number only in the forms -1 and
     -.5, so it takes -1e-4, -1E-4 or -inf after a numeric option for a flag.
-    Here such a token becomes that option's value, as with ``=``.
+    Here such a token becomes that option's value, as with ``=``, also after
+    an abbreviated flag (``--sig``) that argparse resolves to one option;
+    an ambiguous prefix is left to argparse.
     """
     out: list[str] = []
     for token in argv:
-        if (out and out[-1] in _NUMERIC_FLAGS
+        if (out and _is_numeric_flag(out[-1])
                 and token.startswith("-") and _is_number(token)):
             out[-1] += "=" + token
         else:

@@ -128,20 +128,17 @@ _SUFFICIENT_5X5_RULES = (*PARAM_RULES, Rule(
     "sufficient_5x5 is derived for c = c1 = c2 = 1, got c={p.c}, c1={p.c1}, c2={p.c2}"))
 
 
-def _undefined_margin(name: str) -> ConvergenceFailure:
-    return ConvergenceFailure(f"{name} margin is not a number at these parameters")
-
-
 def _criterion(name: str, params: ModelParams, band: float) -> CriterionResult:
     rules, margin = _CRITERIA[name]
     check_rules(rules, params)
-    try:
-        value, binding = margin(params)
-    except ZeroDivisionError:
-        # A product of time scales underflowed to 0; the batch gets NaN there.
-        raise _undefined_margin(name) from None
+    # The kernel's numpy arithmetic: a product of clocks that underflows to 0
+    # divides to inf.
+    point = ModelParams(**{attr: np.float64(getattr(params, attr))
+                           for attr in PARAM_FIELDS})
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value, binding = margin(point)
     if np.isnan(value):
-        raise _undefined_margin(name)
+        raise ConvergenceFailure(f"{name} margin is not a number at these parameters")
     margin = float(value)
     return CriterionResult(VERDICTS[verdict_codes(margin, band)], margin, str(binding))
 

@@ -15,7 +15,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import BlowUp, ConvergenceFailure, StateOutOfDomain
+from .errors import BlowUp, StateOutOfDomain
 from .inputs import (
     DEFAULT_EPS,
     TIME_SCALES,
@@ -26,7 +26,7 @@ from .inputs import (
     validate_params,
 )
 from .model import _derivative, equilibrium
-from .stability import STABLE, UNSTABLE, eigenvalues, jacobian_stack, verdict_codes
+from .stability import STABLE, UNSTABLE, jacobian_stack, ordered_spectra, verdict_codes
 
 BLOWUP_GUARD = 1e9
 
@@ -225,10 +225,7 @@ def _check_step(variant: Variant, params: ModelParams, h: float,
         ValueError: the step gets some mode's growth wrong; the message
             names h and lambda.
     """
-    try:
-        lam = np.array(eigenvalues(jacobian_stack(variant, params)).eigenvalues)
-    except ConvergenceFailure:  # a non-finite Jacobian ends here too
-        return
+    lam = ordered_spectra(jacobian_stack(variant, params)[None])[0]
     if not np.isfinite(lam).all():
         return
     with np.errstate(all="ignore"):

@@ -9,6 +9,7 @@ closed-form route and the eigensolver route stay independent of each other.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -195,57 +196,53 @@ def char_poly(m: np.ndarray) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
+def ordered_spectra(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of an (n, d, d) stack, one ordered row per matrix.
+
+    Each row is in descending-real, ascending-imaginary order, ties keeping
+    LAPACK's order.  The whole stack goes through one ``np.linalg.eigvals``
+    call; only if LAPACK fails on it is each matrix solved alone, so one bad
+    matrix fails alone.  A row is NaN where its matrix has a non-finite
+    entry, LAPACK fails on it, or an eigenvalue is NaN.  An eigenvalue that
+    overflowed stays infinite.
+    """
+    spectra = np.full(stack.shape[:2], np.nan, dtype=complex)
+    solvable = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
+    try:
+        spectra[solvable] = np.linalg.eigvals(stack[solvable])
+    except np.linalg.LinAlgError:
+        for i in solvable:
+            with contextlib.suppress(np.linalg.LinAlgError):
+                spectra[i] = np.linalg.eigvals(stack[i])
+    spectra[np.isnan(spectra).any(axis=1)] = np.nan
+    return np.take_along_axis(spectra, np.lexsort((spectra.imag, -spectra.real)), axis=1)
+
+
 def eigenvalues(m: np.ndarray) -> Spectrum:
-    """Eigenvalues of a real square matrix, deterministically ordered.
+    """Eigenvalues of a real square matrix, ordered as by ``ordered_spectra``.
 
     A matrix with a NaN or infinite entry raises ConvergenceFailure before
-    any iteration runs.
+    any iteration runs, as does a failed iteration or a NaN eigenvalue.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ConvergenceFailure("matrix has a non-finite entry; no eigenvalues computed")
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
-    ordered = sorted((complex(v) for v in vals), key=lambda z: (-z.real, z.imag))
-    return Spectrum(tuple(ordered))
+    spectrum = ordered_spectra(m[None])[0]
+    if np.isnan(spectrum).any():
+        raise ConvergenceFailure("eigenvalue iteration failed or gave a NaN eigenvalue")
+    return Spectrum(tuple(spectrum.tolist()))
 
 
 def dominant_real_parts(stack: np.ndarray) -> np.ndarray:
     """Dominant real part of each matrix of an (n, d, d) stack, NaN where it failed.
 
-    The whole stack goes through one ``np.linalg.eigvals`` call.  Each value
+    The real part of the first column of ``ordered_spectra``, so each value
     equals ``classify(eigenvalues(m)).max_real`` bitwise, sign of zero
-    included: it is the real part of the first eigenvalue in descending-real,
-    ascending-imaginary order, ties going to LAPACK's order.  A matrix with a
-    non-finite entry fails, as it does in ``eigenvalues``.  If LAPACK fails
-    on the stack, or returns a non-finite spectrum, the matrices concerned go
-    through ``eigenvalues`` one at a time, so one bad matrix fails alone.
-    A failed matrix gets NaN.
+    included.
     """
-    max_real = np.full(len(stack), np.nan)
-    solvable = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
-    retry = solvable
-    try:
-        vals = np.linalg.eigvals(stack[solvable])
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        re, im = vals.real, vals.imag
-        tied = re == re.max(axis=1, keepdims=True)
-        lowest = np.where(tied, im, np.inf).min(axis=1, keepdims=True)
-        first = (tied & (im == lowest)).argmax(axis=1)
-        max_real[solvable] = re[np.arange(len(solvable)), first]
-        retry = solvable[~np.isfinite(vals).all(axis=1)]
-    for i in retry:
-        try:
-            max_real[i] = eigenvalues(stack[i]).max_real
-        except ConvergenceFailure:
-            max_real[i] = np.nan
-    return max_real
+    return ordered_spectra(stack)[:, 0].real
 
 
 def _deflate_at_minus_one(coeffs: tuple[float, ...]) -> tuple[tuple[float, ...], float]:

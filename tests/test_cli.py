@@ -488,12 +488,28 @@ def test_sweep_document_keys(capsys):
 
 NUMERIC_FLAGS = [flag for opt in OPTIONS if opt.type is not str
                  for flag in opt.option_strings]
+# A verb parser's long flags: --config, --help and the long flags in OPTIONS.
+LONG_FLAGS = ["--config", "--help", *(flag for opt in OPTIONS
+                                      for flag in opt.option_strings
+                                      if flag.startswith("--"))]
 
 
-@pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+def shortest_prefix(flag):
+    """The shortest spelling argparse resolves to ``flag``: the flag itself or
+    a prefix of no other long flag."""
+    return next(flag[:end] for end in range(3, len(flag) + 1)
+                if flag[:end] == flag
+                or [f for f in LONG_FLAGS if f.startswith(flag[:end])] == [flag])
+
+
+ABBREVIATED_FLAGS = [shortest_prefix(flag) for flag in NUMERIC_FLAGS
+                     if flag.startswith("--") and shortest_prefix(flag) != flag]
+
+
+@pytest.mark.parametrize("flag", NUMERIC_FLAGS + ABBREVIATED_FLAGS)
 def test_a_negative_value_in_exponent_form_is_the_option_value(capsys, flag):
     """argparse reads -1e-4 as a flag; after a numeric option, spaced or with
-    ``=``, it is that option's value."""
+    ``=``, it is that option's value, also after an abbreviated flag."""
     for value in ("-1e-4", "-1E-4", "-.5e-3"):
         for verb in (("analyze", "--variant", "liquidity2x2"), ("baseline", "-n", "3")):
             spaced = run_cli(capsys, *verb, flag, value)
@@ -508,6 +524,27 @@ def test_a_negative_value_in_exponent_form_reaches_its_check(capsys):
     code, _, err = run_cli(capsys, "analyze", "--q", "-1e-3")
     assert code == 2
     assert "q must be nonnegative" in err
+    code, _, err = run_cli(capsys, "baseline", "--sig", "-1e-4", "-n", "3")
+    assert code == 2
+    assert json.loads(err)["message"] == "sigma must be nonnegative, got -0.0001"
+    code, _, err = run_cli(capsys, "baseline", "--s", "-1e-4", "-n", "3")
+    assert code == 2
+    assert "ambiguous option: --s could match" in err
+
+
+def test_analyze_and_sweep_agree_where_a_product_of_clocks_underflows(capsys):
+    # c * tau0 underflows to 0, so rh_5x5's a1 is inf and its margin is a2.
+    point = ("--variant", "full5x5", "--tau0", "1e-200", "--c", "1e-200",
+             "--c1", "1e-200", "--c2", "1e-200", "--c3", "1e200")
+    code, out, _ = run_cli(capsys, "analyze", *point)
+    assert code == 0
+    rh = json.loads(out)["closed_form"]["rh_5x5"]
+    code, out, _ = run_cli(capsys, "sweep", *point, "--method", "closed_form", "--format",
+                           "json", "--axis1", "q:0.5:1:2", "--axis2", "q1:0.5:1:2")
+    assert code == 0
+    cell = json.loads(out)
+    assert (rh["verdict"], rh["margin"]) == (cell["verdicts"][0][0], cell["values"][0][0])
+    assert (rh["verdict"], rh["margin"]) == ("stable", 5e199)
 
 
 @pytest.mark.parametrize("name,start", [("map.SVG", "<svg"), ("map.Json", "{")])

@@ -228,20 +228,57 @@ def test_lapack_failure_on_a_stack_fails_only_its_matrix(monkeypatch):
     assert result.values[1:].tobytes() == good.values[1:].tobytes()
 
 
+def sorted_max_real(m):
+    """Max Re of the spectrum as Python's sort orders it, independently of
+    ``ordered_spectra``."""
+    return sorted(np.linalg.eigvals(m), key=lambda z: (-z.real, z.imag))[0].real
+
+
+def spectral_route(monkeypatch, stack):
+    """``evaluate_points``' spectral route, with ``stack`` as the points' Jacobians."""
+    monkeypatch.setattr(criteria, "jacobian_stack", lambda variant, points: stack)
+    return criteria.evaluate_points(LIQUIDITY_2X2, ModelParams(q=np.zeros(len(stack))),
+                                    None, 1e-8)
+
+
 @pytest.mark.parametrize("matrices", [
     [np.diag([0.0, -0.0]), np.diag([-0.0, 0.0]), [[-0.0, 1.0], [0.0, -0.0]],
      [[0.0, 1.0], [0.0, 0.0]]],
     [[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -0.0]],
      [[-0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
      [[1.0, -2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]],
+    # An eigenvalue that overflows stays inf on both routes: max Re inf, unstable.
+    [np.full((2, 2), 1e308)],
 ])
-def test_dominant_real_part_breaks_ties_like_the_sorted_spectrum(matrices):
+def test_dominant_real_part_breaks_ties_like_the_sorted_spectrum(monkeypatch, matrices):
     # 0.0 and -0.0 tie; the eigenvalue sorted first decides the sign of zero.
     stack = np.array(matrices, dtype=float)
-    max_real = dominant_real_parts(stack)
-    expected = np.array([classify(eigenvalues(m)).max_real for m in stack])
-    assert not np.isnan(max_real).any()
-    assert max_real.tobytes() == expected.tobytes()
+    expected = np.array([sorted_max_real(m) for m in stack])
+    scalar = [classify(eigenvalues(m)) for m in stack]
+    assert not np.isnan(expected).any()
+    assert dominant_real_parts(stack).tobytes() == expected.tobytes()
+    assert np.array([v.max_real for v in scalar]).tobytes() == expected.tobytes()
+    batch = spectral_route(monkeypatch, stack)
+    assert batch.values.tobytes() == expected.tobytes()
+    assert batch.verdicts == [v.tag for v in scalar]
+    assert all(v.tag is Verdict.UNSTABLE for v in scalar if v.max_real > 0.0)
+
+
+def test_a_nan_eigenvalue_is_a_convergence_failure_on_both_routes(monkeypatch):
+    eigvals = np.linalg.eigvals
+
+    def with_nan(a):
+        vals = eigvals(a).astype(complex)
+        vals[..., 0] = np.nan
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvals", with_nan)
+    m = np.diag([1.0, -1.0])
+    with pytest.raises(ConvergenceFailure):
+        eigenvalues(m)
+    batch = spectral_route(monkeypatch, m[None])
+    assert batch.verdicts == [Verdict.INVALID]
+    assert batch.errors.tolist() == [ConvergenceFailure]
 
 
 # ---------------------------------------------------------------- verify
@@ -297,7 +334,7 @@ def test_verify_raises_for_a_sample_it_cannot_evaluate():
 
 
 @pytest.mark.parametrize("variant,criterion,point", [
-    # tau0 * c3 underflows to 0: Python floats raise ZeroDivisionError, arrays get NaN
+    # tau0 * c3 underflows to 0: a1 = a0 = inf, so a2 * a1 - a0 is inf - inf
     (FULL_5X5, "rh_5x5", {"tau0": 1e-200, "c3": 1e-200}),
     # 1/tau0 overflows, so a2 * a1 - a0 is inf - inf
     (FULL_5X5, "rh_5x5", {"tau0": 1e-310}),
@@ -328,6 +365,8 @@ MIXED_POINTS = [
     {}, {"q2": 0.0}, {"tau0": -1.0}, {"tau0": 0.0}, {"q": -3.0}, {"q2": 0.0, "tau0": 0.0},
     {"c1": 2.0}, {"tau0": 1e-200, "c3": 1e-200}, {"tau0": 1e-310},
     {"q1": 1e308, "c": 1e300, "c1": 1e300, "tau0": 1e-10},
+    # c * tau0 underflows to 0: rh_5x5's a1 is inf and its margin is a2.
+    {"tau0": 1e-200, "c": 1e-200, "c1": 1e-200, "c2": 1e-200, "c3": 1e200},
 ]
 ROUTES = [(variant, name) for variant in VARIANTS
           for name in (None, *dict(closed_forms(variant))) if name != "sufficient_5x5"]
