@@ -16,8 +16,7 @@ _EXPORTS = {
     "errors": (
         "CryptoflowError", "NonFiniteParameter", "NonPositiveTimeScale",
         "NegativeAmplitude", "StateOutOfDomain", "BlowUp", "UnsupportedScaling",
-        "ScalingOutOfScope", "OutOfScope", "ConvergenceFailure", "ResidualTooLarge",
-        "DegreeOutOfRange",
+        "ScalingOutOfScope", "OutOfScope", "ConvergenceFailure", "DegreeOutOfRange",
     ),
     "inputs": (
         "Variant", "ModelParams",
@@ -31,7 +30,7 @@ _EXPORTS = {
     "stability": (
         "Polynomial", "Spectrum", "StabilityVerdict", "Verdict",
         "jacobian_analytic", "jacobian_numeric", "char_poly", "eigenvalues",
-        "reduced_cubic", "classify",
+        "classify",
     ),
     "criteria": (
         "CriterionResult", "criterion_2x2", "criterion_3x3",

@@ -62,9 +62,5 @@ class ConvergenceFailure(CryptoflowError):
     """The eigenvalue solver failed to converge."""
 
 
-class ResidualTooLarge(CryptoflowError):
-    """A polynomial factorization left a remainder above tolerance."""
-
-
 class DegreeOutOfRange(CryptoflowError):
     """A polynomial degree is outside the supported range."""

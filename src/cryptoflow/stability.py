@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceFailure, ResidualTooLarge, UnsupportedScaling
+from .errors import ConvergenceFailure, UnsupportedScaling
 from .inputs import (
     DEFAULT_EPS,
     PARAM_FIELDS,
@@ -145,7 +145,13 @@ def jacobian_analytic(variant: Variant, params: ModelParams) -> np.ndarray:
 
 
 def jacobian_numeric(variant: Variant, params: ModelParams) -> np.ndarray:
-    """Central-difference Jacobian of the right-hand side at equilibrium."""
+    """Central-difference Jacobian of the right-hand side at equilibrium.
+
+    The parameter rules are checked first, as ``jacobian_analytic`` does, so
+    a zero clock raises NonPositiveTimeScale.  No scope rule is: the central
+    difference holds at any clocks, which keeps it an independent route.
+    """
+    check_rules(PARAM_RULES, params)
     h = NUMERIC_H
     x0 = equilibrium(variant)
     n = variant.dim
@@ -243,37 +249,6 @@ def dominant_real_parts(stack: np.ndarray) -> np.ndarray:
     included.
     """
     return ordered_spectra(stack)[:, 0].real
-
-
-def _deflate_at_minus_one(coeffs: tuple[float, ...]) -> tuple[tuple[float, ...], float]:
-    """Synthetic division by (lambda + 1); returns quotient and remainder."""
-    quot = [coeffs[0]]
-    for a in coeffs[1:-1]:
-        quot.append(a - quot[-1])
-    rem = coeffs[-1] - quot[-1]
-    return tuple(quot), rem
-
-
-def reduced_cubic(params: ModelParams) -> Polynomial:
-    """Cubic factor of the full-variant characteristic polynomial.
-
-    Under the c = c1 = c2 = 1 scaling the 5x5 spectrum carries a double
-    eigenvalue at -1; dividing the characteristic polynomial by
-    (lambda + 1)^2 leaves a monic cubic holding the nontrivial dynamics.
-    A division remainder above 1e-8 signals that the scaling
-    assumption is violated and raises ResidualTooLarge.
-    """
-    p5 = char_poly(jacobian_analytic(FULL_5X5, params))
-    quot1, rem1 = _deflate_at_minus_one(p5.coeffs)
-    quot2, rem2 = _deflate_at_minus_one(quot1)
-    residual = max(abs(rem1), abs(rem2))
-    if residual > 1e-8:
-        raise ResidualTooLarge(
-            "remainder after dividing by (lambda + 1)^2 is "
-            f"{residual:.3g} > 1e-08; "
-            "the c = c1 = c2 = 1 scaling does not hold"
-        )
-    return Polynomial(quot2)
 
 
 def classify(spectrum: Spectrum, eps: float = DEFAULT_EPS) -> StabilityVerdict:

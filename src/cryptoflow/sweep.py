@@ -260,26 +260,31 @@ def map_from_json(text: str) -> StabilityMap:
     """Inverse of StabilityMap.to_json, reconstructing an equal map.
 
     Keys it does not read are ignored, so maps written by earlier versions,
-    which carry one more key, still load.
+    which carry one more key, still load.  A document that is not a JSON
+    object of type "stability_map", or one that lacks a key the map needs,
+    raises ValueError.
     """
     doc = json.loads(text)
-    if doc.get("type") != "stability_map":
+    if not isinstance(doc, dict) or doc.get("type") != "stability_map":
         raise ValueError("not a stability map document")
-    spec = SweepSpec(
-        variant=Variant(doc["variant"]),
-        fixed=ModelParams(**{k: _NON_FINITE.get(v, v) for k, v in doc["fixed"].items()}),
-        axis1=Axis(**doc["axis1"]),
-        axis2=Axis(**doc["axis2"]),
-        method=Method(doc["method"]),
-    )
-    values = np.array(
-        [[_NON_FINITE.get(v, v) for v in row] for row in doc["values"]]
-    )
-    verdicts = tuple(tuple(Verdict(v) for v in row) for row in doc["verdicts"])
-    flags = tuple(
-        tuple(tuple(cell) for cell in row) for row in doc["flags"]
-    )
+    try:
+        spec = SweepSpec(
+            variant=Variant(doc["variant"]),
+            fixed=ModelParams(**{k: _NON_FINITE.get(v, v) for k, v in doc["fixed"].items()}),
+            axis1=Axis(**doc["axis1"]),
+            axis2=Axis(**doc["axis2"]),
+            method=Method(doc["method"]),
+        )
+        values = np.array(
+            [[_NON_FINITE.get(v, v) for v in row] for row in doc["values"]]
+        )
+        verdicts = tuple(tuple(Verdict(v) for v in row) for row in doc["verdicts"])
+        flags = tuple(
+            tuple(tuple(cell) for cell in row) for row in doc["flags"]
+        )
+        metadata = {k: _NON_FINITE.get(v, v) for k, v in doc["metadata"].items()}
+    except KeyError as missing:
+        raise ValueError(f"stability map document has no {missing} key") from None
     return StabilityMap(
-        spec=spec, values=values, verdicts=verdicts, flags=flags,
-        metadata={k: _NON_FINITE.get(v, v) for k, v in doc["metadata"].items()},
+        spec=spec, values=values, verdicts=verdicts, flags=flags, metadata=metadata,
     )

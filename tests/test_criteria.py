@@ -25,6 +25,7 @@ from cryptoflow import (
     ScalingOutOfScope,
     SweepSpec,
     Verdict,
+    char_poly,
     classify,
     criterion_2x2,
     criterion_3x3,
@@ -32,7 +33,6 @@ from cryptoflow import (
     eigenvalues,
     hurwitz_stable,
     jacobian_analytic,
-    reduced_cubic,
     rh_5x5,
     run_sweep,
     simple_condition_5x5,
@@ -292,16 +292,20 @@ def test_hurwitz_against_root_oracle():
         assert hurwitz_stable(Polynomial(tuple(coeffs))) == want
 
 
-def test_rh_matches_hurwitz_on_reduced_cubic():
+def test_rh_matches_hurwitz_on_the_quintic():
+    # unit clocks, then free tied clocks c = c1 = c2
     rng = np.random.default_rng(37)
-    for _ in range(300):
-        q, q1, q2 = 10.0 ** rng.uniform(-3, 1, size=3)
-        tau0, c3 = 10.0 ** rng.uniform(-2, 1, size=2)
-        p = unit_scaled(q=q, q1=q1, q2=q2, tau0=tau0, c3=c3)
-        r = rh_5x5(p)
-        if abs(r.margin) <= 1e-6:
-            continue
-        assert hurwitz_stable(reduced_cubic(p)) == (r.verdict is Verdict.STABLE)
+    for unit in (True, False):
+        for _ in range(300):
+            q, q1, q2 = 10.0 ** rng.uniform(-3, 1, size=3)
+            tau0, c3 = 10.0 ** rng.uniform(-2, 1, size=2)
+            c = 1.0 if unit else 10.0 ** rng.uniform(-2, 1)
+            p = ModelParams(q=q, q1=q1, q2=q2, tau0=tau0, c=c, c1=c, c2=c, c3=c3)
+            r = rh_5x5(p)
+            if abs(r.margin) <= 1e-6:
+                continue
+            quintic = char_poly(jacobian_analytic(FULL_5X5, p))
+            assert hurwitz_stable(quintic) == (r.verdict is Verdict.STABLE)
 
 
 @pytest.mark.parametrize("variant", [LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5],

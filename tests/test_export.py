@@ -178,6 +178,18 @@ def test_json_text_round_trips_through_map_from_json(maps):
         assert back.to_json() == text
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[]", "^not a stability map document$"),
+    ("null", "^not a stability map document$"),
+    ('"x"', "^not a stability map document$"),
+    ('{"type": "trajectory"}', "^not a stability map document$"),
+    ('{"type": "stability_map"}', "^stability map document has no 'variant' key$"),
+], ids=["list", "null", "string", "other_type", "missing_key"])
+def test_map_from_json_rejects_a_non_map_document(text, message):
+    with pytest.raises(ValueError, match=message):
+        map_from_json(text)
+
+
 @pytest.mark.parametrize("fmt", ("csv", "svg"))
 def test_a_streamed_map_writes_one_axis1_row_at_a_time(maps, fmt):
     m = maps[0]

@@ -9,7 +9,6 @@ from cryptoflow import (
     ModelParams,
     NonPositiveTimeScale,
     Polynomial,
-    ResidualTooLarge,
     UnsupportedScaling,
     Verdict,
     char_poly,
@@ -17,7 +16,6 @@ from cryptoflow import (
     eigenvalues,
     jacobian_analytic,
     jacobian_numeric,
-    reduced_cubic,
 )
 from cryptoflow.stability import Spectrum
 
@@ -60,8 +58,9 @@ def test_jacobian_full_requires_equal_reaction_scales():
     (FULL_5X5, ModelParams(tau0=0.0)),
 ])
 def test_jacobian_rejects_a_zero_clock_by_name(variant, params):
-    with pytest.raises(NonPositiveTimeScale):
-        jacobian_analytic(variant, params)
+    for jacobian in (jacobian_analytic, jacobian_numeric):
+        with pytest.raises(NonPositiveTimeScale):
+            jacobian(variant, params)
 
 def test_numeric_jacobian_matches_analytic():
     rng = np.random.default_rng(3)
@@ -183,37 +182,6 @@ def test_eigenvalues_names_a_non_finite_entry(entry):
     with pytest.raises(ConvergenceFailure, match="^matrix has a non-finite entry; "
                                                  "no eigenvalues computed$"):
         eigenvalues(m)
-
-
-def test_reduced_cubic_binomial():
-    p = ModelParams(q=0.0, q1=0.0, q2=0.0, tau0=1.0, c=1.0, c1=1.0, c2=1.0, c3=1.0)
-    np.testing.assert_allclose(reduced_cubic(p).coeffs, (1.0, 3.0, 3.0, 1.0),
-                               atol=1e-12)
-
-
-def test_reduced_cubic_reconstruction_and_roots():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        q, q1, q2, tau0, c3 = 10.0 ** rng.uniform(-2, 2, size=5)
-        p = ModelParams(q=q, q1=q1, q2=q2, tau0=tau0, c=1.0, c1=1.0, c2=1.0, c3=c3)
-        cubic = reduced_cubic(p)
-        quintic = np.array(char_poly(jacobian_analytic(FULL_5X5, p)).coeffs)
-        rebuilt = np.polymul([1.0, 2.0, 1.0], cubic.coeffs)
-        assert np.max(np.abs(rebuilt - quintic) / np.maximum(1.0, np.abs(quintic))) <= 1e-8
-        got = sorted(np.append(np.roots(cubic.coeffs), [-1.0, -1.0]),
-                     key=lambda z: (z.real, z.imag))
-        want = sorted(eigenvalues(jacobian_analytic(FULL_5X5, p)).eigenvalues,
-                      key=lambda z: (z.real, z.imag))
-        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-7
-
-
-def test_reduced_cubic_flags_broken_scaling():
-    # equal scales away from 1 shift the double eigenvalue off -1
-    with pytest.raises(ResidualTooLarge):
-        reduced_cubic(ModelParams(q=0.5, q1=0.5, q2=0.5, tau0=1.0,
-                                  c=2.0, c1=2.0, c2=2.0, c3=1.0))
-    with pytest.raises(UnsupportedScaling):
-        reduced_cubic(ModelParams(c=1.0, c1=2.0, c2=3.0))
 
 
 def test_classify_stable():
