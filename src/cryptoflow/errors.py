@@ -47,7 +47,11 @@ class BlowUp(CryptoflowError):
 
 
 class UnsupportedScaling(CryptoflowError):
-    """The closed-form Jacobian requires equal sentiment/liquidity time scales."""
+    """The full variant's Jacobian was asked for at unequal clocks c, c1, c2.
+
+    The closed form holds at any clocks; this refusal is kept for the exit
+    code it gives.
+    """
 
 
 class ScalingOutOfScope(CryptoflowError):

@@ -79,10 +79,11 @@ class Variant(str, Enum):
     def tied_clocks(self) -> tuple[str, ...]:
         """Time scales that move together with c, c included.
 
-        The full-variant Jacobian is derived for c = c1 = c2, and these
-        clocks decide the scopes of the closed forms criterion_3x3 (c = c1),
-        rh_5x5 and criterion_5x5_q2zero (c = c1 = c2), so sweeps and verify
-        samples move them together.
+        These clocks decide the scopes of the closed forms criterion_3x3
+        (c = c1), rh_5x5 and criterion_5x5_q2zero (c = c1 = c2), and the
+        full variant's Jacobian refusal at unequal c, c1, c2, so sweeps and
+        verify samples move them together.  The Jacobian table itself holds
+        at any clocks (see ``stability.JACOBIAN_RULES``).
         """
         return tuple(name for name in ("c", "c1", "c2")
                      if name not in ignored_fields(self))

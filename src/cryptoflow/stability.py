@@ -88,8 +88,10 @@ class StabilityVerdict:
     max_real: float
 
 
-# Each variant's closed-form Jacobian holds under its rules, checked in order:
-# the parameter rules, then on the full variant the c = c1 = c2 it is derived for.
+# The rules jacobian_analytic checks, in order: the parameter rules, then on the
+# full variant c = c1 = c2.  The Jacobian table holds at any clocks, since each
+# row divides by its own clock; the c = c1 = c2 rule is a refusal, kept only
+# because the benchmark's `point` workload pins its exit 3 (ROADMAP item 3).
 JACOBIAN_RULES = {
     **dict.fromkeys(Variant, PARAM_RULES),
     Variant.FULL_5X5: (*PARAM_RULES, Rule(
@@ -135,10 +137,10 @@ def jacobian_analytic(variant: Variant, params: ModelParams) -> np.ndarray:
 
     The variant's ``JACOBIAN_RULES`` are checked first: the parameter rules
     (``validate_params``'s), so a zero clock raises NonPositiveTimeScale, not
-    ZeroDivisionError; then, on the full variant, equal reaction time scales
-    c = c1 = c2 (the scaling under which its closed form is derived), whose
-    breach raises UnsupportedScaling.  The smaller variants accept general
-    time scales.
+    ZeroDivisionError; then, on the full variant, c = c1 = c2, whose breach
+    raises UnsupportedScaling.  That rule is a refusal, not a limit of the
+    table: each row divides by its own clock, so ``jacobian_stack`` holds at
+    any clocks, as ``simulate``'s step check relies on.
     """
     check_rules(JACOBIAN_RULES[variant], params)
     return jacobian_stack(variant, params)

@@ -31,27 +31,33 @@ from .inputs import (
     check_dead_band,
     timestamp,
 )
-from .stability import Verdict
+from .stability import INVALID, VERDICTS, Verdict
 
 
 @dataclass(frozen=True, eq=False)
 class StabilityMap:
-    """Sweep result: verdict, stored value, and flags per lattice cell.
+    """Sweep result: value, verdict code and Invalid reason per lattice cell.
 
-    The stored value is max Re(lambda) under the eigen method and the
-    criterion margin under the closed-form method; Invalid cells store NaN
-    and carry a reason flag.
+    Arrays are shaped (axis1 steps, axis2 steps).  ``values`` holds max
+    Re(lambda) (eigen method) or the criterion margin (closed-form method),
+    NaN on Invalid cells; ``codes`` (int8) index ``stability.VERDICTS``;
+    ``reasons`` holds what made a cell Invalid, else None.
     """
 
     spec: SweepSpec
     values: np.ndarray
-    verdicts: tuple[tuple[Verdict, ...], ...]
-    flags: tuple[tuple[tuple[str, ...], ...], ...]
+    codes: np.ndarray
+    reasons: np.ndarray
     metadata: dict
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.spec.axis1.steps, self.spec.axis2.steps
+
+    @property
+    def verdicts(self) -> tuple[tuple[Verdict, ...], ...]:
+        """The verdict of each cell, one tuple per axis1 row."""
+        return tuple(tuple(VERDICTS[code] for code in row) for row in self.codes.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StabilityMap):
@@ -59,8 +65,8 @@ class StabilityMap:
         return (
             self.spec == other.spec
             and np.array_equal(self.values, other.values, equal_nan=True)
-            and self.verdicts == other.verdicts
-            and self.flags == other.flags
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.reasons, other.reasons)
             and self.metadata == other.metadata
         )
 
@@ -73,10 +79,10 @@ class StabilityMap:
         out = io.StringIO() if stream is None else stream
         out.write("axis1,axis2,max_real_or_margin,verdict\n")
         a2 = [f"{y:.17g}" for y in self.spec.axis2.values().tolist()]
-        for x, values, verdicts in zip(self.spec.axis1.values().tolist(), self.values,
-                                       self.verdicts):
-            out.write("".join([f"{x:.17g},{y},{v:.17g},{verdict.value}\n"
-                               for y, v, verdict in zip(a2, values.tolist(), verdicts)]))
+        for x, values, codes in zip(self.spec.axis1.values().tolist(), self.values,
+                                    self.codes):
+            out.write("".join([f"{x:.17g},{y},{v:.17g},{_NAMES[code]}\n"
+                               for y, v, code in zip(a2, values.tolist(), codes.tolist())]))
         return out.getvalue() if stream is None else None
 
     def to_json(self, stream: TextIO | None = None) -> str | None:
@@ -93,8 +99,9 @@ class StabilityMap:
             "axis2": asdict(self.spec.axis2),
             "fixed": {k: _json_number(v) for k, v in asdict(self.spec.fixed).items()},
             "values": [[_json_number(v) for v in row] for row in self.values.tolist()],
-            "verdicts": [[v.value for v in row] for row in self.verdicts],
-            "flags": [[list(cell) for cell in row] for row in self.flags],
+            "verdicts": [[_NAMES[code] for code in row] for row in self.codes.tolist()],
+            "flags": [[[] if reason is None else [reason] for reason in row]
+                      for row in self.reasons.tolist()],
             "metadata": {k: _json_number(v) if isinstance(v, float) else v
                          for k, v in self.metadata.items()},
         }
@@ -109,12 +116,6 @@ class StabilityMap:
         Writes to ``stream``, one axis1 row of the lattice per write, and
         returns None; without a stream, returns the text.
         """
-        colors = {
-            Verdict.STABLE: "#2166ac",
-            Verdict.MARGINAL: "#fee08b",
-            Verdict.UNSTABLE: "#b2182b",
-            Verdict.INVALID: "#bdbdbd",
-        }
         n1, n2 = self.shape
         cell = 8
         width, height = n1 * cell, n2 * cell
@@ -125,15 +126,19 @@ class StabilityMap:
             f"<title>{self.spec.variant.value} {self.spec.method.value} "
             f"{self.spec.axis1.name} vs {self.spec.axis2.name}</title>\n"
         )
-        for i, verdicts in enumerate(self.verdicts):
+        for i, codes in enumerate(self.codes):
             # axis1 runs left to right, axis2 bottom to top
             out.write("".join([
                 f'<rect x="{i * cell}" y="{(n2 - 1 - j) * cell}" width="{cell}" '
-                f'height="{cell}" fill="{colors[verdict]}"/>\n'
-                for j, verdict in enumerate(verdicts)]))
+                f'height="{cell}" fill="{_COLORS[code]}"/>\n'
+                for j, code in enumerate(codes.tolist())]))
         out.write("</svg>\n")
         return out.getvalue() if stream is None else None
 
+
+# Indexed by verdict code: the name each exporter writes and the SVG fill.
+_NAMES = tuple(verdict.value for verdict in VERDICTS)
+_COLORS = ("#2166ac", "#fee08b", "#b2182b", "#bdbdbd")
 
 # RFC 8259 JSON has no NaN or infinity: a map writes NaN as null and +-inf as
 # the strings the other verbs use, and map_from_json reads them back.
@@ -199,20 +204,19 @@ def run_sweep(
     else:
         criterion, _ = closed_forms(spec.variant)[0]
         result = evaluate_points(spec.variant, params, criterion, band)
-    values = result.values
-    verdicts = result.verdicts
-    flags = [() if error is None else (error.__name__,) for error in result.errors]
-    for i in np.flatnonzero(q_negative):
-        values[i] = np.nan
-        verdicts[i] = Verdict.INVALID
-        flags[i] = ("q_negative_from_K",)
+    reasons = np.full(result.errors.shape, None, dtype=object)
+    for error in set(result.errors.tolist()) - {None}:
+        reasons[result.errors == error] = error.__name__
+    result.values[q_negative] = np.nan
+    result.codes[q_negative] = INVALID
+    reasons[q_negative] = "q_negative_from_K"
 
-    n1, n2 = spec.axis1.steps, spec.axis2.steps
+    shape = spec.axis1.steps, spec.axis2.steps
     return StabilityMap(
         spec=spec,
-        values=values.reshape(n1, n2),
-        verdicts=tuple(tuple(verdicts[i * n2:(i + 1) * n2]) for i in range(n1)),
-        flags=tuple(tuple(flags[i * n2:(i + 1) * n2]) for i in range(n1)),
+        values=result.values.reshape(shape),
+        codes=result.codes.reshape(shape),
+        reasons=reasons.reshape(shape),
         metadata=metadata,
     )
 
@@ -224,23 +228,17 @@ def boundary_cells(stability_map: StabilityMap) -> list[tuple[int, int]]:
     different verdict that is also not Invalid; both sides of a frontier
     qualify.
     """
-    n1, n2 = stability_map.shape
-    verdicts = stability_map.verdicts
-    out = []
-    for i in range(n1):
-        for j in range(n2):
-            mine = verdicts[i][j]
-            if mine is Verdict.INVALID:
-                continue
-            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                ni, nj = i + di, j + dj
-                if not (0 <= ni < n1 and 0 <= nj < n2):
-                    continue
-                other = verdicts[ni][nj]
-                if other is not Verdict.INVALID and other is not mine:
-                    out.append((i, j))
-                    break
-    return out
+    codes = stability_map.codes
+    valid = codes != INVALID
+    # Frontiers between neighbours along axis1, then along axis2.
+    rows = (codes[1:] != codes[:-1]) & valid[1:] & valid[:-1]
+    columns = (codes[:, 1:] != codes[:, :-1]) & valid[:, 1:] & valid[:, :-1]
+    on = np.zeros(codes.shape, dtype=bool)
+    on[1:] |= rows
+    on[:-1] |= rows
+    on[:, 1:] |= columns
+    on[:, :-1] |= columns
+    return list(map(tuple, np.argwhere(on).tolist()))
 
 
 def export_map(stability_map: StabilityMap, fmt: str,
@@ -261,30 +259,63 @@ def map_from_json(text: str) -> StabilityMap:
 
     Keys it does not read are ignored, so maps written by earlier versions,
     which carry one more key, still load.  A document that is not a JSON
-    object of type "stability_map", or one that lacks a key the map needs,
-    raises ValueError.
+    object of type "stability_map" raises ValueError, and so does a map
+    document that lacks a key the map needs or holds a malformed one (a
+    value of the wrong type, or a lattice not of the axes' shape), naming
+    the key.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("type") != "stability_map":
         raise ValueError("not a stability map document")
-    try:
-        spec = SweepSpec(
-            variant=Variant(doc["variant"]),
-            fixed=ModelParams(**{k: _NON_FINITE.get(v, v) for k, v in doc["fixed"].items()}),
-            axis1=Axis(**doc["axis1"]),
-            axis2=Axis(**doc["axis2"]),
-            method=Method(doc["method"]),
-        )
-        values = np.array(
-            [[_NON_FINITE.get(v, v) for v in row] for row in doc["values"]]
-        )
-        verdicts = tuple(tuple(Verdict(v) for v in row) for row in doc["verdicts"])
-        flags = tuple(
-            tuple(tuple(cell) for cell in row) for row in doc["flags"]
-        )
-        metadata = {k: _NON_FINITE.get(v, v) for k, v in doc["metadata"].items()}
-    except KeyError as missing:
-        raise ValueError(f"stability map document has no {missing} key") from None
-    return StabilityMap(
-        spec=spec, values=values, verdicts=verdicts, flags=flags, metadata=metadata,
+
+    def read(key, parse, *args):
+        if key not in doc:
+            raise ValueError(f"stability map document has no {key!r} key")
+        try:
+            return parse(doc[key], *args)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"stability map document has a malformed {key!r} key: {exc}") from None
+
+    spec = SweepSpec(
+        variant=read("variant", Variant),
+        fixed=read("fixed", lambda d: ModelParams(**{k: _number(v) for k, v in d.items()})),
+        axis1=read("axis1", lambda d: Axis(**d)),
+        axis2=read("axis2", lambda d: Axis(**d)),
+        method=read("method", Method),
     )
+    shape = spec.axis1.steps, spec.axis2.steps
+    return StabilityMap(
+        spec=spec,
+        values=read("values", _lattice, shape, _number, float),
+        codes=read("verdicts", _lattice, shape, lambda v: VERDICTS.index(Verdict(v)),
+                   np.int8),
+        reasons=read("flags", _lattice, shape, _reason, object),
+        metadata=read("metadata",
+                      lambda d: {k: _NON_FINITE.get(v, v) for k, v in d.items()}),
+    )
+
+
+def _number(v) -> float:
+    """A JSON number, or the token ``_json_number`` writes for NaN or +-inf."""
+    v = _NON_FINITE.get(v, v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return v
+
+
+def _reason(cell: list) -> str | None:
+    match cell:
+        case []:
+            return None
+        case [str(reason)]:
+            return reason
+    raise ValueError(f"a flags cell holds [] or one reason, got {cell!r}")
+
+
+def _lattice(rows: list, shape: tuple[int, int], cell, dtype) -> np.ndarray:
+    """Nested JSON lists as an array of ``shape``, each cell read by ``cell``."""
+    cells = [[cell(v) for v in row] for row in rows]
+    if len(cells) != shape[0] or any(len(row) != shape[1] for row in cells):
+        raise ValueError(f"expected {shape[0]} rows of {shape[1]} cells")
+    return np.array(cells, dtype=dtype)

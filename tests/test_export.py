@@ -32,6 +32,7 @@ from cryptoflow import (
 )
 from cryptoflow.gbm import CSV_ROWS_PER_WRITE as PATH_ROWS_PER_WRITE
 from cryptoflow.simulate import CSV_ROWS_PER_WRITE
+from cryptoflow.stability import INVALID, MARGINAL, STABLE, UNSTABLE
 
 FORMATS = ("csv", "json", "svg")
 
@@ -68,10 +69,11 @@ def _lines(text):
 def _reference_map_csv(m):
     lines = ["axis1,axis2,max_real_or_margin,verdict"]
     a1, a2 = m.spec.axis1.values(), m.spec.axis2.values()
+    verdicts = m.verdicts
     for i in range(m.spec.axis1.steps):
         for j in range(m.spec.axis2.steps):
             lines.append(f"{a1[i]:.17g},{a2[j]:.17g},{m.values[i, j]:.17g},"
-                         f"{m.verdicts[i][j].value}")
+                         f"{verdicts[i][j].value}")
     return "\n".join(lines) + "\n"
 
 
@@ -85,10 +87,11 @@ def _reference_map_svg(m):
              f'height="{n2 * 8}" viewBox="0 0 {n1 * 8} {n2 * 8}">',
              f"<title>{m.spec.variant.value} {m.spec.method.value} "
              f"{m.spec.axis1.name} vs {m.spec.axis2.name}</title>"]
+    verdicts = m.verdicts
     for i in range(n1):
         for j in range(n2):
             parts.append(f'<rect x="{i * 8}" y="{(n2 - 1 - j) * 8}" width="8" '
-                         f'height="8" fill="{_COLORS[m.verdicts[i][j]]}"/>')
+                         f'height="8" fill="{_COLORS[verdicts[i][j]]}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -116,16 +119,13 @@ def _odd_map(n1=23, n2=17, seed=3):
     values.flat[1::11] = math.inf
     values.flat[2::13] = -math.inf
     values.flat[3::17] = -0.0
-    verdicts = tuple(
-        tuple(Verdict.INVALID if math.isnan(v) else Verdict.MARGINAL if v == 0.0
-              else Verdict.UNSTABLE if v > 0.0 else Verdict.STABLE for v in row)
-        for row in values.tolist())
-    flags = tuple(tuple(("NonFiniteParameter",) if v is Verdict.INVALID else ()
-                        for v in row) for row in verdicts)
+    codes = np.select([np.isnan(values), values == 0.0, values > 0.0],
+                      [INVALID, MARGINAL, UNSTABLE], STABLE).astype(np.int8)
+    reasons = np.where(codes == INVALID, "NonFiniteParameter", None)
     spec = SweepSpec(LIQUIDITY_2X2, ModelParams(q=math.nan, q1=math.inf),
                      Axis("K", -1.0 / 3.0, 7.1, n1), Axis("tau0", 1e-300, 2.0, n2),
                      Method.EIGEN)
-    return StabilityMap(spec=spec, values=values, verdicts=verdicts, flags=flags,
+    return StabilityMap(spec=spec, values=values, codes=codes, reasons=reasons,
                         metadata={"created": "2021-01-01T00:00:00+00:00", "version": "x",
                                   "eps": math.inf, "band": 1e-9,
                                   "k_axis_holds_q1": math.inf})
@@ -178,14 +178,51 @@ def test_json_text_round_trips_through_map_from_json(maps):
         assert back.to_json() == text
 
 
+# A valid 2 x 3 map document; each malformed case below breaks one key of it.
+_MAP_DOC = {
+    "type": "stability_map", "variant": "liquidity2x2", "method": "eigen",
+    "axis1": {"name": "q", "min": 0.0, "max": 1.0, "steps": 2},
+    "axis2": {"name": "tau0", "min": 0.5, "max": 1.5, "steps": 3},
+    "fixed": {"q": 0.5, "q1": 0.5, "q2": 0.5, "tau0": 1.0, "c": 1.0, "c1": 1.0,
+              "c2": 1.0, "c3": 10.0},
+    "values": [[-1.0, "-inf", None], [0.5, 1.0, "inf"]],
+    "verdicts": [["stable", "stable", "invalid"], ["unstable"] * 3],
+    "flags": [[[], [], ["NonPositiveTimeScale"]], [[], [], []]],
+    "metadata": {"band": 1e-6, "created": "2021-01-01T00:00:00+00:00", "eps": 1e-8,
+                 "version": "x"},
+}
+
+MALFORMED = {
+    "fixed_list": ("fixed", []),
+    "fixed_string_field": ("fixed", {**_MAP_DOC["fixed"], "q": "x"}),
+    "metadata_list": ("metadata", []),
+    "axis_without_fields": ("axis1", {}),
+    "axis_with_extra_field": ("axis2", {**_MAP_DOC["axis2"], "extra": 1}),
+    "values_number": ("values", 5),
+    "values_row_short": ("values", [[-1.0, -0.5, None], [0.5, 1.0]]),
+    "values_row_missing": ("values", [[-1.0, -0.5, None]]),
+    "values_string_cell": ("values", [[-1.0, -0.5, None], [0.5, 1.0, "x"]]),
+    "verdicts_row_short": ("verdicts", [["stable", "stable", "invalid"], ["unstable"] * 2]),
+    "verdicts_unknown": ("verdicts", [["stable", "stable", "invalid"], ["stable", "x", "x"]]),
+    "flags_row_short": ("flags", [[[], [], ["NonPositiveTimeScale"]], [[], []]]),
+    "flags_two_reasons": ("flags", [[[], [], ["a", "b"]], [[], [], []]]),
+    "flags_number_reason": ("flags", [[[], [], [5]], [[], [], []]]),
+    "flags_bare_reason": ("flags", [[[], [], "NonPositiveTimeScale"], [[], [], []]]),
+}
+
+
 @pytest.mark.parametrize("text,message", [
     ("[]", "^not a stability map document$"),
     ("null", "^not a stability map document$"),
     ('"x"', "^not a stability map document$"),
     ('{"type": "trajectory"}', "^not a stability map document$"),
     ('{"type": "stability_map"}', "^stability map document has no 'variant' key$"),
-], ids=["list", "null", "string", "other_type", "missing_key"])
+    *((json.dumps(_MAP_DOC | {key: value}),
+       f"^stability map document has a malformed {key!r} key: ")
+      for key, value in MALFORMED.values()),
+], ids=["list", "null", "string", "other_type", "missing_key", *MALFORMED])
 def test_map_from_json_rejects_a_non_map_document(text, message):
+    assert map_from_json(json.dumps(_MAP_DOC)).shape == (2, 3)
     with pytest.raises(ValueError, match=message):
         map_from_json(text)
 
@@ -273,12 +310,11 @@ def _lattice_map(n):
     """n x n cells; about 9 MB of CSV at n = 401."""
     rng = np.random.default_rng(7)
     values = rng.standard_normal((n, n))
-    verdicts = tuple(tuple(Verdict.UNSTABLE if v > 0.0 else Verdict.STABLE for v in row)
-                     for row in values.tolist())
+    codes = np.where(values > 0.0, UNSTABLE, STABLE).astype(np.int8)
     spec = SweepSpec(FULL_5X5, ModelParams(), Axis("q", 0.0, 5.0, n),
                      Axis("tau0", 0.5, 2.0, n), Method.EIGEN)
-    return StabilityMap(spec=spec, values=values, verdicts=verdicts,
-                        flags=tuple(((),) * n for _ in range(n)),
+    return StabilityMap(spec=spec, values=values, codes=codes,
+                        reasons=np.full((n, n), None, dtype=object),
                         metadata={"created": "2021-01-01T00:00:00+00:00", "version": "x",
                                   "eps": 1e-8, "band": 1e-9})
 

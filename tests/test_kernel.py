@@ -5,8 +5,8 @@ a time through the single-point functions (``validate_params``,
 ``jacobian_analytic``, ``eigenvalues``, ``classify`` and the scalar
 criteria), the way sweeps and verify did before they were batched.  The
 batched results must equal them exactly: values bit for bit (sign of zero
-included), verdicts, flags, counts and the mismatch list in sample order;
-reports are compared through their repr, which tells -0.0 from 0.0.
+included), verdicts, Invalid reasons, counts and the mismatch list in sample
+order; reports are compared through their repr, which tells -0.0 from 0.0.
 """
 
 import math
@@ -56,7 +56,7 @@ def _reference_cell(spec, v1, v2, eps, band):
         if axis.name == "K":
             value = value - 2.0 * spec.fixed.q1
             if value < 0.0:
-                return math.nan, Verdict.INVALID, ("q_negative_from_K",)
+                return math.nan, Verdict.INVALID, "q_negative_from_K"
         elif axis.name == "c_over_tau0":
             value = value * spec.fixed.tau0
         for name in axis.fields(spec.variant):
@@ -65,30 +65,30 @@ def _reference_cell(spec, v1, v2, eps, band):
         params = validate_params(ModelParams(**cell), spec.variant)
         if spec.method is Method.EIGEN:
             verdict = classify(eigenvalues(jacobian_analytic(spec.variant, params)), eps)
-            return verdict.max_real, verdict.tag, ()
+            return verdict.max_real, verdict.tag, None
         result = closed_forms(spec.variant)[0][1](params, band)
-        return result.margin, result.verdict, ()
+        return result.margin, result.verdict, None
     except CryptoflowError as exc:
-        return math.nan, Verdict.INVALID, (type(exc).__name__,)
+        return math.nan, Verdict.INVALID, type(exc).__name__
 
 
 def reference_sweep(spec, eps=1e-8, band=1e-6):
-    """Values, verdicts and flags of every cell, one cell at a time."""
+    """Values, verdicts and Invalid reasons of every cell, one cell at a time."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rows = [[_reference_cell(spec, v1, v2, eps, band) for v2 in spec.axis2.values()]
                 for v1 in spec.axis1.values()]
     values = np.array([[cell[0] for cell in row] for row in rows])
     verdicts = tuple(tuple(cell[1] for cell in row) for row in rows)
-    flags = tuple(tuple(cell[2] for cell in row) for row in rows)
-    return values, verdicts, flags
+    reasons = [[cell[2] for cell in row] for row in rows]
+    return values, verdicts, reasons
 
 
 def assert_sweep_matches_reference(spec, eps=1e-8, band=1e-6):
     result = run_sweep(spec, eps=eps, band=band)
-    values, verdicts, flags = reference_sweep(spec, eps, band)
+    values, verdicts, reasons = reference_sweep(spec, eps, band)
     assert result.values.tobytes() == values.tobytes()
     assert result.verdicts == verdicts
-    assert result.flags == flags
+    assert result.reasons.tolist() == reasons
     return result
 
 
@@ -200,7 +200,7 @@ def test_non_finite_jacobian_cell_does_not_poison_its_chunk():
     spec = SweepSpec(LIQUIDITY_2X2, ModelParams(tau0=1.0),
                      Axis("tau0", 1e-310, 2.0, 5), Axis("q", 0.0, 3.0, 7), Method.EIGEN)
     result = assert_sweep_matches_reference(spec)
-    assert result.flags[0] == (("ConvergenceFailure",),) * 7
+    assert result.reasons[0].tolist() == ["ConvergenceFailure"] * 7
     assert all(v is not Verdict.INVALID for row in result.verdicts[1:] for v in row)
 
 
@@ -222,7 +222,7 @@ def test_lapack_failure_on_a_stack_fails_only_its_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", flaky)
     result = run_sweep(spec)
     assert stacks[0] and not all(stacks)
-    assert result.flags[0] == (("ConvergenceFailure",),) * 6
+    assert result.reasons[0].tolist() == ["ConvergenceFailure"] * 6
     assert np.isnan(result.values[0]).all()
     assert result.verdicts[1:] == good.verdicts[1:]
     assert result.values[1:].tobytes() == good.values[1:].tobytes()

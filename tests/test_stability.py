@@ -17,7 +17,7 @@ from cryptoflow import (
     jacobian_analytic,
     jacobian_numeric,
 )
-from cryptoflow.stability import Spectrum
+from cryptoflow.stability import Spectrum, jacobian_stack
 
 
 def test_jacobian_liquidity_example():
@@ -71,6 +71,14 @@ def test_numeric_jacobian_matches_analytic():
             p = ModelParams(q=vals[0], q1=vals[1], q2=vals[2], tau0=vals[3],
                             c=shared, c1=shared, c2=shared, c3=vals[4])
             diff = np.abs(jacobian_analytic(variant, p) - jacobian_numeric(variant, p))
+            assert diff.max() <= 1e-6
+    # The table holds at independent clocks too: each row divides by its own.
+    for variant in (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5):
+        for _ in range(20):
+            vals = 10.0 ** rng.uniform(-2, 1, size=8)
+            p = ModelParams(q=vals[0], q1=vals[1], q2=vals[2], tau0=vals[3],
+                            c=vals[4], c1=vals[5], c2=vals[6], c3=vals[7])
+            diff = np.abs(jacobian_stack(variant, p) - jacobian_numeric(variant, p))
             assert diff.max() <= 1e-6
 
 

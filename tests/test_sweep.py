@@ -20,6 +20,7 @@ from cryptoflow import (
     map_from_json,
     run_sweep,
 )
+from cryptoflow.stability import STABLE, UNSTABLE
 
 
 def liq_spec(method=Method.EIGEN, q=(0.0, 5.0, 26), ratio=(0.2, 3.0, 15)):
@@ -53,8 +54,7 @@ def test_overflowing_cells_are_invalid_not_finite():
     spec = SweepSpec(LIQUIDITY_2X2, ModelParams(tau0=1e300), Axis("q", 0.0, 1.0, 2),
                      Axis("c_over_tau0", 1.0, 1e10, 3), Method.EIGEN)
     result = run_sweep(spec)
-    for row in result.flags:
-        assert row == ((), ("NonFiniteParameter",), ("NonFiniteParameter",))
+    assert result.reasons.tolist() == [[None, "NonFiniteParameter", "NonFiniteParameter"]] * 2
 
 
 def test_spec_rejects_duplicate_axes():
@@ -157,9 +157,8 @@ def test_json_writes_non_finite_fixed_fields_and_metadata_as_json():
 def test_eigen_and_closed_form_agree_off_the_band():
     eig = run_sweep(liq_spec(Method.EIGEN, q=(0.0, 4.0, 21), ratio=(0.2, 3.0, 15)))
     closed = run_sweep(liq_spec(Method.CLOSED_FORM, q=(0.0, 4.0, 21), ratio=(0.2, 3.0, 15)))
-    for i in range(21):
-        for j in range(15):
-            a, b = eig.verdicts[i][j], closed.verdicts[i][j]
+    for a_row, b_row in zip(eig.verdicts, closed.verdicts):
+        for a, b in zip(a_row, b_row):
             if Verdict.MARGINAL in (a, b) or Verdict.INVALID in (a, b):
                 continue
             assert a is b
@@ -177,7 +176,7 @@ def test_k_axis_marks_negative_q_invalid():
     assert result.metadata["k_axis_holds_q1"] == 0.5
     for j in range(2):
         assert result.verdicts[0][j] is Verdict.INVALID
-        assert result.flags[0][j] == ("q_negative_from_K",)
+        assert result.reasons[0, j] == "q_negative_from_K"
         assert result.verdicts[1][j] is Verdict.INVALID
     assert result.verdicts[2][0] is not Verdict.INVALID
     assert np.isnan(result.values[0][0])
@@ -186,7 +185,7 @@ def test_k_axis_marks_negative_q_invalid():
 def test_zero_ratio_cell_is_invalid_not_fatal():
     result = run_sweep(liq_spec(ratio=(0.0, 1.0, 3)))
     assert result.verdicts[0][0] is Verdict.INVALID
-    assert result.flags[0][0] == ("NonPositiveTimeScale",)
+    assert result.reasons[0, 0] == "NonPositiveTimeScale"
     assert result.metadata["ratio_axis_holds_tau0"] == 1.0
 
 
@@ -199,12 +198,10 @@ def test_boundary_empty_on_uniform_map():
 def test_boundary_of_half_plane_split():
     spec = liq_spec(q=(0.0, 1.0, 4), ratio=(0.5, 1.0, 3))
     base = run_sweep(spec)
-    verdicts = tuple(
-        tuple(Verdict.STABLE if i < 2 else Verdict.UNSTABLE for _ in range(3))
-        for i in range(4)
-    )
-    split = StabilityMap(spec=spec, values=base.values, verdicts=verdicts,
-                         flags=base.flags, metadata=base.metadata)
+    codes = np.repeat(np.array([STABLE, STABLE, UNSTABLE, UNSTABLE], dtype=np.int8)[:, None],
+                      3, axis=1)
+    split = StabilityMap(spec=spec, values=base.values, codes=codes,
+                         reasons=base.reasons, metadata=base.metadata)
     expected = [(1, j) for j in range(3)] + [(2, j) for j in range(3)]
     assert sorted(boundary_cells(split)) == expected
 
@@ -231,8 +228,8 @@ def test_full_variant_stable_set_grows_with_q2():
         method=Method.CLOSED_FORM,
     )
     result = run_sweep(spec)
-    for i in range(25):
-        stable = [v is Verdict.STABLE for v in result.verdicts[i]]
+    for row in result.verdicts:
+        stable = [v is Verdict.STABLE for v in row]
         if any(stable):
             first = stable.index(True)
             assert all(stable[first:])
@@ -241,9 +238,7 @@ def test_full_variant_stable_set_grows_with_q2():
 def test_refinement_keeps_shared_lattice_points():
     coarse = run_sweep(liq_spec(Method.CLOSED_FORM, q=(0.0, 4.0, 6), ratio=(0.5, 2.5, 6)))
     fine = run_sweep(liq_spec(Method.CLOSED_FORM, q=(0.0, 4.0, 11), ratio=(0.5, 2.5, 11)))
-    for i in range(6):
-        for j in range(6):
-            assert coarse.verdicts[i][j] is fine.verdicts[2 * i][2 * j]
+    assert np.array_equal(coarse.codes, fine.codes[::2, ::2])
 
 
 def test_svg_smoke():
