@@ -41,9 +41,10 @@ from .inputs import (
     SimConfig,
     SweepSpec,
     Variant,
+    check_count,
     check_dead_band,
     check_exceedance,
-    check_initial_price,
+    check_positive,
     check_verify,
     ignored_fields,
     timestamp,
@@ -62,11 +63,6 @@ FORMATS = ("csv", "json", "svg")
 
 class UsageError(ValueError):
     """Bad invocation; maps to exit code 2."""
-
-
-def _at_least_one(name: str, value: int) -> None:
-    if value < 1:
-        raise UsageError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ OPTIONS = (
     Option("format", str, None, "sweep export format (default csv, or from --out suffix)",
            choices=FORMATS),
     Option("threads", int, 1, "validated (>= 1) but has no effect",
-           check=_at_least_one),
+           check=partial(check_count, least=1)),
     Option("mu", float, GbmParams.mu, "baseline drift per unit time"),
     Option("sigma", float, GbmParams.sigma, "baseline volatility per unit time"),
     Option("p0", float, 1.0, "baseline initial price"),
@@ -296,7 +292,7 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
         gbm = GbmParams(mu=merged["mu"], sigma=merged["sigma"],
                         dt=GbmParams.dt if step is None else step,
                         n=merged["n"], seed=merged["seed"])
-        check_initial_price(merged["p0"])
+        check_positive("p0", merged["p0"])
         if merged["drop"] is not None:
             check_exceedance(gbm.log_step()[1], merged["drop"], "sigma * sqrt(step)")
         return partial(_run_baseline, gbm, p0=merged["p0"], drop=merged["drop"], out=out)
@@ -457,9 +453,15 @@ def _run_baseline(gbm: GbmParams, p0: float, drop: float | None,
 def execute(run: Callable[[], int]) -> int:
     """Call a verb's run from ``parse_config``; returns the process exit code.
 
-    numpy and scipy load here, not at import: every numeric module is
-    imported whichever verb runs, so each valid run loads the same modules.
-    Each runner imports the names it calls.
+    numpy and scipy load here, not at import.  Every numeric module loads
+    whichever verb runs, though each runner imports the names it calls and
+    only ``baseline`` needs scipy: dropping ``gbm`` here (ROADMAP item 2,
+    step A) waits on the benchmark revision (item 1).  The benchmark's
+    ``peak_rss_mb`` reads its runner, which grows with each completed cycle,
+    so a faster ``map`` reads higher.  With step A, ``perfbench/run.py
+    --workload map --seed 7 --seconds 18`` (2 vCPUs, Python 3.11.7, numpy
+    2.4.6) went from 30.6k/28.0k to 49.8k/53.0k units/s, from 6/5 to 9/10
+    cycles and from 63.5/60.2 to 73.8/77.5 MB, against a 5 % bound.
     """
     # criteria loads model and stability
     from . import criteria, gbm, simulate, sweep  # noqa: F401

@@ -129,6 +129,7 @@ _SUFFICIENT_5X5_RULES = (*PARAM_RULES, Rule(
 
 
 def _criterion(name: str, params: ModelParams, band: float) -> CriterionResult:
+    check_dead_band("band", band)
     rules, margin = _CRITERIA[name]
     check_rules(rules, params)
     # The kernel's numpy arithmetic: a product of clocks that underflows to 0

@@ -17,7 +17,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .inputs import GbmParams, check_exceedance, check_initial_price
+from .inputs import GbmParams, check_exceedance, check_positive
 
 # Importing scipy.special imports numpy.f2py, which parses SOURCE_DATE_EPOCH
 # and raises on a value that is not an integer.  Only sweep metadata reads
@@ -52,7 +52,7 @@ def gbm_simulate(params: GbmParams, p0: float = 1.0) -> np.ndarray:
         ValueError: p0 is not positive and finite, or a price of the path
             leaves the float range (overflows, or underflows to 0).
     """
-    check_initial_price(p0)
+    check_positive("p0", p0)
     rng = np.random.default_rng(params.seed)
     z = _standard_normals(rng, params.n)
     drift, volatility = params.log_step()

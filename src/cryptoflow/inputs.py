@@ -1,11 +1,11 @@
 """The values a run is built from, and every check on them, without numpy.
 
 Model variants and parameters, integration controls, sweep axes and specs,
-baseline parameters, the checks of the dead bands and of the verify and
-baseline options and the SOURCE_DATE_EPOCH timestamp all live here, and this
-module imports neither numpy nor scipy.  So the command line builds and
-checks a whole invocation before any numeric module loads: a rejected
-invocation, --help and --version never load them.
+baseline parameters, the checks of counts, positive quantities, dead bands
+and the verify and baseline options, and the SOURCE_DATE_EPOCH timestamp all
+live here, and this module imports neither numpy nor scipy.  So the command
+line builds and checks a whole invocation before any numeric module loads: a
+rejected invocation, --help and --version never load them.
 
 Each parameter rule is written once for a point and for a batch: a rule's
 test answers with a bool for float fields and with a bool array for array
@@ -15,6 +15,7 @@ fields (``model.rule_errors`` reads the batch answer).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -34,6 +35,23 @@ if TYPE_CHECKING:
 DEFAULT_EPS = 1e-8
 DEFAULT_BAND = 1e-6
 DELTA_MAX = 1e-2
+
+
+def check_count(name: str, value: int, least: int) -> None:
+    """A count (a lattice size, a sample count, a seed) is an integer >= least;
+    a numpy integer is one, a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """A run quantity (a step, a horizon, a price, a drop) is positive and finite."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def check_dead_band(name: str, value: float) -> None:
@@ -201,14 +219,9 @@ class SimConfig:
     perturbation: float = 1e-4
 
     def __post_init__(self):
-        if self.step is not None and not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.step is not None and not math.isfinite(self.step):
-            raise ValueError(f"step must be finite, got {self.step}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if not math.isfinite(self.horizon):
-            raise ValueError(f"horizon must be finite, got {self.horizon}")
+        if self.step is not None:
+            check_positive("step", self.step)
+        check_positive("horizon", self.horizon)
         if self.step is not None and self.step > self.horizon:
             raise ValueError(
                 f"step {self.step} must not exceed horizon {self.horizon}"
@@ -287,8 +300,7 @@ class Axis:
             )
         if not self.min < self.max:
             raise ValueError(f"axis {self.name}: min {self.min} must be < max {self.max}")
-        if self.steps < 2:
-            raise ValueError(f"axis {self.name}: steps must be >= 2, got {self.steps}")
+        check_count(f"axis {self.name}: steps", self.steps, 2)
 
     def values(self) -> np.ndarray:
         import numpy as np
@@ -334,12 +346,6 @@ class SweepSpec:
                                  f"axis {holder.name!r} holds at its fixed value")
 
 
-def check_seed(seed: int) -> None:
-    """A random seed is a nonnegative integer (numpy's generators need one)."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 @dataclass(frozen=True)
 class GbmParams:
     """Drift mu and volatility sigma per unit time, step dt, n steps."""
@@ -355,8 +361,7 @@ class GbmParams:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        check_count("n", self.n, 1)
         for name in ("mu", "sigma", "dt"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -369,32 +374,19 @@ class GbmParams:
                 f"log-step drift (mu - sigma^2/2) dt and volatility sigma sqrt(dt) "
                 f"must be finite, got mu={self.mu}, sigma={self.sigma}, dt={self.dt}"
             )
-        check_seed(self.seed)
+        check_count("seed", self.seed, 0)  # numpy's generators need seed >= 0
 
     def log_step(self) -> tuple[float, float]:
         """Drift and volatility of log P over one step."""
         return (self.mu - 0.5 * self.sigma**2) * self.dt, self.sigma * math.sqrt(self.dt)
 
 
-def check_initial_price(p0: float) -> None:
-    """A path's initial price is positive and finite."""
-    if not p0 > 0.0:
-        raise ValueError(f"p0 must be positive, got {p0}")
-    if not math.isfinite(p0):
-        raise ValueError(f"p0 must be finite, got {p0}")
-
-
 def check_exceedance(sigma_daily: float, drop: float,
                      volatility_name: str = "sigma_daily") -> None:
-    """A drop's exceedance needs a positive volatility per step and a
-    positive, finite drop; ``volatility_name`` names the volatility in the
-    message."""
-    if not sigma_daily > 0.0:
-        raise ValueError(f"{volatility_name} must be positive, got {sigma_daily}")
-    if not drop > 0.0:
-        raise ValueError(f"drop must be positive, got {drop}")
-    if not math.isfinite(drop):
-        raise ValueError(f"drop must be finite, got {drop}")
+    """A drop's exceedance needs a positive, finite volatility per step and
+    drop; ``volatility_name`` names the volatility in the message."""
+    check_positive(volatility_name, sigma_daily)
+    check_positive("drop", drop)
 
 
 # Fields verify_consistency samples per variant; only these can be pinned.
@@ -408,8 +400,7 @@ SAMPLED_FIELDS = {
 def check_verify(variant: Variant, n: int, seed: int,
                  fixed: Mapping[str, float]) -> None:
     """The sample count, seed and pinned fields of a consistency check."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count("n", n, 1)
     allowed = set(SAMPLED_FIELDS[variant])
     unknown = set(fixed) - allowed
     if unknown:
@@ -417,7 +408,7 @@ def check_verify(variant: Variant, n: int, seed: int,
             f"cannot pin {sorted(unknown)} for {variant.value}; "
             f"samplable fields are {sorted(allowed)}"
         )
-    check_seed(seed)
+    check_count("seed", seed, 0)
 
 
 def timestamp() -> str:

@@ -24,6 +24,7 @@ from .inputs import (
     ModelParams,
     Rule,
     Variant,
+    check_dead_band,
     check_rules,
 )
 from .model import FULL_5X5, equilibrium, rhs
@@ -257,8 +258,10 @@ def classify(spectrum: Spectrum, eps: float = DEFAULT_EPS) -> StabilityVerdict:
     """Spectral verdict: ``verdict_codes`` of -max Re with the dead band eps.
 
     The verdict is oscillatory when an eigenvalue attaining the dominant
-    real part (within eps) has |Im| > eps.
+    real part (within eps) has |Im| > eps.  A negative, NaN or infinite eps
+    raises ValueError.
     """
+    check_dead_band("eps", eps)
     mr = spectrum.max_real
     oscillatory = any(
         abs(z.real - mr) <= eps and abs(z.imag) > eps for z in spectrum.eigenvalues

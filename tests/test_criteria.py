@@ -351,6 +351,11 @@ def test_verify_rejects_bad_arguments():
         verify_consistency(LIQUIDITY_2X2, n=10, fixed={"q1": 0.3})
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         verify_consistency(LIQUIDITY_2X2, n=10, seed=-1)
+    for bad, message in [({"n": 10.0}, "n must be an integer, got 10.0"),
+                         ({"n": True}, "n must be an integer, got True"),
+                         ({"n": 10, "seed": 1.5}, "seed must be an integer, got 1.5")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_consistency(LIQUIDITY_2X2, **bad)
     # The command line's messages.  Let through, eps=inf would exclude every
     # sample and report no mismatch.
     for bad, message in [({"eps": -1.0}, "eps must be >= 0, got -1.0"),
@@ -359,6 +364,20 @@ def test_verify_rejects_bad_arguments():
                          ({"band": -math.inf}, "band must be >= 0, got -inf")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_consistency(FULL_5X5, n=50, **bad)
+
+
+@pytest.mark.parametrize("bad,message", [(-1.0, "must be >= 0, got -1.0"),
+                                         (math.nan, "must be >= 0, got nan"),
+                                         (math.inf, "must be finite, got inf")],
+                         ids=["negative", "nan", "inf"])
+def test_the_scalar_routes_reject_a_bad_dead_band(bad, message):
+    """classify and the closed forms check their dead band as run_sweep and
+    verify_consistency do: unchecked, a NaN or negative band read Marginal."""
+    with pytest.raises(ValueError, match=f"^eps {re.escape(message)}$"):
+        classify(Spectrum((-1.0 + 0.0j,)), bad)
+    for criterion in (criterion_2x2, criterion_3x3, criterion_5x5_q2zero, rh_5x5):
+        with pytest.raises(ValueError, match=f"^band {re.escape(message)}$"):
+            criterion(ModelParams(), bad)
 
 
 def _edges(value):

@@ -198,6 +198,7 @@ MALFORMED = {
     "metadata_list": ("metadata", []),
     "axis_without_fields": ("axis1", {}),
     "axis_with_extra_field": ("axis2", {**_MAP_DOC["axis2"], "extra": 1}),
+    "axis_float_steps": ("axis1", {**_MAP_DOC["axis1"], "steps": 2.0}),
     "values_number": ("values", 5),
     "values_row_short": ("values", [[-1.0, -0.5, None], [0.5, 1.0]]),
     "values_row_missing": ("values", [[-1.0, -0.5, None]]),

@@ -110,12 +110,19 @@ def test_exceedance_rejects_degenerate_inputs():
         exceedance_report(sigma_daily=0.0075, drop=0.0)
     with pytest.raises(ValueError, match="sigma_daily must be positive"):
         exceedance_report(sigma_daily=0.0, drop=0.045)
+    with pytest.raises(ValueError, match="^sigma_daily must be finite, got inf$"):
+        exceedance_report(sigma_daily=math.inf, drop=0.1)
 
 
 def test_params_reject_a_negative_seed_and_keep_large_ones():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         GbmParams(seed=-1)
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
+        GbmParams(n=2.5)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        GbmParams(seed=1.5)
     assert len(gbm_simulate(GbmParams(n=3, seed=2**80))) == 4
+    assert len(gbm_simulate(GbmParams(n=np.int64(3)))) == 4
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -40,6 +40,10 @@ def test_axis_validation():
         Axis("q", 1.0, 1.0, 5)
     with pytest.raises(ValueError):
         Axis("q", 0.0, 1.0, 1)
+    for steps in (2.0, True):
+        message = f"axis q: steps must be an integer, got {steps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Axis("q", 0.0, 1.0, steps)
 
 
 @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
