@@ -114,17 +114,33 @@ OPTIONS = (
 )
 
 _OPTIONS_BY_NAME = {opt.name: opt for opt in OPTIONS}
-_NUMERIC_FLAGS = {flag for opt in OPTIONS if opt.type is not str
-                  for flag in opt.option_strings}
-# The long flags of a verb's parser, which argparse also takes by unique prefix.
-_LONG_FLAGS = ("--config", "--help", *(flag for opt in OPTIONS
-                                       for flag in opt.option_strings
-                                       if flag.startswith("--")))
 _CONFIG_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
                  str: (str, "a string")}
 
 
+class _NegativeNumber:
+    """argparse's private ``_negative_number_matcher``: a dash-led token that
+    names no flag is a value where ``match`` is true, else a flag.  argparse's
+    own pattern takes only the -1 and -.5 forms; this takes any token float()
+    reads, so ``--mu -1e-4`` and ``--q -inf`` are values.  ``-nan`` names the
+    flag ``-n`` before this is asked."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        if not token.startswith("-"):
+            return False
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
+
     def error(self, message):
         raise UsageError(f"{self.prog}: error: {message}")
 
@@ -153,41 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb, text in VERBS.items():
         sub.add_parser(verb, parents=[shared], help=text)
     return parser
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _is_numeric_flag(token: str) -> bool:
-    """A numeric option's flag, or a prefix of exactly one long flag, a numeric one."""
-    if token in _NUMERIC_FLAGS:
-        return True
-    matches = [flag for flag in _LONG_FLAGS if flag.startswith(token)]
-    return token.startswith("--") and len(matches) == 1 and matches[0] in _NUMERIC_FLAGS
-
-
-def _bind_negative_values(argv: list[str]) -> list[str]:
-    """argv with ``--mu -1e-4`` written ``--mu=-1e-4``.
-
-    argparse reads a token as a negative number only in the forms -1 and
-    -.5, so it takes -1e-4, -1E-4 or -inf after a numeric option for a flag.
-    Here such a token becomes that option's value, as with ``=``, also after
-    an abbreviated flag (``--sig``) that argparse resolves to one option;
-    an ambiguous prefix is left to argparse.
-    """
-    out: list[str] = []
-    for token in argv:
-        if (out and _is_numeric_flag(out[-1])
-                and token.startswith("-") and _is_number(token)):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
 
 
 def _load_config(path: str) -> dict:
@@ -250,7 +231,7 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
     The run is the verb's runner bound to those objects and to the option
     values it reads; called with no arguments, it returns the exit code.
     """
-    args = _build_parser().parse_args(_bind_negative_values(argv))
+    args = _build_parser().parse_args(argv)
     config = _load_config(args.config) if args.config else {}
     flags = {opt.name: getattr(args, opt.name) for opt in OPTIONS
              if getattr(args, opt.name) is not None}

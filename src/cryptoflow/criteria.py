@@ -415,7 +415,7 @@ def verify_consistency(
     fixed = dict(fixed) if fixed else {}
     check_dead_band("eps", eps)
     check_dead_band("band", band)
-    check_verify(variant, n, seed, fixed)
+    n, seed = check_verify(variant, n, seed, fixed)
 
     # only the full variant samples q2
     q2_pinned_zero = fixed.get("q2") == 0.0

@@ -37,13 +37,15 @@ DEFAULT_BAND = 1e-6
 DELTA_MAX = 1e-2
 
 
-def check_count(name: str, value: int, least: int) -> None:
+def check_count(name: str, value: int, least: int) -> int:
     """A count (a lattice size, a sample count, a seed) is an integer >= least;
-    a numpy integer is one, a bool is not."""
+    a numpy integer is one, a bool is not.  Returns it as a Python int, which
+    JSON can write."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def check_positive(name: str, value: float) -> None:
@@ -300,7 +302,8 @@ class Axis:
             )
         if not self.min < self.max:
             raise ValueError(f"axis {self.name}: min {self.min} must be < max {self.max}")
-        check_count(f"axis {self.name}: steps", self.steps, 2)
+        object.__setattr__(self, "steps",
+                           check_count(f"axis {self.name}: steps", self.steps, 2))
 
     def values(self) -> np.ndarray:
         import numpy as np
@@ -361,7 +364,7 @@ class GbmParams:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        check_count("n", self.n, 1)
+        object.__setattr__(self, "n", check_count("n", self.n, 1))
         for name in ("mu", "sigma", "dt"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -374,7 +377,8 @@ class GbmParams:
                 f"log-step drift (mu - sigma^2/2) dt and volatility sigma sqrt(dt) "
                 f"must be finite, got mu={self.mu}, sigma={self.sigma}, dt={self.dt}"
             )
-        check_count("seed", self.seed, 0)  # numpy's generators need seed >= 0
+        # numpy's generators need seed >= 0
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
     def log_step(self) -> tuple[float, float]:
         """Drift and volatility of log P over one step."""
@@ -398,9 +402,10 @@ SAMPLED_FIELDS = {
 
 
 def check_verify(variant: Variant, n: int, seed: int,
-                 fixed: Mapping[str, float]) -> None:
-    """The sample count, seed and pinned fields of a consistency check."""
-    check_count("n", n, 1)
+                 fixed: Mapping[str, float]) -> tuple[int, int]:
+    """The sample count, seed and pinned fields of a consistency check;
+    returns the count and seed as Python ints."""
+    n = check_count("n", n, 1)
     allowed = set(SAMPLED_FIELDS[variant])
     unknown = set(fixed) - allowed
     if unknown:
@@ -408,7 +413,7 @@ def check_verify(variant: Variant, n: int, seed: int,
             f"cannot pin {sorted(unknown)} for {variant.value}; "
             f"samplable fields are {sorted(allowed)}"
         )
-    check_count("seed", seed, 0)
+    return n, check_count("seed", seed, 0)
 
 
 def timestamp() -> str:

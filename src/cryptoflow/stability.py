@@ -168,6 +168,14 @@ def jacobian_numeric(variant: Variant, params: ModelParams) -> np.ndarray:
     return jac
 
 
+def _square(m: np.ndarray) -> np.ndarray:
+    """m as a float array, refused unless it is a nonempty square matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"matrix must be square and nonempty, got shape {m.shape}")
+    return m
+
+
 def char_poly(m: np.ndarray) -> Polynomial:
     """Monic characteristic polynomial det(lambda*I - m), leading-first.
 
@@ -180,9 +188,7 @@ def char_poly(m: np.ndarray) -> Polynomial:
     loses digits to trace cancellation on badly scaled matrices.  Each
     returned coefficient is the exact value correctly rounded once.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    m = _square(m)
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     n = m.shape[0]
@@ -233,9 +239,7 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     A matrix with a NaN or infinite entry raises ConvergenceFailure before
     any iteration runs, as does a failed iteration or a NaN eigenvalue.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    m = _square(m)
     if not np.isfinite(m).all():
         raise ConvergenceFailure("matrix has a non-finite entry; no eigenvalues computed")
     spectrum = ordered_spectra(m[None])[0]

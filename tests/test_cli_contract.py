@@ -209,6 +209,10 @@ def test_horizon_below_the_derived_step_runs_one_partial_step(tmp_path):
     ((), "the following arguments are required: verb"),
     (("explode",), "invalid choice: 'explode'"),
     (("verify", "--seed", "1.5"), "invalid int value: '1.5'"),
+    # a dash-led token float() reads is a value, unless it starts with a
+    # flag (-nan is -n with "an") or the option refuses it
+    (("analyze", "--q", "-nan"), "argument --q: expected one argument"),
+    (("analyze", "--variant", "-1e-4"), "argument --variant: invalid choice: '-1e-4'"),
 ])
 def test_argparse_errors_are_one_json_object(argv, text):
     code, _, doc = _run(*argv)
@@ -217,13 +221,22 @@ def test_argparse_errors_are_one_json_object(argv, text):
     assert text in doc["message"]
 
 
-@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("analyze", "--help")])
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("analyze", "--help"),
+                                  ("analyze", "-h", "-1e-4")])
 def test_help_and_version_exit_0(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
     assert exc.value.code in (0, None)
     assert out.getvalue()
+
+
+@pytest.mark.parametrize("name", ["-1e-4", "-5"])
+def test_an_out_path_that_reads_as_a_number_is_a_file(monkeypatch, tmp_path, name):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run("analyze", "--variant", "liquidity2x2", "--out", name)
+    assert code == 0
+    assert (tmp_path / name).read_text() == out
 
 
 @pytest.mark.parametrize("argv,code,text", [

@@ -1,8 +1,10 @@
 """Closed-form criteria against the eigenvalue route."""
 
+import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -364,6 +366,14 @@ def test_verify_rejects_bad_arguments():
                          ({"band": -math.inf}, "band must be >= 0, got -inf")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_consistency(FULL_5X5, n=50, **bad)
+
+
+def test_numpy_integer_counts_give_the_report_of_python_ints():
+    report = verify_consistency(LIQUIDITY_2X2, n=np.int64(5), seed=np.int64(2))
+    assert all(type(getattr(report, name)) is int
+               for name in ("samples", "excluded", "seed"))
+    expected = verify_consistency(LIQUIDITY_2X2, n=5, seed=2)
+    assert json.dumps(asdict(report)) == json.dumps(asdict(expected))
 
 
 @pytest.mark.parametrize("bad,message", [(-1.0, "must be >= 0, got -1.0"),

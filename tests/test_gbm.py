@@ -1,7 +1,9 @@
 """Log-normal baseline paths and tail probabilities, with mpmath as oracle."""
 
+import json
 import math
 import warnings
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -123,6 +125,12 @@ def test_params_reject_a_negative_seed_and_keep_large_ones():
         GbmParams(seed=1.5)
     assert len(gbm_simulate(GbmParams(n=3, seed=2**80))) == 4
     assert len(gbm_simulate(GbmParams(n=np.int64(3)))) == 4
+
+
+def test_numpy_integer_counts_give_the_document_of_python_ints():
+    params = GbmParams(n=np.int64(3), seed=np.uint8(2))
+    assert type(params.n) is int and type(params.seed) is int
+    assert json.dumps(asdict(params)) == json.dumps(asdict(GbmParams(n=3, seed=2)))
 
 
 @pytest.mark.parametrize("kwargs", [

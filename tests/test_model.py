@@ -21,6 +21,8 @@ from cryptoflow import (
     rhs,
     validate_params,
 )
+from cryptoflow import model
+from cryptoflow.stability import jacobian_stack
 
 ALL_VARIANTS = (FULL_5X5, SENTIMENT_3X3, LIQUIDITY_2X2)
 
@@ -159,3 +161,89 @@ def test_anchor_floor_only_checked_where_it_exists():
 def test_rhs_rejects_wrong_shape():
     with pytest.raises(ValueError):
         rhs(SENTIMENT_3X3, ModelParams(), np.array([1.0, 1.0]))
+
+
+class Dual:
+    """a + b*eps with eps**2 = 0.  Run through the model's equations with b
+    seeded on one state, each result's b is the exact derivative along that
+    state, rounded once per operation.  ``__array_ufunc__ = None`` makes a
+    numpy scalar operand defer to the reflected operators here."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, a, b=0.0):
+        self.a, self.b = a, b
+
+    def __add__(self, other):
+        other = _dual(other)
+        return Dual(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        other = _dual(other)
+        return Dual(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        other = _dual(other)
+        return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    def __truediv__(self, other):
+        other = _dual(other)
+        ratio = self.a / other.a
+        # not (b*c - a*d) / c**2, which differs from the table in the last bit
+        return Dual(ratio, (self.b - ratio * other.b) / other.a)
+
+    def __radd__(self, other):
+        return _dual(other) + self
+
+    def __rsub__(self, other):
+        return _dual(other) - self
+
+    def __rmul__(self, other):
+        return _dual(other) * self
+
+    def __rtruediv__(self, other):
+        return _dual(other) / self
+
+    def __lt__(self, other):
+        return self.a < other
+
+
+def _dual(x):
+    return x if isinstance(x, Dual) else Dual(x)
+
+
+def exact_jacobian(variant, params):
+    """The derivative of ``model._derivative`` at the equilibrium, by column."""
+    derivative = model._derivative(variant, params)
+    x0 = equilibrium(variant).tolist()
+    columns = [[d.b for d in derivative([Dual(x, float(i == j)) for i, x in enumerate(x0)])]
+               for j in range(variant.dim)]
+    return np.array(columns).T
+
+
+def _scaled(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitudes=st.tuples(*[_scaled(-3.0, 1.0)] * 3),
+       clocks=st.tuples(*[_scaled(-2.0, 1.0)] * 5))
+def test_the_jacobian_table_is_the_exact_derivative_of_the_equations(amplitudes, clocks):
+    params = ModelParams(*amplitudes, *clocks)
+    for variant in ALL_VARIANTS:
+        assert (exact_jacobian(variant, params).tobytes()
+                == jacobian_stack(variant, params).tobytes()), variant
+
+
+def test_a_jacobian_batch_is_the_exact_derivative_at_each_point():
+    rng = np.random.default_rng(12)
+    n = 1024
+    exponents = np.concatenate([rng.uniform(-3.0, 1.0, (3, n)),
+                                rng.uniform(-2.0, 1.0, (5, n))])
+    columns = [np.array([10.0 ** x for x in row.tolist()]) for row in exponents]
+    batch = ModelParams(*columns)
+    for variant in ALL_VARIANTS:
+        stack = jacobian_stack(variant, batch)
+        for k in range(n):
+            point = ModelParams(*(float(column[k]) for column in columns))
+            assert exact_jacobian(variant, point).tobytes() == stack[k].tobytes(), (variant, k)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,12 @@ def test_eigenvalues_similarity_invariance():
 def test_eigenvalues_rejects_nonsquare():
     with pytest.raises(ValueError):
         eigenvalues(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("route", [eigenvalues, char_poly])
+def test_an_empty_matrix_is_refused_by_its_shape(route):
+    with pytest.raises(ValueError, match=re.escape("got shape (0, 0)")):
+        route(np.empty((0, 0)))
 
 
 @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])

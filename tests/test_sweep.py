@@ -46,6 +46,15 @@ def test_axis_validation():
             Axis("q", 0.0, 1.0, steps)
 
 
+def test_a_numpy_integer_steps_gives_the_map_of_a_python_int(monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1609459200")
+    axis = Axis("q", 0.0, 1.0, np.int64(3))
+    assert type(axis.steps) is int
+    spec = liq_spec(q=(0.0, 1.0, 3), ratio=(0.5, 1.5, 2))
+    numpy_spec = SweepSpec(spec.variant, spec.fixed, axis, spec.axis2, spec.method)
+    assert run_sweep(numpy_spec).to_json() == run_sweep(spec).to_json()
+
+
 @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
                                    (0.0, math.nan), (-1e308, 1e308)])
 def test_axis_rejects_non_finite_bounds_and_overflowing_spans(lo, hi):
