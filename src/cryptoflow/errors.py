@@ -49,8 +49,8 @@ class BlowUp(CryptoflowError):
 class UnsupportedScaling(CryptoflowError):
     """The full variant's Jacobian was asked for at unequal clocks c, c1, c2.
 
-    The closed form holds at any clocks; this refusal is kept for the exit
-    code it gives.
+    The Jacobian, the exact derivative of the equations, holds at any
+    clocks; this refusal is kept for the exit code it gives.
     """
 
 

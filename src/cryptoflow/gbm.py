@@ -36,10 +36,12 @@ CSV_ROWS_PER_WRITE = 1024
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    # (k + 0.5) / 2^53 keeps uniforms strictly inside (0, 1) so the
-    # inverse CDF never sees an endpoint.
+    # (k + 0.5) / 2^53 is above 0, but at k = 2^53 - 1 the tie rounds to
+    # even, to exactly 1.0, where the inverse CDF is +inf; the clamp moves
+    # that one k to the largest float below 1, so the uniforms stay strictly
+    # inside (0, 1) and every other draw keeps its bits.
     u = (rng.integers(0, 1 << 53, size=n, dtype=np.uint64) + 0.5) / float(1 << 53)
-    return ndtri(u)
+    return ndtri(np.minimum(u, 1.0 - 2.0**-53))
 
 
 def gbm_simulate(params: GbmParams, p0: float = 1.0) -> np.ndarray:

@@ -77,8 +77,10 @@ _STATE_FIELDS = {
 class Variant(str, Enum):
     """A model variant: which states are dynamic (``labels``, in storage order).
 
-    The smaller variants' facts are restrictions of the full variant's: the
-    fields a variant reads are those its states' equations read.
+    The smaller variants are restrictions of the full variant: their
+    equations are the full ones on their own states with the dropped
+    sentiments at 0, and the fields a variant reads are those its states'
+    equations read.
     """
 
     FULL_5X5 = "full5x5", ("P", "Pa", "L", "zeta1", "zeta2")
@@ -102,8 +104,8 @@ class Variant(str, Enum):
         These clocks decide the scopes of the closed forms criterion_3x3
         (c = c1), rh_5x5 and criterion_5x5_q2zero (c = c1 = c2), and the
         full variant's Jacobian refusal at unequal c, c1, c2, so sweeps and
-        verify samples move them together.  The Jacobian table itself holds
-        at any clocks (see ``stability.JACOBIAN_RULES``).
+        verify samples move them together.  The Jacobian itself holds at any
+        clocks (see ``stability.JACOBIAN_RULES``).
         """
         return tuple(name for name in ("c", "c1", "c2")
                      if name not in ignored_fields(self))

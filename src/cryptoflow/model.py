@@ -21,7 +21,9 @@ With S = 1 + 2*zeta1 + 2*zeta2 the full system reads
     zeta2' = (q2*(Pa - P)/Pa - zeta2) / c2
 
 The smaller variants drop the corresponding rows and freeze the dropped
-sentiments at 0.
+sentiments at 0.  These equations are written once, in :func:`_derivative`:
+the integrator runs them, and ``stability.jacobian_stack`` differentiates
+them exactly by running them on a :class:`Dual` number.
 """
 
 from __future__ import annotations
@@ -59,6 +61,60 @@ def equilibrium(variant: Variant) -> np.ndarray:
     return np.array([full[name] for name in variant.labels])
 
 
+class Dual:
+    """a + b*eps with eps**2 = 0: a value and its derivative along one state.
+
+    Run through the model's equations (only + - * /) with one state seeded
+    as ``Dual(x, 1.0)``, each result's ``b`` is the exact derivative along
+    that state, rounded once per operation.  Only that state is a Dual, so
+    no product of two Duals arises; every other operand stays a float or an
+    array and is never promoted to ``Dual(x, 0.0)``, so a term that does not
+    read the state adds nothing, not even a zero's sign, and the result has
+    the bits of the derivative written out by hand.  ``__array_ufunc__ =
+    None`` makes an array or numpy scalar operand defer to the operators here.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.a + other.a, self.b + other.b)
+        return Dual(self.a + other, self.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.a - other.a, self.b - other.b)
+        return Dual(self.a - other, self.b)
+
+    def __rsub__(self, other):
+        return Dual(other - self.a, -self.b)
+
+    def __mul__(self, other):
+        return Dual(self.a * other, self.b * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            ratio = self.a / other.a
+            # not (b*c - a*d) / c**2, which differs from the hand-written
+            # derivative in the last bit
+            return Dual(ratio, (self.b - ratio * other.b) / other.a)
+        return Dual(self.a / other, self.b / other)
+
+    def __rtruediv__(self, other):
+        ratio = other / self.a
+        return Dual(ratio, -(ratio * self.b) / self.a)
+
+    def __lt__(self, other):
+        return self.a < other
+
+
 def _below_floor(name: str, value: float) -> StateOutOfDomain:
     return StateOutOfDomain(f"{name} = {value} below floor {P_FLOOR}")
 
@@ -69,8 +125,9 @@ def _derivative(variant: Variant, params: ModelParams):
     The closure takes the state as a sequence of floats and returns its
     derivative as a tuple of floats.  A price (P, and Pa on the full
     variant) below the floor raises StateOutOfDomain rather than being
-    clamped.  :func:`rhs` wraps it for arrays, and the integrator calls it
-    directly at every stage, so the equations below are the only copy.
+    clamped.  :func:`rhs` wraps it for arrays, the integrator calls it
+    directly at every stage, and ``stability.jacobian_stack`` runs it on a
+    :class:`Dual` state, so the equations below are the only copy.
     """
     q, q1, q2 = params.q, params.q1, params.q2
     tau0, c, c1, c2, c3 = params.tau0, params.c, params.c1, params.c2, params.c3

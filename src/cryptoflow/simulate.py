@@ -219,7 +219,8 @@ def _check_step(variant: Variant, params: ModelParams, h: float,
     verdict.  So a mode next to a Hopf boundary, where RK4's damping flips
     the sign of a tiny growth rate yet both ratios stay near 1, passes.  A
     spectrum that is not finite or not computed skips the check.  The
-    Jacobian is ``stability.jacobian_stack``, which holds at unequal clocks.
+    Jacobian is ``stability.jacobian_stack``, the exact derivative of the
+    equations integrated here, which holds at unequal clocks.
 
     Raises:
         ValueError: the step gets some mode's growth wrong; the message

@@ -1,10 +1,11 @@
 """Linearization at the flat equilibrium and spectral classification.
 
-The Jacobian of each variant at P = Pa = L = 1, zeta1 = zeta2 = 0 has a
-closed form; a finite-difference Jacobian is provided as an independent
-cross-check.  Characteristic polynomials are computed by the
-Faddeev--LeVerrier trace recursion rather than from eigenvalues, so the
-closed-form route and the eigensolver route stay independent of each other.
+The Jacobian of each variant at P = Pa = L = 1, zeta1 = zeta2 = 0 is the
+exact derivative of the model's equations (forward-mode, ``model.Dual``); a
+central-difference Jacobian is provided as an independent cross-check.
+Characteristic polynomials are computed by the Faddeev--LeVerrier trace
+recursion rather than from eigenvalues, so the closed-form route and the
+eigensolver route stay independent of each other.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .inputs import (
     check_dead_band,
     check_rules,
 )
-from .model import FULL_5X5, equilibrium, rhs
+from .model import Dual, _derivative, equilibrium, rhs
 
 # Central-difference step: roundoff dominates below about 1e-8, truncation
 # above about 1e-4.
@@ -90,9 +91,9 @@ class StabilityVerdict:
 
 
 # The rules jacobian_analytic checks, in order: the parameter rules, then on the
-# full variant c = c1 = c2.  The Jacobian table holds at any clocks, since each
-# row divides by its own clock; the c = c1 = c2 rule is a refusal, kept only
-# because the benchmark's `point` workload pins its exit 3 (ROADMAP item 3).
+# full variant c = c1 = c2.  The exact derivative holds at any clocks; the
+# c = c1 = c2 rule is a refusal, kept only because the benchmark's `point`
+# workload pins its exit 3 (ROADMAP item 3).
 JACOBIAN_RULES = {
     **dict.fromkeys(Variant, PARAM_RULES),
     Variant.FULL_5X5: (*PARAM_RULES, Rule(
@@ -104,44 +105,42 @@ JACOBIAN_RULES = {
 
 
 def jacobian_stack(variant: Variant, params: ModelParams) -> np.ndarray:
-    """Closed-form Jacobians at the flat equilibrium, one per point.
+    """Jacobians at the flat equilibrium, one per point, exact to roundoff.
 
-    The one table below is the full variant's Jacobian; a smaller variant's
-    Jacobian is that table restricted to the rows and columns of its own
-    states (``variant.labels``).  With float fields the result is one
-    (dim, dim) matrix; with array fields of shape (n,) it is an
+    Each is the derivative of the variant's equations (``model._derivative``,
+    the closure ``simulate`` integrates).  Column j is the derivative along
+    state j: the equations run once on the equilibrium with only that state
+    a ``Dual``, and each equation's dual part is its entry; an equation that
+    does not read the state leaves a zero.  With float fields the result is
+    one (dim, dim) matrix; with array fields of shape (n,) it is an
     (n, dim, dim) stack.  Entries are computed with the same operations
     either way, so each matrix of a stack equals the single point's matrix
-    bitwise.  No rule is checked here.  With array fields, entries
-    that overflow or divide by zero come back non-finite without a warning.
+    bitwise.  No rule is checked here.  With array fields, entries that
+    overflow or divide by zero come back non-finite without a warning.
     """
-    q, q1, q2, tau0, c, c1, c2, c3 = (getattr(params, name) for name in PARAM_FIELDS)
+    derivative = _derivative(variant, params)
+    x0 = equilibrium(variant).tolist()
+    shape = np.broadcast(*(getattr(params, name) for name in PARAM_FIELDS)).shape
+    jac = np.zeros(shape + (variant.dim, variant.dim))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rows = [
-            [-1.0 / tau0, 0.0, 1.0 / tau0, 2.0 / tau0, 2.0 / tau0],
-            [1.0 / c3, -1.0 / c3, 0.0, 0.0, 0.0],
-            [-q / c, 0.0, (q - 1.0) / c, 2.0 * q / c, 2.0 * q / c],
-            [-q1 / c1, 0.0, q1 / c1, (2.0 * q1 - 1.0) / c1, 2.0 * q1 / c1],
-            [-q2 / c2, q2 / c2, 0.0, 0.0, -1.0 / c2],
-        ]
-    kept = [FULL_5X5.labels.index(name) for name in variant.labels]
-    shape = np.broadcast(q, q1, q2, tau0, c, c1, c2, c3).shape
-    jac = np.empty(shape + (len(kept), len(kept)))
-    for i, row in enumerate(kept):
-        for j, col in enumerate(kept):
-            jac[..., i, j] = rows[row][col]
+        for j, xj in enumerate(x0):
+            state = x0.copy()
+            state[j] = Dual(xj, 1.0)
+            for i, out in enumerate(derivative(state)):
+                if isinstance(out, Dual):
+                    jac[..., i, j] = out.b
     return jac
 
 
 def jacobian_analytic(variant: Variant, params: ModelParams) -> np.ndarray:
-    """Closed-form Jacobian at the flat equilibrium.
+    """Exact Jacobian at the flat equilibrium (``jacobian_stack``), rules first.
 
     The variant's ``JACOBIAN_RULES`` are checked first: the parameter rules
     (``validate_params``'s), so a zero clock raises NonPositiveTimeScale, not
     ZeroDivisionError; then, on the full variant, c = c1 = c2, whose breach
     raises UnsupportedScaling.  That rule is a refusal, not a limit of the
-    table: each row divides by its own clock, so ``jacobian_stack`` holds at
-    any clocks, as ``simulate``'s step check relies on.
+    derivative, which holds at any clocks, as ``simulate``'s step check
+    relies on.
     """
     check_rules(JACOBIAN_RULES[variant], params)
     return jacobian_stack(variant, params)

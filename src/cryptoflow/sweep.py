@@ -1,7 +1,7 @@
 """Two-parameter stability sweeps and their serialized maps.
 
 A sweep evaluates a verdict on an inclusive rectangular lattice, either from
-eigenvalues of the closed-form Jacobian or from the variant's closed-form
+eigenvalues of the equilibrium Jacobian or from the variant's closed-form
 criterion.  All cells go through one batched evaluation
 (``criteria.evaluate_points``).  Cells that cannot be evaluated (invalid
 parameters, out of scope, no solvable spectrum) become Invalid cells instead

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from cryptoflow import (
     gbm_simulate,
     normal_tail,
 )
+from cryptoflow.gbm import _standard_normals
 
 
 def test_zero_volatility_is_exact_exponential():
@@ -153,6 +155,12 @@ def test_simulate_rejects_a_path_leaving_the_float_range(params, p0):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="leaves the float range"):
             gbm_simulate(params, p0=p0)
+
+
+def test_the_top_uniform_draw_stays_below_one():
+    # (2^53 - 1 + 0.5) / 2^53 rounds to 1.0, where the inverse CDF is +inf
+    top = SimpleNamespace(integers=lambda low, high, size, dtype: np.full(size, high - 1, dtype))
+    assert 8.0 < _standard_normals(top, 1).item() < math.inf
 
 
 def test_log_step_is_what_the_path_takes():

@@ -1,12 +1,13 @@
 """The model core's bytes and the CLI documents' bytes, pinned by SHA-256 digests.
 
-Each core case hashes the exact bytes the core produces: the closed-form
-Jacobians (``jacobian_stack``), short RK4 runs from the kicked equilibrium
-(``integrate``, as CSV) and three guard-stopped runs (the exception class, its
-message, its time and its partial run).  Only elementwise IEEE arithmetic
-and ``%.17g`` formatting feed these bytes, no LAPACK and no scipy, so the
-digests do not depend on the BLAS build.  A refactor of the Jacobian table
-or of the RK4 loop that changes any bit of any value fails here.
+Each core case hashes the exact bytes the core produces: the Jacobians
+(``jacobian_stack``, the equations' exact derivative), short RK4 runs from
+the kicked equilibrium (``integrate``, as CSV) and three guard-stopped runs
+(the exception class, its message, its time and its partial run).  Only
+elementwise IEEE arithmetic and ``%.17g`` formatting feed these bytes, no
+LAPACK and no scipy, so the digests do not depend on the BLAS build.  A
+refactor of the equations, their derivative or the RK4 loop that changes
+any bit of any value (a zero's sign included) fails here.
 
 The CLI cases hash the stdout of one run of each verb through ``cli.main``.
 Eigenvalues feed the analyze and sweep documents, so those two digests hold
@@ -54,6 +55,10 @@ POINTS = {
         c1=np.array([0.5, 1.0, 3.0]),
         c2=np.array([0.5, 1.0, 3.0]),
     ),
+    "unequal_clocks": ModelParams(q=0.3, q1=0.2, q2=0.7, tau0=0.35, c=0.6, c1=1.7, c2=4.2,
+                                  c3=6.5),
+    # the entries -q/c, -q1/c1 and -q2/c2 are -0.0
+    "zero_amplitudes": ModelParams(q=0.0, q1=0.0, q2=0.0),
 }
 
 JACOBIAN_DIGESTS = {
@@ -75,6 +80,18 @@ JACOBIAN_DIGESTS = {
         "aa0db198703ac6b7ff9185ad6ea0a481e14a6780c01127dc14dc2bd68ad45cb9",
     ("liquidity2x2", "batch"):
         "0c8da4ce72e1f08c4a8a6848e6c3e4e3b4639d62c2eac9e338a781b88a2484a3",
+    ("full5x5", "unequal_clocks"):
+        "054245d305a621fbff739697dd5911e01b48bf971cc2b867db0f5b7011b4c8c7",
+    ("sentiment3x3", "unequal_clocks"):
+        "b5974f27817ab9ba7b2a694f2df3ab0e07d607a62f7f25596c40e96695538258",
+    ("liquidity2x2", "unequal_clocks"):
+        "385747b58d20998fe11c7bcfa55689aea628b7d8a6b2d77ab738314e36bc3589",
+    ("full5x5", "zero_amplitudes"):
+        "869dd7b4fa267910db67b317df4a6c139b68fb24dd5c2387d3df0196c8665bf5",
+    ("sentiment3x3", "zero_amplitudes"):
+        "c78cfd757c0ae9f4b60a8cc3b38c0f949298285243d2b2a54255f752a41e0356",
+    ("liquidity2x2", "zero_amplitudes"):
+        "6aab5f987fdb57256fc734597e76b6b86e0767c6fd7172162fbf49a6c02c80bd",
 }
 
 RUN_CONFIGS = {
