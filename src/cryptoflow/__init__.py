@@ -16,7 +16,7 @@ _EXPORTS = {
     "errors": (
         "CryptoflowError", "NonFiniteParameter", "NonPositiveTimeScale",
         "NegativeAmplitude", "StateOutOfDomain", "BlowUp", "UnsupportedScaling",
-        "ScalingOutOfScope", "OutOfScope", "ConvergenceFailure", "DegreeOutOfRange",
+        "ScalingOutOfScope", "OutOfScope", "ConvergenceFailure",
     ),
     "inputs": (
         "Variant", "ModelParams",
@@ -30,12 +30,12 @@ _EXPORTS = {
     "stability": (
         "Polynomial", "Spectrum", "StabilityVerdict", "Verdict",
         "jacobian_analytic", "jacobian_numeric", "char_poly", "eigenvalues",
-        "classify",
+        "hurwitz_stable", "classify",
     ),
     "criteria": (
         "CriterionResult", "criterion_2x2", "criterion_3x3",
         "criterion_5x5_q2zero", "rh_5x5", "sufficient_5x5", "simple_condition_5x5",
-        "hurwitz_stable", "verify_consistency", "ConsistencyReport", "Mismatch",
+        "verify_consistency", "ConsistencyReport", "Mismatch",
     ),
     "simulate": (
         "Trajectory", "integrate", "perturb_and_classify",

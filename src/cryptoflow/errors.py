@@ -64,7 +64,3 @@ class OutOfScope(CryptoflowError):
 
 class ConvergenceFailure(CryptoflowError):
     """The eigenvalue solver failed to converge."""
-
-
-class DegreeOutOfRange(CryptoflowError):
-    """A polynomial degree is outside the supported range."""

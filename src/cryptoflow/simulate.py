@@ -200,10 +200,13 @@ def _fit_growth_rate(traj: Trajectory, reference: np.ndarray, truncated: bool) -
     else:
         mask = traj.times >= 0.5 * traj.times[-1]
     mask &= deviations > RATE_FLOOR
-    if int(np.sum(mask)) < 2:
-        return float("nan")
-    slope = np.polyfit(traj.times[mask], np.log(deviations[mask]), 1)[0]
-    return float(slope)
+    times = traj.times[mask]
+    with np.errstate(all="ignore"):
+        # polyfit divides t by this scale, which must be finite and nonzero
+        scale = np.sqrt(np.sum(times * times))
+        if len(times) < 2 or not np.isfinite([scale, 1.0 / scale]).all():
+            return float("nan")
+    return float(np.polyfit(times, np.log(deviations[mask]), 1)[0])
 
 
 def _check_step(variant: Variant, params: ModelParams, h: float,

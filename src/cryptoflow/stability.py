@@ -3,9 +3,9 @@
 The Jacobian of each variant at P = Pa = L = 1, zeta1 = zeta2 = 0 is the
 exact derivative of the model's equations (forward-mode, ``model.Dual``); a
 central-difference Jacobian is provided as an independent cross-check.
-Characteristic polynomials are computed by the Faddeev--LeVerrier trace
-recursion rather than from eigenvalues, so the closed-form route and the
-eigensolver route stay independent of each other.
+Characteristic polynomials come from the Faddeev--LeVerrier trace recursion
+and ``hurwitz_stable`` decides them by a Routh array in exact rationals, so
+that route and the eigensolver route stay independent of each other.
 """
 
 from __future__ import annotations
@@ -208,6 +208,31 @@ def char_poly(m: np.ndarray) -> Polynomial:
             am[i][i] += ck
         mk = am
     return Polynomial(tuple(coeffs))
+
+
+def hurwitz_stable(poly: Polynomial) -> bool:
+    """All roots in the open left half plane, decided exactly by the Routh array.
+
+    Accepts a monic polynomial of any degree >= 1 with finite coefficients.
+    The Hurwitz minors are all positive iff the Routh pivots are (Gantmacher,
+    *Theory of Matrices* II, ch. XV); the array is built in ``Fraction``
+    arithmetic, so the answer is exact for the coefficients as stored.
+    """
+    n = poly.degree
+    if n < 1:
+        raise ValueError(f"polynomial degree must be at least 1, got {n}")
+    if not np.isfinite(poly.coeffs).all():
+        raise ValueError("polynomial coefficients must be finite")
+    if abs(poly.coeffs[0] - 1.0) > 1e-12:
+        raise ValueError(f"polynomial must be monic, leading coefficient {poly.coeffs[0]}")
+    a = [Fraction(x) for x in poly.coeffs]
+    upper, lower = a[0::2], a[1::2]
+    for _ in range(n):
+        if lower[0] <= 0:
+            return False
+        ratio = upper[0] / lower[0]
+        upper, lower = lower, [u - ratio * v for u, v in zip(upper[1:], lower[1:] + [0])]
+    return True
 
 
 def ordered_spectra(stack: np.ndarray) -> np.ndarray:

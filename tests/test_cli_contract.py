@@ -256,6 +256,20 @@ def test_simulate_step_count_boundary(argv, code, text):
         assert doc["error"] == "MemoryError"
 
 
+@pytest.mark.parametrize("argv", [
+    # ten steps of 1e-300: the fit's sum of t^2 underflows to 0
+    ("--step", "1e-300", "--horizon", "1e-299"),
+    # times near 1e300: the sum of t^2 overflows
+    ("--tau0", "1e300", "--c", "1e300", "--horizon", "1e300", "--step", "1e299"),
+])
+def test_extreme_time_scales_give_a_nan_growth_rate(capfd, argv):
+    code, out, _ = _run("simulate", "--variant", "liquidity2x2", *argv)
+    assert code == 0
+    assert json.loads(out)["growth_rate"] == "nan"
+    # LAPACK's messages go to file descriptor 1, past redirect_stdout
+    assert capfd.readouterr() == ("", "")
+
+
 def test_a_kick_too_small_to_move_p_is_a_usage_error():
     code, _, doc = _run("simulate", "--variant", "full5x5", "--delta", "1e-300")
     assert code == 2

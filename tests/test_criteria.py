@@ -17,7 +17,6 @@ from cryptoflow import (
     LIQUIDITY_2X2,
     SENTIMENT_3X3,
     Axis,
-    DegreeOutOfRange,
     Method,
     ModelParams,
     NegativeAmplitude,
@@ -259,10 +258,19 @@ def test_hurwitz_cubic_examples():
 
 
 def test_hurwitz_degree_range():
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(ValueError, match="degree must be at least 1, got 0"):
         hurwitz_stable(Polynomial((1.0,)))
-    with pytest.raises(DegreeOutOfRange):
-        hurwitz_stable(Polynomial((1.0,) * 7))
+    # (lambda + 1)(lambda + 2)...(lambda + 6), then (lambda^7 - 1)/(lambda - 1),
+    # whose roots are the 7th roots of unity other than 1
+    assert hurwitz_stable(Polynomial((1.0, 21.0, 175.0, 735.0, 1624.0, 1764.0, 720.0)))
+    assert not hurwitz_stable(Polynomial((1.0,) * 7))
+
+
+def test_hurwitz_decides_exactly_where_float_minors_fail():
+    # with leading-first coefficients 1, a1, a2, a3, the exact Delta2 =
+    # a1*a2 - a3 is +7.55e-17, below a float determinant's roundoff
+    assert hurwitz_stable(Polynomial(
+        (1.0, 2.929433662872602, 0.6339139535783986, 1.857008874977221)))
 
 
 def test_hurwitz_requires_monic():
@@ -279,7 +287,7 @@ def test_hurwitz_rejects_non_finite_coefficients(coeff):
 def test_hurwitz_against_root_oracle():
     rng = np.random.default_rng(31)
     for _ in range(300):
-        n = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 9))
         roots = []
         while len(roots) < n:
             if n - len(roots) >= 2 and rng.random() < 0.5:
