@@ -438,11 +438,11 @@ def execute(run: Callable[[], int]) -> int:
     whichever verb runs, though each runner imports the names it calls and
     only ``baseline`` needs scipy: dropping ``gbm`` here (ROADMAP item 2,
     step A) waits on the benchmark revision (item 1).  The benchmark's
-    ``peak_rss_mb`` reads its runner, which grows with each completed cycle,
-    so a faster ``map`` reads higher.  With step A, ``perfbench/run.py
-    --workload map --seed 7 --seconds 18`` (2 vCPUs, Python 3.11.7, numpy
-    2.4.6) went from 30.6k/28.0k to 49.8k/53.0k units/s, from 6/5 to 9/10
-    cycles and from 63.5/60.2 to 73.8/77.5 MB, against a 5 % bound.
+    ``peak_rss_mb`` reads its runner, which grows with each cycle, and step A
+    fits more cycles in 18 s (2 vCPUs, Python 3.11.7, numpy 2.4.6): ``map``
+    at seed 7 went from 6/5 to 9/10 cycles and 63.5/60.2 to 73.8/77.5 MB,
+    and ``trajectory`` at seed 2801 from 5 to 10 cycles and 57.8 to 68.6 MB,
+    each against a 5 % bound.
     """
     # criteria loads model and stability
     from . import criteria, gbm, simulate, sweep  # noqa: F401

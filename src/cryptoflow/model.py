@@ -20,10 +20,10 @@ With S = 1 + 2*zeta1 + 2*zeta2 the full system reads
     zeta1' = (q1*(S*L/P - 1) - zeta1) / c1
     zeta2' = (q2*(Pa - P)/Pa - zeta2) / c2
 
-The smaller variants drop the corresponding rows and freeze the dropped
-sentiments at 0.  These equations are written once, in :func:`_derivative`:
-the integrator runs them, and ``stability.jacobian_stack`` differentiates
-them exactly by running them on a :class:`Dual` number.
+The smaller variants keep their own rows of it, with the dropped states
+frozen at equilibrium.  These equations are written once, in
+:func:`_derivative`: the integrator runs them, and ``stability.jacobian_stack``
+differentiates them exactly by running them on a :class:`Dual` number.
 """
 
 from __future__ import annotations
@@ -127,35 +127,15 @@ def _derivative(variant: Variant, params: ModelParams):
     variant) below the floor raises StateOutOfDomain rather than being
     clamped.  :func:`rhs` wraps it for arrays, the integrator calls it
     directly at every stage, and ``stability.jacobian_stack`` runs it on a
-    :class:`Dual` state, so the equations below are the only copy.
+    :class:`Dual` state.  A smaller variant runs the full closure with its
+    dropped states at equilibrium (Pa = 1, sentiments 0) and keeps its own
+    rows, bit for bit as if written alone: no kept row reads Pa, and the
+    frozen zeros enter only as ``+ 2.0*0.0`` and ``1.0*x``.
     """
     q, q1, q2 = params.q, params.q1, params.q2
     tau0, c, c1, c2, c3 = params.tau0, params.c, params.c1, params.c2, params.c3
 
-    if variant is Variant.LIQUIDITY_2X2:
-        def derivative(state):
-            p, liq = state
-            if p < P_FLOOR:
-                raise _below_floor("P", p)
-            excess = liq - p
-            return (excess / tau0, (1.0 - liq + q * excess) / c)
-        return derivative
-
-    if variant is Variant.SENTIMENT_3X3:
-        def derivative(state):
-            p, liq, z1 = state
-            if p < P_FLOOR:
-                raise _below_floor("P", p)
-            s = 1.0 + 2.0 * z1
-            excess = s * liq - p
-            return (
-                excess / tau0,
-                (1.0 - liq + q * excess) / c,
-                (q1 * (s * liq / p - 1.0) - z1) / c1,
-            )
-        return derivative
-
-    def derivative(state):
+    def full(state):
         p, pa, liq, z1, z2 = state
         if p < P_FLOOR:
             raise _below_floor("P", p)
@@ -170,6 +150,19 @@ def _derivative(variant: Variant, params: ModelParams):
             (q1 * (s * liq / p - 1.0) - z1) / c1,
             (q2 * ((pa - p) / pa) - z2) / c2,
         )
+
+    if variant is Variant.SENTIMENT_3X3:
+        def derivative(state):
+            p, liq, z1 = state
+            dp, _, dliq, dz1, _ = full([p, 1.0, liq, z1, 0.0])
+            return (dp, dliq, dz1)
+    elif variant is Variant.LIQUIDITY_2X2:
+        def derivative(state):
+            p, liq = state
+            dp, _, dliq, _, _ = full([p, 1.0, liq, 0.0, 0.0])
+            return (dp, dliq)
+    else:
+        return full
     return derivative
 
 
@@ -178,7 +171,8 @@ def rhs(variant: Variant, params: ModelParams, state: np.ndarray) -> np.ndarray:
 
     Parameters are assumed valid (see :func:`validate_params`); the state is
     checked against the price floor and rejected with StateOutOfDomain rather
-    than clamped.
+    than clamped.  A zero clock is invalid also where the variant ignores it
+    (the dropped rows are still evaluated): it raises ZeroDivisionError.
     """
     state = np.asarray(state, dtype=float)
     if state.shape != (variant.dim,):

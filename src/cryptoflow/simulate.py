@@ -126,9 +126,10 @@ def integrate(
 
     The parameters and the initial shape are checked once; each RK4 stage
     then works on plain floats through the variant's derivative
-    (``model._derivative``), and the guard checks every stage's state and
-    every step's result.  The result equals, bit for bit, that of the same
-    RK4 written on numpy arrays around :func:`model.rhs`.
+    (``model._derivative``), and the guard checks the initial state, every
+    stage's state and every step's result, each once.  The result equals,
+    bit for bit, that of the same RK4 written on numpy arrays around
+    :func:`model.rhs`.
 
     Raises:
         BlowUp: a component exceeded the guard in magnitude, or is NaN;
@@ -152,18 +153,21 @@ def integrate(
     derivative = _derivative(variant, params)
 
     # Row 0 is the initial state, row k the state after k steps.
+    # Allocated whole before the first step, so a run too long for memory fails at once.
     times = np.empty(total_steps + 1)
     states = np.empty((total_steps + 1, variant.dim))
     times[0] = 0.0
     states[0] = initial
 
-    state = initial.tolist()
+    # A stop at the initial state records row 0 at t = 0.0, a float as i * h is.
+    state, t, i = initial.tolist(), 0.0, 0
     try:
+        _within_guard(state, t)
         for i in range(total_steps):
             t = i * h
             hi = h if i < n_full else last_partial
             half = 0.5 * hi
-            k1 = derivative(_within_guard(state, t))
+            k1 = derivative(state)
             k2 = derivative(_within_guard([x + half * k for x, k in zip(state, k1)], t))
             k3 = derivative(_within_guard([x + half * k for x, k in zip(state, k2)], t))
             k4 = derivative(_within_guard([x + hi * k for x, k in zip(state, k3)], t))

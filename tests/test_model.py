@@ -1,6 +1,7 @@
 """Model definitions: variants, parameter validation, and the vector field."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,3 +227,29 @@ def test_the_smaller_variants_are_restrictions_of_the_full_model(params, prices,
         full = rhs(FULL_5X5, params, np.array(full_state))
         rows = [FULL_5X5.labels.index(name) for name in variant.labels]
         assert rhs(variant, params, np.array(state)).tobytes() == full[rows].tobytes()
+
+
+# Any valid value, from the smallest positive clock to the largest amplitude,
+# so that the rows a variant drops may overflow or lose every digit.
+wide_amplitudes = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+wide_clocks = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=params_strategy(),
+       ignored=st.fixed_dictionaries({
+           **{name: wide_amplitudes for name in ("q1", "q2")},
+           **{name: wide_clocks for name in ("c1", "c2", "c3")}}),
+       prices=st.tuples(*[st.floats(min_value=1e-3, max_value=1e3)] * 2),
+       z1=st.floats(min_value=-10.0, max_value=10.0))
+def test_a_variant_reads_none_of_the_fields_it_ignores(params, ignored, prices, z1):
+    # the smaller variants evaluate the full model's dropped rows too; the
+    # fields only those rows read must not reach the kept rows
+    p, liq = prices
+    for variant, state in ((SENTIMENT_3X3, (p, liq, z1)), (LIQUIDITY_2X2, (p, liq))):
+        other = replace(params, **{name: ignored[name] for name in ignored_fields(variant)})
+        validate_params(other, variant)
+        assert (rhs(variant, params, np.array(state)).tobytes()
+                == rhs(variant, other, np.array(state)).tobytes()), variant
+        assert (jacobian_stack(variant, params).tobytes()
+                == jacobian_stack(variant, other).tobytes()), variant
