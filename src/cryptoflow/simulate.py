@@ -127,16 +127,18 @@ def integrate(
     The parameters and the initial shape are checked once; each RK4 stage
     then works on plain floats through the variant's derivative
     (``model._derivative``), and the guard checks the initial state, every
-    stage's state and every step's result, each once.  The result equals,
-    bit for bit, that of the same RK4 written on numpy arrays around
-    :func:`model.rhs`.
+    stage's state and every step's result, each once.  The derivative's
+    price-floor check reaches every state, the last one included.  The
+    result equals, bit for bit, that of the same RK4 written on numpy arrays
+    around :func:`model.rhs`.
 
     Raises:
         BlowUp: a component exceeded the guard in magnitude, or is NaN;
             carries the time (the stage's time, or the step's end time when
             the step's result is past the guard) and the partial run.
-        StateOutOfDomain: a stage state fell below the price floor; carries
-            the stage's time and the partial run.
+        StateOutOfDomain: a stage state, or the last state, fell below the
+            price floor; carries the stage's time (the horizon's for the last
+            state) and the partial run.
         ValueError: the initial state has the wrong shape, or the step
             count horizon / step is not finite.
     """
@@ -177,8 +179,12 @@ def integrate(
                                    for x, a, b, c, d in zip(state, k1, k2, k3, k4)], t)
             times[i + 1] = t
             states[i + 1] = state
+        # The last state gets the floor check the next step's k1 would make.
+        i = total_steps
+        derivative(state)
     except (BlowUp, StateOutOfDomain) as exc:
-        # The run stopped within step i, so rows 0..i are recorded.
+        # The run stopped within step i, or at the last state (i = total_steps),
+        # so rows 0..i are recorded.
         exc.time = t
         exc.partial = Trajectory(variant=variant, params=params,
                                  times=times[:i + 1].copy(), states=states[:i + 1].copy())

@@ -1,15 +1,20 @@
-"""The process entry point: ``python -m cryptoflow`` runs ``__main__.main``.
+"""The process entry points: ``python -m cryptoflow`` and the ``cryptoflow``
+console script both run ``__main__.main``.
 
-A fresh process gives the same stdout, stderr, exit code and --out bytes as
-``main()`` called in this process, and a stdout that cannot be written is a
-runtime error (exit 3) reported as one JSON object on stderr.  The process
-sets the native thread counts to 1 unless they are set already, so it runs
-no BLAS worker threads.
+``CASES`` and ``REJECTED`` are the CLI's contract cases.  Each ``CASES`` row
+gives the exit code, stdout, stderr and --out bytes of ``main()`` called in
+this process through both entry points, and each ``REJECTED`` row exits 2
+with its message through both.  The console-script tests need a
+``cryptoflow`` on PATH and are skipped without it.  A stdout that cannot be
+written is a runtime error (exit 3) reported as one JSON object on stderr.
+The process sets the native thread counts to 1 unless they are set already,
+so it runs no BLAS worker threads.
 """
 
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -20,6 +25,9 @@ from cryptoflow.cli import main
 
 SWEEP = ("sweep", "--variant", "liquidity2x2", "--axis1", "q:0:5:11",
          "--axis2", "tau0:0.5:2:6")
+CLOSED_FORM_SWEEP = ("sweep", "--method", "closed_form", "--variant", "full5x5",
+                     "--axis1", "c_over_tau0:0.05:3:11", "--axis2", "q:0:4:11",
+                     "--format", "csv")
 CASES = [
     (("analyze", "--variant", "liquidity2x2"), 0),
     ((*SWEEP, "--format", "json"), 0),
@@ -35,7 +43,16 @@ CASES = [
     (("baseline", "-n", "5", "--out", "{dir}/missing/path.csv"), 3),
     (("--help",), 0),
     (("--version",), 0),
+    (("baseline", "--mu", "-1e-4", "-n", "3"), 0),
+    (("sweep", "--out", "{dir}/m.SVG", *SWEEP[1:]), 0),
+    (("analyze", "--c", "2", "--c1", "2", "--c2", "2", "--variant", "full5x5"), 0),
+    (CLOSED_FORM_SWEEP, 0),
 ]
+MODULE = (sys.executable, "-m", "cryptoflow")
+SCRIPT = shutil.which("cryptoflow")
+needs_script = pytest.mark.skipif(SCRIPT is None, reason="no cryptoflow console script on PATH")
+# The process entry points at hand: the module always, the script when installed.
+PROCESSES = [MODULE] + ([(SCRIPT,)] if SCRIPT else [])
 
 
 def _env(**extra):
@@ -64,18 +81,35 @@ def _in_process(argv, capsys, monkeypatch):
     return code, captured.out, captured.err, _out_bytes(argv)
 
 
-def _fresh_process(argv):
-    proc = subprocess.run([sys.executable, "-m", "cryptoflow", *argv],
-                          capture_output=True, text=True, env=_env(), timeout=120)
+def _fresh_process(argv, entry=MODULE, **env):
+    proc = subprocess.run([*entry, *argv], capture_output=True, text=True,
+                          env=_env(**env), timeout=120)
     return proc.returncode, proc.stdout, proc.stderr, _out_bytes(argv)
 
 
-@pytest.mark.parametrize("argv,code", CASES, ids=[" ".join(a[:3]) for a, _ in CASES])
+CASE_IDS = [" ".join(a[:3]) for a, _ in CASES]
+
+
+@pytest.mark.parametrize("argv,code", CASES, ids=CASE_IDS)
 def test_a_fresh_process_matches_main(tmp_path, capsys, monkeypatch, argv, code):
     argv = [arg.format(dir=tmp_path) for arg in argv]
     expected = _in_process(argv, capsys, monkeypatch)
     assert expected[0] == code
     assert _fresh_process(argv) == expected
+
+
+@needs_script
+@pytest.mark.parametrize("argv,code", CASES, ids=CASE_IDS)
+def test_the_console_script_matches_main(tmp_path, capsys, monkeypatch, argv, code):
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    expected = _in_process(argv, capsys, monkeypatch)
+    assert expected[0] == code
+    assert _fresh_process(argv, (SCRIPT,)) == expected
+
+
+def test_the_closed_form_full_sweep_has_no_invalid_cell(capsys, monkeypatch):
+    code, out, err, _ = _in_process(list(CLOSED_FORM_SWEEP), capsys, monkeypatch)
+    assert (code, err, out.count("\n"), "invalid" in out) == (0, "", 1 + 11 * 11, False)
 
 
 class _FullStdout(io.StringIO):
@@ -94,25 +128,28 @@ def test_main_maps_an_unwritable_stdout_to_exit_3(monkeypatch, capsys, argv):
                                "message": "[Errno 28] No space left on device"}
 
 
+def _buffering_env(unbuffered):
+    env = {k: v for k, v in _env().items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
 def _run_on_dev_full(argv, unbuffered):
-    env = _env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "cryptoflow", *argv], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "OSError"
+    for entry in PROCESSES:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([*entry, *argv], stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=_buffering_env(unbuffered), timeout=120)
+        assert proc.returncode == 3, entry
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "OSError"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_stdout_on_dev_full_exits_3(unbuffered):
     _run_on_dev_full(("analyze", "--variant", "liquidity2x2"), unbuffered)
+    _run_on_dev_full((*SWEEP, "--format", "json"), unbuffered)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -128,23 +165,20 @@ def test_a_pipe_closed_mid_export_exits_3(unbuffered):
     # The map's CSV (about 600 kB) is far larger than a pipe holds, so the
     # child is still writing when the reader closes.  Unbuffered, stdout is a
     # raw file whose short write TextIOWrapper would drop without an error.
-    env = _env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen([sys.executable, "-m", "cryptoflow", "sweep", "--variant",
-                             "liquidity2x2", "--axis1", "q:0:5:101", "--axis2",
-                             "tau0:0.5:2:101"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
-    head = proc.stdout.read(100)
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert head.startswith(b"axis1,axis2,max_real_or_margin,verdict\n")
-    assert proc.returncode == 3
-    lines = err.decode().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": "BrokenPipeError",
-                                    "message": "[Errno 32] Broken pipe"}
+    for entry in PROCESSES:
+        proc = subprocess.Popen([*entry, "sweep", "--variant", "liquidity2x2", "--axis1",
+                                 "q:0:5:101", "--axis2", "tau0:0.5:2:101"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_buffering_env(unbuffered))
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head.startswith(b"axis1,axis2,max_real_or_margin,verdict\n")
+        assert proc.returncode == 3, entry
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "BrokenPipeError",
+                                        "message": "[Errno 32] Broken pipe"}
 
 
 # Runs the CLI as ``python -m cryptoflow`` does and, as the process ends,
@@ -216,7 +250,8 @@ def _usage_error(message):
 # Invocations the boundary rejects, each with its whole stderr: the point
 # workload's five usage errors, a bad config file, --drop and --sigma checked
 # before the path is simulated, negative seeds, the verify and baseline
-# options that only the run checked before, and sweep axes that collide.
+# options that only the run checked before, sweep axes that collide, an
+# abbreviated flag with a dash-led value, no threads, and a one-step axis.
 REJECTED = [
     (("sweep", "--variant", "liquidity2x2", "--axis1", "bogus:0:1:5", "--axis2", "q:0:1:5"),
      "axis 'bogus:0:1:5': unknown axis 'bogus'; choose from "
@@ -242,14 +277,27 @@ REJECTED = [
     (("baseline", "--p0", "0"), "p0 must be positive, got 0.0"),
     (("sweep", "--axis1", "K:0:4:3", "--axis2", "q:0:1:3", "--variant", "liquidity2x2"),
      "axes 'K' and 'q' both write q"),
+    (("baseline", "--sig", "-1e-4", "-n", "3"), "sigma must be nonnegative, got -0.0001"),
+    (("analyze", "--threads", "0"), "threads must be >= 1, got 0"),
+    (("sweep", "--axis1", "q:0:1:1", "--axis2", "tau0:0.5:2:11", "--variant", "liquidity2x2"),
+     "axis 'q:0:1:1': axis q: steps must be >= 2, got 1"),
 ]
+REJECTED_IDS = [" ".join(a[:3]) for a, _ in REJECTED]
 
 
-@pytest.mark.parametrize("argv,message", REJECTED, ids=[" ".join(a[:3]) for a, _ in REJECTED])
+@pytest.mark.parametrize("argv,message", REJECTED, ids=REJECTED_IDS)
 def test_a_rejected_invocation_loads_neither_numpy_nor_scipy(tmp_path, argv, message):
     (tmp_path / "bad.json").write_text('{"q": "x"}')
     argv = [arg.format(dir=tmp_path) for arg in argv]
     assert _loaded_by(argv, tmp_path) == (2, "", _usage_error(message), [])
+
+
+@needs_script
+@pytest.mark.parametrize("argv,message", REJECTED, ids=REJECTED_IDS)
+def test_the_console_script_rejects_the_same_invocations(tmp_path, argv, message):
+    (tmp_path / "bad.json").write_text('{"q": "x"}')
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert _fresh_process(argv, (SCRIPT,))[:3] == (2, "", _usage_error(message))
 
 
 @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
@@ -257,8 +305,10 @@ def test_a_bad_source_date_epoch_on_sweep_loads_neither_numpy_nor_scipy(tmp_path
     sweep = ("sweep", "--variant", "liquidity2x2", "--axis1", "q:0:1:3",
              "--axis2", "tau0:1:2:3")
     message = f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {epoch!r}"
-    assert _loaded_by(sweep, tmp_path, SOURCE_DATE_EPOCH=epoch) == \
-        (2, "", _usage_error(message), [])
+    expected = (2, "", _usage_error(message))
+    assert _loaded_by(sweep, tmp_path, SOURCE_DATE_EPOCH=epoch) == (*expected, [])
+    for entry in PROCESSES[1:]:
+        assert _fresh_process(sweep, entry, SOURCE_DATE_EPOCH=epoch)[:3] == expected
 
 
 def test_verbs_other_than_sweep_ignore_source_date_epoch(tmp_path):
@@ -269,10 +319,9 @@ def test_verbs_other_than_sweep_ignore_source_date_epoch(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("--version",)], ids=" ".join)
-def test_help_and_version_load_neither_numpy_nor_scipy(tmp_path, capsys, monkeypatch, argv):
-    code, out, err, _ = _in_process(list(argv), capsys, monkeypatch)
-    assert _loaded_by(argv, tmp_path) == (code, out, err, [])
-    assert code == 0 and out and err == ""
+def test_help_and_version_load_neither_numpy_nor_scipy(tmp_path, argv):
+    code, out, err, loaded = _loaded_by(argv, tmp_path)
+    assert (code, err, loaded) == (0, "", []) and out
 
 
 def test_a_valid_run_loads_numpy_and_scipy(tmp_path):

@@ -140,6 +140,7 @@ def reference_integrate(variant, params, initial, config=SimConfig()):
             )
         times.append(t_next)
         recorded.append(state.copy())
+    guarded_rhs(state, times[-1])  # the floor check the next step's k1 would make
     return partial()
 
 
@@ -276,6 +277,26 @@ def test_price_floor_exit_carries_time_and_partial():
                   SimConfig(step=0.01, horizon=100.0))
     assert err.value.time > 0.0
     assert err.value.partial.states[:, 0].min() >= 0.0
+
+
+def test_a_last_state_below_the_floor_is_a_domain_exit():
+    # Step 244 ends on the horizon at P = -0.2039.  No stage evaluates a
+    # derivative there, yet the run stops there as a longer run does.
+    p = ModelParams(q=2.07, q1=0.11, q2=0.07, tau0=1.72, c=1.26, c1=0.76, c2=0.77,
+                    c3=0.9)
+    at_end, longer = (perturb_and_classify(FULL_5X5, p, SimConfig(step=0.2, horizon=h))
+                      for h in (48.8, 200.0))
+    assert at_end.failure_time == longer.failure_time == 244 * 0.2
+    assert at_end.deviation_ratio == longer.deviation_ratio == math.inf
+    assert at_end.growth_rate == longer.growth_rate
+    assert at_end.trajectory.states[-1][0] < 0.0
+    assert at_end.trajectory.times.tobytes() == longer.trajectory.times.tobytes()
+    assert at_end.trajectory.states.tobytes() == longer.trajectory.states.tobytes()
+    initial = at_end.trajectory.states[0]
+    config = SimConfig(step=0.2, horizon=48.8)
+    expected = _outcome(reference_integrate, FULL_5X5, p, initial, config)
+    assert (expected[0], expected[2]) == (StateOutOfDomain, "48.800000000000004")
+    assert _outcome(integrate, FULL_5X5, p, initial, config) == expected
 
 
 def test_integrate_validates_inputs():
