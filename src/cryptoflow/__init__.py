@@ -21,7 +21,7 @@ _EXPORTS = {
     "inputs": (
         "Variant", "ModelParams",
         "validate_params", "ignored_fields", "DEFAULT_EPS", "DEFAULT_BAND",
-        "SimConfig", "Axis", "SweepSpec", "Method", "GbmParams",
+        "SimConfig", "default_step", "Axis", "SweepSpec", "Method", "GbmParams",
     ),
     "model": (
         "FULL_5X5", "SENTIMENT_3X3", "LIQUIDITY_2X2", "P_FLOOR",
@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "simulate": (
         "Trajectory", "integrate", "perturb_and_classify",
-        "PerturbationOutcome", "EmpiricalVerdict", "default_step",
+        "PerturbationOutcome", "EmpiricalVerdict",
     ),
     "sweep": (
         "StabilityMap", "run_sweep",

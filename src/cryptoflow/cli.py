@@ -46,6 +46,7 @@ from .inputs import (
     check_exceedance,
     check_positive,
     check_verify,
+    default_step,
     ignored_fields,
     timestamp,
     validate_params,
@@ -260,6 +261,8 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
             validate_params(params, variant)
             sim = SimConfig(step=merged["step"], horizon=merged["horizon"],
                             perturbation=merged["delta"])
+            if sim.step is None:
+                sim.grid(default_step(variant, params))
             return partial(_run_simulate, variant, params, sim, out=out)
         if verb == "verify":
             pins = {key: getattr(params, key) for key in PARAM_FIELDS

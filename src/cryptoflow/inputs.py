@@ -1,11 +1,12 @@
 """The values a run is built from, and every check on them, without numpy.
 
-Model variants and parameters, integration controls, sweep axes and specs,
-baseline parameters, the checks of counts, positive quantities, dead bands
-and the verify and baseline options, and the SOURCE_DATE_EPOCH timestamp all
-live here, and this module imports neither numpy nor scipy.  So the command
-line builds and checks a whole invocation before any numeric module loads: a
-rejected invocation, --help and --version never load them.
+Model variants and parameters, integration controls and the derived step,
+sweep axes and specs, baseline parameters, the checks of counts, positive
+quantities, dead bands and the verify and baseline options, and the
+SOURCE_DATE_EPOCH timestamp all live here, and this module imports neither
+numpy nor scipy.  So the command line builds and checks a whole invocation
+before any numeric module loads: a rejected invocation, --help and --version
+never load them.
 
 Each parameter rule is written once for a point and for a batch: a rule's
 test answers with a bool for float fields and with a bool array for array
@@ -209,13 +210,18 @@ def validate_params(params: ModelParams, variant: Variant) -> ModelParams:
     return params
 
 
+def default_step(variant: Variant, params: ModelParams) -> float:
+    """Fastest time scale the variant reads, divided by 20."""
+    scales = set(TIME_SCALES) - ignored_fields(variant)
+    return min(getattr(params, name) for name in scales) / 20.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Integration controls.
 
-    step None means "derive from the parameters": the fastest time scale the
-    variant reads, divided by 20.  perturbation is the kick applied to P by
-    :func:`simulate.perturb_and_classify`.
+    step None means "derive from the parameters" (:func:`default_step`).
+    perturbation is the kick applied to P by :func:`simulate.perturb_and_classify`.
     """
 
     step: float | None = None

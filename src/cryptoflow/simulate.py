@@ -18,11 +18,10 @@ import numpy as np
 from .errors import BlowUp, StateOutOfDomain
 from .inputs import (
     DEFAULT_EPS,
-    TIME_SCALES,
     ModelParams,
     Variant,
     SimConfig,
-    ignored_fields,
+    default_step,
     validate_params,
 )
 from .model import _derivative, equilibrium
@@ -99,12 +98,6 @@ def _ratio_verdict(ratio: float) -> EmpiricalVerdict:
     if ratio > 10.0:
         return EmpiricalVerdict.UNSTABLE
     return EmpiricalVerdict.INDETERMINATE
-
-
-def default_step(variant: Variant, params: ModelParams) -> float:
-    """Fastest time scale the variant reads, divided by 20."""
-    scales = set(TIME_SCALES) - ignored_fields(variant)
-    return min(getattr(params, name) for name in scales) / 20.0
 
 
 def _within_guard(state: list[float], t: float) -> list[float]:

@@ -4,6 +4,9 @@ Every invocation exits 0, 1, 2 or 3.  Exits 2 and 3 write one JSON object on
 stderr, nothing on stdout and no --out file.  No invocation prints a
 traceback or a Python warning.  A verb rejects bad values of the options it
 reads, before it writes anything, and ignores the options it does not read.
+The refusals the program words itself are ``REJECTED`` rows in
+test_cli_process.py; argparse's, whose wording varies with the Python
+version, are matched here by substring.
 """
 
 import contextlib
@@ -165,26 +168,11 @@ def test_a_verb_checks_only_the_options_it_reads(flag, value, ignored_by, read_b
         assert doc["error"] == "UsageError"
 
 
-def test_sigma_minus_one_is_ignored_by_analyze_and_rejected_by_baseline():
-    assert _run("analyze", "--sigma=-1")[0] == 0
-    code, _, doc = _run("baseline", "--sigma=-1")
-    assert code == 2
-    assert "sigma must be nonnegative" in doc["message"]
-
-
 @pytest.mark.parametrize("verb", tuple(VERBS))
 def test_threads_and_dead_bands_are_checked_on_every_verb(verb):
     for bad in (("--threads", "0"), ("--eps", "-1"), ("--band", "nan"), ("--eps", "inf")):
         assert _run(verb, *SMALL[verb], *bad)[0] == 2, (verb, bad)
     assert _run(verb, *SMALL[verb], "--threads", "2")[0] == 0
-
-
-def test_usage_errors_come_before_any_output(tmp_path):
-    out = tmp_path / "p.csv"
-    code, _, doc = _run("baseline", "--sigma", "0", "--drop", "0.05", "--out", str(out))
-    assert code == 2
-    assert doc["message"] == "sigma * sqrt(step) must be positive, got 0.0"
-    assert not out.exists()
 
 
 def test_unequal_full_clocks_still_fail_at_run_time():
@@ -213,6 +201,7 @@ def test_horizon_below_the_derived_step_runs_one_partial_step(tmp_path):
     # flag (-nan is -n with "an") or the option refuses it
     (("analyze", "--q", "-nan"), "argument --q: expected one argument"),
     (("analyze", "--variant", "-1e-4"), "argument --variant: invalid choice: '-1e-4'"),
+    (("baseline", "--s", "-1e-4"), "ambiguous option: --s could match"),
 ])
 def test_argparse_errors_are_one_json_object(argv, text):
     code, _, doc = _run(*argv)
@@ -239,21 +228,12 @@ def test_an_out_path_that_reads_as_a_number_is_a_file(monkeypatch, tmp_path, nam
     assert (tmp_path / name).read_text() == out
 
 
-@pytest.mark.parametrize("argv,code,text", [
-    # the horizon holds no step of the derived size 0.005
-    (("simulate", "--horizon", "1e-12"), 2, "holds no step"),
-    (("simulate", "--horizon", "1e-300"), 2, "holds no step"),
-    # 5e301 steps: more than any index can count
-    (("simulate", "--horizon", "50", "--step", "1e-300"), 2, "exceeds"),
-    # 10^18 steps: countable, but the trajectory buffer cannot be allocated
-    (("simulate", "--horizon", "1e10", "--step", "1e-8"), 3, "allocate"),
-])
-def test_simulate_step_count_boundary(argv, code, text):
-    got, _, doc = _run(*argv)
-    assert got == code
-    assert text in doc["message"]
-    if code == 3:
-        assert doc["error"] == "MemoryError"
+def test_simulate_step_count_boundary():
+    # 10^18 steps: countable, but the trajectory buffer cannot be allocated.
+    # The counts refused before numpy loads are REJECTED rows (test_cli_process.py).
+    code, _, doc = _run("simulate", "--horizon", "1e10", "--step", "1e-8")
+    assert (code, doc["error"]) == (3, "MemoryError")
+    assert "allocate" in doc["message"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,12 +248,6 @@ def test_extreme_time_scales_give_a_nan_growth_rate(capfd, argv):
     assert json.loads(out)["growth_rate"] == "nan"
     # LAPACK's messages go to file descriptor 1, past redirect_stdout
     assert capfd.readouterr() == ("", "")
-
-
-def test_a_kick_too_small_to_move_p_is_a_usage_error():
-    code, _, doc = _run("simulate", "--variant", "full5x5", "--delta", "1e-300")
-    assert code == 2
-    assert "too small to move P" in doc["message"]
 
 
 @pytest.mark.parametrize("argv,text", [

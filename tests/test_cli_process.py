@@ -3,12 +3,16 @@ console script both run ``__main__.main``.
 
 ``CASES`` and ``REJECTED`` are the CLI's contract cases.  Each ``CASES`` row
 gives the exit code, stdout, stderr and --out bytes of ``main()`` called in
-this process through both entry points, and each ``REJECTED`` row exits 2
-with its message through both.  The console-script tests need a
-``cryptoflow`` on PATH and are skipped without it.  A stdout that cannot be
-written is a runtime error (exit 3) reported as one JSON object on stderr.
-The process sets the native thread counts to 1 unless they are set already,
-so it runs no BLAS worker threads.
+this process through both entry points.  ``REJECTED`` holds every refusal
+the program words itself before numpy loads; each row exits 2 with its
+message through both, loads neither numpy nor scipy and writes no --out
+file.  The console-script tests need a ``cryptoflow`` on PATH and are
+skipped without it.  The tests whose names end in
+``neither_numpy_nor_scipy`` need neither library, so they run where only
+pytest is installed.  A stdout that cannot be written is a runtime error
+(exit 3) reported as one JSON object on stderr.  The process sets the
+native thread counts to 1 unless they are set already, so it runs no BLAS
+worker threads.
 """
 
 import io
@@ -247,57 +251,156 @@ def _usage_error(message):
     return json.dumps({"error": "UsageError", "message": message}) + "\n"
 
 
-# Invocations the boundary rejects, each with its whole stderr: the point
-# workload's five usage errors, a bad config file, --drop and --sigma checked
-# before the path is simulated, negative seeds, the verify and baseline
-# options that only the run checked before, sweep axes that collide, an
-# abbreviated flag with a dash-led value, no threads, and a one-step axis.
+# Config files the REJECTED tests write, named in a row as {dir}/<name>.
+CONFIGS = {
+    "bad.json": '{"q": "x"}',
+    "qq.json": '{"qq": 1.0}',
+    "bool.json": '{"q": true}',
+    "seed.json": '{"seed": 1.5}',
+    "variant.json": '{"variant": "bogus"}',
+    "format.json": '{"format": "yaml"}',
+    "huge.json": '{"q": 1' + "0" * 400 + "}",
+    "empty.json": "",
+    "list.json": "[]",
+}
+L2 = ("--variant", "liquidity2x2")
+L2_SWEEP = ("sweep", *L2, "--axis2", "tau0:1:2:3")
+
+# Every invocation the program refuses in its own words before numpy loads,
+# with its whole stderr, where {dir} is the test's directory; a row's --out
+# file must not exist afterwards.  Refusals worded by argparse, whose text
+# varies with the Python version, are in test_cli_contract.py's substring
+# table.
 REJECTED = [
-    (("sweep", "--variant", "liquidity2x2", "--axis1", "bogus:0:1:5", "--axis2", "q:0:1:5"),
-     "axis 'bogus:0:1:5': unknown axis 'bogus'; choose from "
-     "('q', 'q1', 'q2', 'K', 'tau0', 'c3', 'c_over_tau0')"),
+    # config files
+    (("analyze", "--config", "{dir}/bad.json"), "config key 'q' must be a number, got 'x'"),
+    (("analyze", "--config", "{dir}/qq.json"), "unknown config key 'qq'"),
+    (("analyze", "--config", "{dir}/bool.json"), "config key 'q' must be a number, got True"),
+    (("analyze", "--config", "{dir}/seed.json"),
+     "config key 'seed' must be an integer, got 1.5"),
+    (("analyze", "--config", "{dir}/variant.json"),
+     "config key 'variant' must be one of full5x5, sentiment3x3, liquidity2x2, got 'bogus'"),
+    (("analyze", "--config", "{dir}/format.json"),
+     "config key 'format' must be one of csv, json, svg, got 'yaml'"),
+    (("analyze", "--config", "{dir}/huge.json"),
+     "config key 'q' must be a number: int too large to convert to float"),
+    (("analyze", "--config", "{dir}/missing.json"), "cannot read config {dir}/missing.json: "
+     "[Errno 2] No such file or directory: '{dir}/missing.json'"),
+    (("analyze", "--config", "{dir}/empty.json"), "config {dir}/empty.json is not valid "
+     "JSON: Expecting value: line 1 column 1 (char 0)"),
+    (("analyze", "--config", "{dir}/list.json"), "config {dir}/list.json must be a JSON object"),
+    # model parameters, also after an abbreviated flag or with a dash-led value
     (("analyze", "--variant", "sentiment3x3", "--tau0", "-0.5"),
      "tau0 must be positive, got -0.5"),
-    (("simulate", "--variant", "liquidity2x2", "--c", "-1.2"), "c must be positive, got -1.2"),
+    (("analyze", "--tau0", "-.5e-3"), "tau0 must be positive, got -0.0005"),
+    (("analyze", "--q", "-inf"), "q must be finite, got -inf"),
+    (("analyze", "--q", "-1e-3"), "q must be nonnegative, got -0.001"),
+    (("analyze", "--variant", "sentiment3x3", "--q", "nan"), "q must be finite, got nan"),
+    (("analyze", *L2, "--tau0", "inf", "--out", "{dir}/a.json"),
+     "tau0 must be finite, got inf"),
+    (("simulate", *L2, "--c", "-1.2"), "c must be positive, got -1.2"),
+    (("simulate", "--variant", "sentiment3x3", "--q", "nan"), "q must be finite, got nan"),
+    (("verify", *L2, "--c=-inf", "-n", "10"), "c must be finite, got -inf"),
+    # sweep: axes and the fields no axis writes
+    (("sweep", "--out", "{dir}/map.csv"), "sweep requires --axis1 and --axis2"),
+    (("sweep", *L2, "--axis1", "bogus:0:1:5", "--axis2", "q:0:1:5"),
+     "axis 'bogus:0:1:5': unknown axis 'bogus'; choose from "
+     "('q', 'q1', 'q2', 'K', 'tau0', 'c3', 'c_over_tau0')"),
+    ((*L2_SWEEP, "--axis1", "q:0:1"), "axis 'q:0:1' must have the form name:min:max:steps"),
+    (("sweep", *L2, "--axis1", "q:2:1:5", "--axis2", "tau0:0.1:1:5"),
+     "axis 'q:2:1:5': axis q: min 2.0 must be < max 1.0"),
+    (("sweep", "--axis1", "q:0:1:1", "--axis2", "tau0:0.5:2:11", *L2),
+     "axis 'q:0:1:1': axis q: steps must be >= 2, got 1"),
+    ((*L2_SWEEP, "--axis1", "q:0:inf:3"),
+     "axis 'q:0:inf:3': axis q: bounds must be finite, got 0.0, inf"),
+    ((*L2_SWEEP, "--axis1", "q:-inf:1:3"),
+     "axis 'q:-inf:1:3': axis q: bounds must be finite, got -inf, 1.0"),
+    ((*L2_SWEEP, "--axis1", "q:nan:1:3"),
+     "axis 'q:nan:1:3': axis q: bounds must be finite, got nan, 1.0"),
+    ((*L2_SWEEP, "--axis1", "q:-1e308:1e308:3"),
+     "axis 'q:-1e308:1e308:3': axis q: span -1e+308 to 1e+308 overflows"),
+    (("sweep", *L2, "--axis1", "q:0:1:3", "--axis2", "q:1:2:3"),
+     "axes must differ, both are 'q'"),
+    (("sweep", "--axis1", "K:0:4:3", "--axis2", "q:0:1:3", *L2),
+     "axes 'K' and 'q' both write q"),
+    (("sweep", "--axis1", "K:0:2:3", "--axis2", "q1:0:1:3"),
+     "axis 'q1' writes q1, which axis 'K' holds at its fixed value"),
+    ((*L2_SWEEP, "--q1", "nan", "--axis1", "q:0:1:3"), "q1 must be finite, got nan"),
+    # the ratio axis moves only the clocks the variant ties to c
+    *((("sweep", "--variant", variant, f"--{field}", "-1", "--axis1", "q:0:2:3",
+        "--axis2", axis2), f"{field} must be positive, got -1.0")
+      for variant, field in (("liquidity2x2", "c1"), ("sentiment3x3", "c2"))
+      for axis2 in ("c_over_tau0:0.5:2:3", "tau0:0.5:2:3")),
+    # simulate: the horizon, the step, explicit or derived, and the kick
     (("simulate", "--variant", "sentiment3x3", "--horizon", "nan"),
      "horizon must be positive, got nan"),
-    (("verify", "--variant", "liquidity2x2", "-n", "10", "--eps", "nan"),
-     "eps must be >= 0, got nan"),
-    (("analyze", "--config", "{dir}/bad.json"), "config key 'q' must be a number, got 'x'"),
-    # 10^12 normals cannot be allocated: the refusal must come first
+    (("simulate", "--horizon", "inf"), "horizon must be finite, got inf"),
+    (("simulate", "--step", "0"), "step must be positive, got 0.0"),
+    (("simulate", "--step", "100"), "step 100.0 must not exceed horizon 50.0"),
+    (("simulate", "--horizon", "1e-12", "--out", "{dir}/t.csv"),
+     "horizon 1e-12 holds no step of size 0.005"),
+    (("simulate", "--horizon", "1e-300"), "horizon 1e-300 holds no step of size 0.005"),
+    (("simulate", "--horizon", "50", "--step", "1e-300"),
+     f"step count horizon / step = 50.0 / 1e-300 exceeds {sys.maxsize}"),
+    (("simulate", "--horizon", "1e300", "--step", "1e-300"),
+     "step count horizon / step = 1e+300 / 1e-300 is not finite"),
+    # the derived step is 5e-302
+    (("simulate", *L2, "--tau0", "1e-300", "--c", "1e-300", "--horizon", "1e300"),
+     "step count horizon / step = 1e+300 / 5e-302 is not finite"),
+    (("simulate", "--delta", "1"), "perturbation must lie in (0, 0.01], got 1.0"),
+    (("simulate", "--variant", "full5x5", "--delta", "1e-300"),
+     "perturbation 1e-300 is too small to move P off 1.0"),
+    # verify: samples, seed, pins and dead bands
+    (("verify", "-n", "0", "--out", "{dir}/v.json"), "n must be >= 1, got 0"),
+    (("verify", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("verify", *L2, "--q1", "0.3"),
+     "cannot pin ['q1'] for liquidity2x2; samplable fields are ['c', 'q', 'tau0']"),
+    (("verify", *L2, "-n", "10", "--eps", "nan"), "eps must be >= 0, got nan"),
+    (("verify", *L2, "-n", "100", "--eps", "inf"), "eps must be finite, got inf"),
+    (("verify", *L2, "-n", "100", "--band", "inf"), "band must be finite, got inf"),
+    # baseline, --drop and --sigma checked before the path is simulated:
+    # 10^12 normals cannot be allocated, so the refusal must come first
     (("baseline", "-n", "1000000000000", "--drop", "0"), "drop must be positive, got 0.0"),
     (("baseline", "--drop", "nan"), "drop must be positive, got nan"),
-    (("baseline", "--sigma", "0", "--drop", "0.05"),
+    (("baseline", "--drop", "inf"), "drop must be finite, got inf"),
+    (("baseline", "--sigma", "0", "--drop", "0.05", "--out", "{dir}/p.csv"),
      "sigma * sqrt(step) must be positive, got 0.0"),
-    (("verify", "--seed", "-1"), "seed must be >= 0, got -1"),
-    (("baseline", "--seed", "-3"), "seed must be >= 0, got -3"),
-    (("verify", "-n", "0"), "n must be >= 1, got 0"),
-    (("verify", "--variant", "liquidity2x2", "--q1", "0.3"),
-     "cannot pin ['q1'] for liquidity2x2; samplable fields are ['c', 'q', 'tau0']"),
-    (("baseline", "--p0", "0"), "p0 must be positive, got 0.0"),
-    (("sweep", "--axis1", "K:0:4:3", "--axis2", "q:0:1:3", "--variant", "liquidity2x2"),
-     "axes 'K' and 'q' both write q"),
     (("baseline", "--sig", "-1e-4", "-n", "3"), "sigma must be nonnegative, got -0.0001"),
+    (("baseline", "--sigma=-1"), "sigma must be nonnegative, got -1.0"),
+    (("baseline", "--sigma", "inf"), "sigma must be finite, got inf"),
+    (("baseline", "--mu", "nan"), "mu must be finite, got nan"),
+    (("baseline", "--sigma", "1e200", "-n", "3"), "log-step drift (mu - sigma^2/2) dt and "
+     "volatility sigma sqrt(dt) must be finite, got mu=0.0, sigma=1e+200, dt=1.0"),
+    (("baseline", "--step", "0"), "dt must be positive, got 0.0"),
+    (("baseline", "--step", "inf"), "dt must be finite, got inf"),
+    (("baseline", "-n", "0"), "n must be >= 1, got 0"),
+    (("baseline", "--p0", "0"), "p0 must be positive, got 0.0"),
+    (("baseline", "--p0", "inf"), "p0 must be finite, got inf"),
+    (("baseline", "--seed", "-3"), "seed must be >= 0, got -3"),
+    # an option every verb checks
     (("analyze", "--threads", "0"), "threads must be >= 1, got 0"),
-    (("sweep", "--axis1", "q:0:1:1", "--axis2", "tau0:0.5:2:11", "--variant", "liquidity2x2"),
-     "axis 'q:0:1:1': axis q: steps must be >= 2, got 1"),
 ]
-REJECTED_IDS = [" ".join(a[:3]) for a, _ in REJECTED]
+REJECTED_IDS = [" ".join(argv) for argv, _ in REJECTED]
+
+
+def _rejected(tmp_path, argv, message):
+    """The row's argv and stderr in tmp_path, with the config files written there."""
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    return [arg.format(dir=tmp_path) for arg in argv], _usage_error(message.format(dir=tmp_path))
 
 
 @pytest.mark.parametrize("argv,message", REJECTED, ids=REJECTED_IDS)
 def test_a_rejected_invocation_loads_neither_numpy_nor_scipy(tmp_path, argv, message):
-    (tmp_path / "bad.json").write_text('{"q": "x"}')
-    argv = [arg.format(dir=tmp_path) for arg in argv]
-    assert _loaded_by(argv, tmp_path) == (2, "", _usage_error(message), [])
+    argv, err = _rejected(tmp_path, argv, message)
+    assert (*_loaded_by(argv, tmp_path), _out_bytes(argv)) == (2, "", err, [], None)
 
 
 @needs_script
 @pytest.mark.parametrize("argv,message", REJECTED, ids=REJECTED_IDS)
 def test_the_console_script_rejects_the_same_invocations(tmp_path, argv, message):
-    (tmp_path / "bad.json").write_text('{"q": "x"}')
-    argv = [arg.format(dir=tmp_path) for arg in argv]
-    assert _fresh_process(argv, (SCRIPT,))[:3] == (2, "", _usage_error(message))
+    argv, err = _rejected(tmp_path, argv, message)
+    assert _fresh_process(argv, (SCRIPT,)) == (2, "", err, None)
 
 
 @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
@@ -358,7 +461,7 @@ def test_parsing_a_valid_invocation_loads_neither_numpy_nor_scipy(tmp_path):
              [*SWEEP, "--method", "closed_form"],
              ["simulate", "--variant", "sentiment3x3", "--horizon", "2"],
              ["verify", "--variant", "full5x5", "--q2", "0", "-n", "20"],
-             ["baseline", "-n", "50", "--drop", "0.045"]]
+             ["baseline", "-n", "50", "--drop", "0.045", "--mu", "-1e-4"]]
     proc = subprocess.run([sys.executable, "-c", _PARSE_VALID, json.dumps(valid)],
                           capture_output=True, text=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
