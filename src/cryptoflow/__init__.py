@@ -28,9 +28,8 @@ _EXPORTS = {
         "rhs", "equilibrium",
     ),
     "stability": (
-        "Polynomial", "Spectrum", "StabilityVerdict", "Verdict",
-        "jacobian_analytic", "jacobian_numeric", "char_poly", "eigenvalues",
-        "hurwitz_stable", "classify",
+        "Spectrum", "StabilityVerdict", "Verdict", "jacobian_analytic",
+        "jacobian_numeric", "char_poly", "eigenvalues", "hurwitz_stable", "classify",
     ),
     "criteria": (
         "CriterionResult", "criterion_2x2", "criterion_3x3",

@@ -3,14 +3,16 @@
 The Jacobian of each variant at P = Pa = L = 1, zeta1 = zeta2 = 0 is the
 exact derivative of the model's equations (forward-mode, ``model.Dual``); a
 central-difference Jacobian is provided as an independent cross-check.
-Characteristic polynomials come from the Faddeev--LeVerrier trace recursion
-and ``hurwitz_stable`` decides them by a Routh array in exact rationals, so
-that route and the eigensolver route stay independent of each other.
+Characteristic polynomials are plain leading-first tuples: the exact
+Faddeev--LeVerrier coefficients, or ``char_poly``'s rounding of them.
+``hurwitz_stable`` decides either by a Routh array in exact rationals, so that
+route and the eigensolver route stay independent of each other.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -55,21 +57,6 @@ def verdict_codes(signed, band):
     """
     # STABLE, MARGINAL, UNSTABLE are 0, 1, 2
     return MARGINAL - (signed > band) + (signed < -band)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial with coefficients stored leading-first."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
-            raise ValueError("polynomial needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -175,17 +162,13 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def char_poly(m: np.ndarray) -> Polynomial:
-    """Monic characteristic polynomial det(lambda*I - m), leading-first.
+def _exact_char_poly(m: np.ndarray) -> tuple[Fraction, ...]:
+    """Exact leading-first coefficients of det(lambda*I - m), the first 1.
 
-    Uses the Faddeev--LeVerrier recursion
-        M_1 = I,  c_k = -tr(m M_k)/k,  M_{k+1} = m M_k + c_k I,
-    which needs only matrix products and traces, no eigensolver.  The
-    recursion runs in exact integer arithmetic (every float entry is a
-    dyadic rational, so scaling by a common power of two makes the matrix
-    integral and keeps the recursion integral), because the float version
-    loses digits to trace cancellation on badly scaled matrices.  Each
-    returned coefficient is the exact value correctly rounded once.
+    Faddeev--LeVerrier, M_1 = I, c_k = -tr(m M_k)/k, M_{k+1} = m M_k + c_k I,
+    needs only products and traces, no eigensolver.  Every float entry is a
+    dyadic rational, so a common power-of-two scale makes the recursion
+    integral; the float version loses digits to trace cancellation.
     """
     m = _square(m)
     if not np.isfinite(m).all():
@@ -195,7 +178,7 @@ def char_poly(m: np.ndarray) -> Polynomial:
     scale = max(f.denominator for f in fracs)
     a = [[int(fracs[i * n + j] * scale) for j in range(n)] for i in range(n)]
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = [1.0]
+    coeffs = [Fraction(1)]
     for k in range(1, n + 1):
         am = [
             [sum(a[i][l] * mk[l][j] for l in range(n)) for j in range(n)]
@@ -203,29 +186,45 @@ def char_poly(m: np.ndarray) -> Polynomial:
         ]
         # trace of an integer FL iterate is always divisible by k
         ck = -sum(am[i][i] for i in range(n)) // k
-        coeffs.append(float(Fraction(ck, scale**k)))
+        coeffs.append(Fraction(ck, scale**k))
         for i in range(n):
             am[i][i] += ck
         mk = am
-    return Polynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def hurwitz_stable(poly: Polynomial) -> bool:
+def char_poly(m: np.ndarray) -> tuple[float, ...]:
+    """Monic det(lambda*I - m), leading-first: ``_exact_char_poly`` rounded once.
+
+    A coefficient beyond the float range rounds to +-inf.  A matrix that is
+    not square and nonempty, or has a NaN or infinite entry, raises ValueError.
+    """
+    coeffs = []
+    for c in _exact_char_poly(m):
+        try:
+            coeffs.append(float(c))
+        except OverflowError:
+            coeffs.append(math.inf if c > 0 else -math.inf)
+    return tuple(coeffs)
+
+
+def hurwitz_stable(coeffs) -> bool:
     """All roots in the open left half plane, decided exactly by the Routh array.
 
-    Accepts a monic polynomial of any degree >= 1 with finite coefficients.
-    The Hurwitz minors are all positive iff the Routh pivots are (Gantmacher,
-    *Theory of Matrices* II, ch. XV); the array is built in ``Fraction``
-    arithmetic, so the answer is exact for the coefficients as stored.
+    ``coeffs`` is a leading-first sequence of ints, ``Fraction``s or floats;
+    degree 0, a NaN or infinite float, or a leading coefficient that is not
+    positive raises ValueError.  The Hurwitz minors are all positive iff the
+    Routh pivots are (Gantmacher, *Theory of Matrices* II, ch. XV); the array
+    is built in ``Fraction`` arithmetic, so the answer is exact as given.
     """
-    n = poly.degree
+    n = len(coeffs) - 1
     if n < 1:
         raise ValueError(f"polynomial degree must be at least 1, got {n}")
-    if not np.isfinite(poly.coeffs).all():
+    if any(isinstance(x, float) and not math.isfinite(x) for x in coeffs):
         raise ValueError("polynomial coefficients must be finite")
-    if abs(poly.coeffs[0] - 1.0) > 1e-12:
-        raise ValueError(f"polynomial must be monic, leading coefficient {poly.coeffs[0]}")
-    a = [Fraction(x) for x in poly.coeffs]
+    a = [Fraction(x) for x in coeffs]
+    if a[0] <= 0:
+        raise ValueError(f"leading coefficient must be positive, got {coeffs[0]}")
     upper, lower = a[0::2], a[1::2]
     for _ in range(n):
         if lower[0] <= 0:

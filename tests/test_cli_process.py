@@ -369,7 +369,8 @@ REJECTED = [
     (("baseline", "--sigma=-1"), "sigma must be nonnegative, got -1.0"),
     (("baseline", "--sigma", "inf"), "sigma must be finite, got inf"),
     (("baseline", "--mu", "nan"), "mu must be finite, got nan"),
-    (("baseline", "--sigma", "1e200", "-n", "3"), "log-step drift (mu - sigma^2/2) dt and "
+    (("baseline", "--sigma", "1e200", "-n", "3", "--out", "{dir}/p.csv"),
+     "log-step drift (mu - sigma^2/2) dt and "
      "volatility sigma sqrt(dt) must be finite, got mu=0.0, sigma=1e+200, dt=1.0"),
     (("baseline", "--step", "0"), "dt must be positive, got 0.0"),
     (("baseline", "--step", "inf"), "dt must be finite, got inf"),

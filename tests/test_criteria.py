@@ -5,6 +5,7 @@ import math
 import re
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from cryptoflow import (
     NegativeAmplitude,
     NonPositiveTimeScale,
     OutOfScope,
-    Polynomial,
     ScalingOutOfScope,
     SweepSpec,
     Verdict,
@@ -48,6 +48,8 @@ from cryptoflow.stability import (
     UNSTABLE,
     VERDICTS,
     Spectrum,
+    _exact_char_poly,
+    jacobian_stack,
     verdict_codes,
 )
 
@@ -248,40 +250,55 @@ def test_simple_condition_is_just_the_shortcut():
 
 
 def test_hurwitz_degree_one():
-    assert hurwitz_stable(Polynomial((1.0, 1.0)))
-    assert not hurwitz_stable(Polynomial((1.0, -1.0)))
+    assert hurwitz_stable((1.0, 1.0))
+    assert not hurwitz_stable((1.0, -1.0))
 
 
 def test_hurwitz_cubic_examples():
-    assert not hurwitz_stable(Polynomial((1.0, 1.0, 1.0, 2.0)))
-    assert hurwitz_stable(Polynomial((1.0, 2.0, 3.0, 1.0)))
+    assert not hurwitz_stable((1.0, 1.0, 1.0, 2.0))
+    assert hurwitz_stable((1.0, 2.0, 3.0, 1.0))
 
 
 def test_hurwitz_degree_range():
     with pytest.raises(ValueError, match="degree must be at least 1, got 0"):
-        hurwitz_stable(Polynomial((1.0,)))
+        hurwitz_stable((1.0,))
     # (lambda + 1)(lambda + 2)...(lambda + 6), then (lambda^7 - 1)/(lambda - 1),
     # whose roots are the 7th roots of unity other than 1
-    assert hurwitz_stable(Polynomial((1.0, 21.0, 175.0, 735.0, 1624.0, 1764.0, 720.0)))
-    assert not hurwitz_stable(Polynomial((1.0,) * 7))
+    assert hurwitz_stable((1.0, 21.0, 175.0, 735.0, 1624.0, 1764.0, 720.0))
+    assert not hurwitz_stable((1.0,) * 7)
 
 
 def test_hurwitz_decides_exactly_where_float_minors_fail():
     # with leading-first coefficients 1, a1, a2, a3, the exact Delta2 =
     # a1*a2 - a3 is +7.55e-17, below a float determinant's roundoff
-    assert hurwitz_stable(Polynomial(
-        (1.0, 2.929433662872602, 0.6339139535783986, 1.857008874977221)))
+    assert hurwitz_stable((1.0, 2.929433662872602, 0.6339139535783986, 1.857008874977221))
 
 
-def test_hurwitz_requires_monic():
-    with pytest.raises(ValueError):
-        hurwitz_stable(Polynomial((2.0, 1.0)))
+def test_hurwitz_takes_ints_fractions_and_floats():
+    # (lambda + 1)(lambda + 2), given exactly, as fractions and times 2.0
+    assert hurwitz_stable((1, 3, 2))
+    assert hurwitz_stable((Fraction(1), Fraction(3), Fraction(2)))
+    assert hurwitz_stable((2.0, 6.0, 4.0))
+    assert not hurwitz_stable((1, Fraction(-1, 3), 2))
+
+
+@pytest.mark.parametrize("lead", [0.0, -1.0, 0, Fraction(-1, 3)], ids=str)
+def test_hurwitz_refuses_a_leading_coefficient_that_is_not_positive(lead):
+    with pytest.raises(ValueError, match="leading coefficient must be positive, got "):
+        hurwitz_stable((lead, 1.0))
+
+
+def test_a_positive_scale_keeps_the_hurwitz_verdict():
+    for coeffs in [(1, 1, 1, 2), (1, 2, 3, 1), (1, 0, 1), (1, 21, 175, 735, 1624, 1764, 720)]:
+        want = hurwitz_stable(coeffs)
+        for scale in (Fraction(1, 3), 2.0, 1e-300, 7):
+            assert hurwitz_stable([scale * c for c in coeffs]) == want, (coeffs, scale)
 
 
 @pytest.mark.parametrize("coeff", [math.inf, math.nan])
 def test_hurwitz_rejects_non_finite_coefficients(coeff):
     with pytest.raises(ValueError, match="coefficients must be finite"):
-        hurwitz_stable(Polynomial((1.0, coeff)))
+        hurwitz_stable((1.0, coeff))
 
 
 def test_hurwitz_against_root_oracle():
@@ -299,7 +316,7 @@ def test_hurwitz_against_root_oracle():
         want = all(z.real < 0 for z in roots)
         if max(abs(z.real) for z in roots) < 1e-3:
             continue  # too close to the boundary for a clean sign
-        assert hurwitz_stable(Polynomial(tuple(coeffs))) == want
+        assert hurwitz_stable(tuple(coeffs)) == want
 
 
 def test_rh_matches_hurwitz_on_the_quintic():
@@ -314,8 +331,22 @@ def test_rh_matches_hurwitz_on_the_quintic():
             r = rh_5x5(p)
             if abs(r.margin) <= 1e-6:
                 continue
-            quintic = char_poly(jacobian_analytic(FULL_5X5, p))
-            assert hurwitz_stable(quintic) == (r.verdict is Verdict.STABLE)
+            jac = jacobian_analytic(FULL_5X5, p)
+            # the coefficients as char_poly rounds them, then exact
+            for quintic in (char_poly(jac), _exact_char_poly(jac)):
+                assert hurwitz_stable(quintic) == (r.verdict is Verdict.STABLE)
+
+
+def test_the_exact_route_decides_the_huge_amplitude_witness():
+    # the first mismatch of verify --variant full5x5 --q2 1e300 -n 20, where
+    # the spectral verdict disagrees with rh_5x5
+    p = ModelParams(q=0.14945139248881537, q1=5.499075661406077, q2=1e300,
+                    tau0=2.80259706180413, c=1.0, c1=1.0, c2=1.0,
+                    c3=0.010190969469382439)
+    r = rh_5x5(p)
+    assert r.verdict is Verdict.STABLE
+    assert r.margin == pytest.approx(88.3353004332, rel=1e-12)
+    assert hurwitz_stable(_exact_char_poly(jacobian_stack(FULL_5X5, p)))
 
 
 @pytest.mark.parametrize("variant", [LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5],
