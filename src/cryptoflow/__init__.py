@@ -28,7 +28,7 @@ _EXPORTS = {
         "rhs", "equilibrium",
     ),
     "stability": (
-        "Spectrum", "StabilityVerdict", "Verdict", "jacobian_analytic",
+        "StabilityVerdict", "Verdict", "jacobian_analytic",
         "jacobian_numeric", "char_poly", "eigenvalues", "hurwitz_stable", "classify",
     ),
     "criteria": (

@@ -219,7 +219,7 @@ def _sweep_spec(variant: Variant, params: ModelParams, opts: dict) -> SweepSpec:
     # fields an axis writes are validated per cell instead
     validate_params(replace(params, **{name: getattr(ModelParams, name)
                                        for axis in axes
-                                       for name in axis.fields(variant)}), variant)
+                                       for name in axis.fields(variant)}))
     return SweepSpec(variant=variant, fixed=params, axis1=axes[0], axis2=axes[1],
                      method=Method(opts["method"]))
 
@@ -247,7 +247,7 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
     bands = {"eps": merged["eps"], "band": merged["band"]}
     try:
         if verb == "analyze":
-            validate_params(params, variant)
+            validate_params(params)
             return partial(_run_analyze, variant, params, **bands, out=out)
         if verb == "sweep":
             spec = _sweep_spec(variant, params, merged)
@@ -258,7 +258,7 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
                 fmt = suffix if suffix in FORMATS else "csv"
             return partial(_run_sweep, spec, **bands, fmt=fmt, out=out)
         if verb == "simulate":
-            validate_params(params, variant)
+            validate_params(params)
             sim = SimConfig(step=merged["step"], horizon=merged["horizon"],
                             perturbation=merged["delta"])
             if sim.step is None:
@@ -267,7 +267,7 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
         if verb == "verify":
             pins = {key: getattr(params, key) for key in PARAM_FIELDS
                     if key in config or key in flags}
-            validate_params(ModelParams(**pins), variant)
+            validate_params(ModelParams(**pins))
             check_verify(variant, merged["n"], merged["seed"], pins)
             return partial(_run_verify, variant, pins, n=merged["n"],
                            seed=merged["seed"], **bands, out=out)
@@ -361,7 +361,7 @@ def _run_analyze(variant: Variant, params: ModelParams, eps: float, band: float,
         "eps": eps,
         "band": band,
         "jacobian": [[float(x) for x in row] for row in jac],
-        "eigenvalues": [[z.real, z.imag] for z in spectrum.eigenvalues],
+        "eigenvalues": [[z.real, z.imag] for z in spectrum],
         "verdict": asdict(classify(spectrum, eps)),
         "closed_form": _closed_form_doc(variant, params, band),
     }

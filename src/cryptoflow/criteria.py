@@ -45,8 +45,8 @@ from .stability import (
     STABLE,
     VERDICTS,
     Verdict,
-    dominant_real_parts,
     jacobian_stack,
+    ordered_spectra,
     verdict_codes,
 )
 
@@ -272,7 +272,8 @@ def evaluate_points(
         rules, sign = JACOBIAN_RULES[variant], -1.0
 
         def value_of(points):
-            return dominant_real_parts(jacobian_stack(variant, points))
+            # max Re as classify reads it, spectrum[0].real, sign of zero included
+            return ordered_spectra(jacobian_stack(variant, points))[:, 0].real
     else:
         (rules, margin), sign = _CRITERIA[criterion], 1.0
 

@@ -2,7 +2,10 @@
 
 Every error raised by this package derives from CryptoflowError, so callers
 can catch the whole family with one clause while tests pin down the exact
-subclass.
+subclass.  Every constructor takes the message alone.  The two integration
+stops, StateOutOfDomain and BlowUp, carry ``time`` and ``partial`` as
+attributes that ``simulate.integrate`` sets, so they pickle and copy like any
+other exception.
 """
 
 from __future__ import annotations
@@ -28,22 +31,22 @@ class StateOutOfDomain(CryptoflowError):
     """A state left the model domain (price or anchored price below the floor).
 
     When raised during integration, `time` holds the failure time and
-    `partial` the trajectory recorded up to the last good step.
+    `partial` the trajectory recorded up to the last good step; both are
+    None otherwise.
     """
 
-    def __init__(self, message: str, time: float | None = None, partial=None):
-        super().__init__(message)
-        self.time = time
-        self.partial = partial
+    time: float | None = None
+    partial = None
 
 
 class BlowUp(CryptoflowError):
-    """A trajectory component exceeded the blow-up guard during integration."""
+    """A trajectory component exceeded the blow-up guard during integration.
 
-    def __init__(self, message: str, time: float, partial=None):
-        super().__init__(message)
-        self.time = time
-        self.partial = partial
+    `time` and `partial` are set as on :class:`StateOutOfDomain`.
+    """
+
+    time: float | None = None
+    partial = None
 
 
 class UnsupportedScaling(CryptoflowError):

@@ -194,11 +194,11 @@ def ignored_fields(variant: Variant) -> frozenset[str]:
         *(_STATE_FIELDS[label] for label in variant.labels))
 
 
-def validate_params(params: ModelParams, variant: Variant) -> ModelParams:
+def validate_params(params: ModelParams) -> ModelParams:
     """Check parameter constraints and return the params unchanged.
 
-    All fields are validated, including ones the variant ignores; use
-    :func:`ignored_fields` to see which fields those are.  The same rules
+    All fields are validated, whichever variant reads them; use
+    :func:`ignored_fields` to see the fields a variant ignores.  The same rules
     (``PARAM_RULES``) mark the invalid points of a batch.
 
     Raises:

@@ -46,10 +46,13 @@ CSV_ROWS_PER_WRITE = 1024
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded integration output on a uniform (plus final) time grid."""
+    """Recorded integration output on a uniform (plus final) time grid.
+
+    Row k of ``states`` is the state at ``times[k]``; row 0 is the initial
+    state.  The parameters are the caller's; the trajectory does not keep them.
+    """
 
     variant: Variant
-    params: ModelParams
     times: np.ndarray
     states: np.ndarray
 
@@ -104,8 +107,7 @@ def _within_guard(state: list[float], t: float) -> list[float]:
     """The state itself, or BlowUp at time t if a component is NaN or exceeds the guard."""
     for x in state:
         if not abs(x) <= BLOWUP_GUARD:
-            raise BlowUp(f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t:.6g}",
-                         time=t)
+            raise BlowUp(f"component magnitude exceeded {BLOWUP_GUARD:.0e} at t={t:.6g}")
     return state
 
 
@@ -135,7 +137,7 @@ def integrate(
         ValueError: the initial state has the wrong shape, or the step
             count horizon / step is not finite.
     """
-    validate_params(params, variant)
+    validate_params(params)
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (variant.dim,):
         raise ValueError(
@@ -179,10 +181,10 @@ def integrate(
         # The run stopped within step i, or at the last state (i = total_steps),
         # so rows 0..i are recorded.
         exc.time = t
-        exc.partial = Trajectory(variant=variant, params=params,
-                                 times=times[:i + 1].copy(), states=states[:i + 1].copy())
+        exc.partial = Trajectory(variant=variant, times=times[:i + 1].copy(),
+                                 states=states[:i + 1].copy())
         raise
-    return Trajectory(variant=variant, params=params, times=times, states=states)
+    return Trajectory(variant=variant, times=times, states=states)
 
 
 def _fit_growth_rate(traj: Trajectory, reference: np.ndarray, truncated: bool) -> float:
@@ -267,7 +269,7 @@ def perturb_and_classify(
     failure time.  The parameters and the step (its count over the horizon,
     then :func:`_check_step`) are checked before anything is integrated.
     """
-    validate_params(params, variant)
+    validate_params(params)
     h = config.step if config.step is not None else default_step(variant, params)
     config.grid(h)
     _check_step(variant, params, h, config.horizon)

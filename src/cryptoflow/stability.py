@@ -3,6 +3,9 @@
 The Jacobian of each variant at P = Pa = L = 1, zeta1 = zeta2 = 0 is the
 exact derivative of the model's equations (forward-mode, ``model.Dual``); a
 central-difference Jacobian is provided as an independent cross-check.
+A spectrum is one row of ``ordered_spectra``: the eigenvalues in
+descending-real, ascending-imaginary order, as an array row for a stack or,
+from ``eigenvalues``, as a tuple of complex numbers that ``classify`` reads.
 Characteristic polynomials are plain leading-first tuples: the exact
 Faddeev--LeVerrier coefficients, or ``char_poly``'s rounding of them.
 ``hurwitz_stable`` decides either by a Routh array in exact rationals, so that
@@ -57,17 +60,6 @@ def verdict_codes(signed, band):
     """
     # STABLE, MARGINAL, UNSTABLE are 0, 1, 2
     return MARGINAL - (signed > band) + (signed < -band)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted by descending real part, then ascending imaginary."""
-
-    eigenvalues: tuple[complex, ...]
-
-    @property
-    def max_real(self) -> float:
-        return self.eigenvalues[0].real
 
 
 @dataclass(frozen=True)
@@ -256,8 +248,8 @@ def ordered_spectra(stack: np.ndarray) -> np.ndarray:
     return np.take_along_axis(spectra, np.lexsort((spectra.imag, -spectra.real)), axis=1)
 
 
-def eigenvalues(m: np.ndarray) -> Spectrum:
-    """Eigenvalues of a real square matrix, ordered as by ``ordered_spectra``.
+def eigenvalues(m: np.ndarray) -> tuple[complex, ...]:
+    """Eigenvalues of a real square matrix: ``ordered_spectra``'s row as a tuple.
 
     A matrix with a NaN or infinite entry raises ConvergenceFailure before
     any iteration runs, as does a failed iteration or a NaN eigenvalue.
@@ -268,29 +260,20 @@ def eigenvalues(m: np.ndarray) -> Spectrum:
     spectrum = ordered_spectra(m[None])[0]
     if np.isnan(spectrum).any():
         raise ConvergenceFailure("eigenvalue iteration failed or gave a NaN eigenvalue")
-    return Spectrum(tuple(spectrum.tolist()))
+    return tuple(spectrum.tolist())
 
 
-def dominant_real_parts(stack: np.ndarray) -> np.ndarray:
-    """Dominant real part of each matrix of an (n, d, d) stack, NaN where it failed.
+def classify(spectrum: tuple[complex, ...], eps: float = DEFAULT_EPS) -> StabilityVerdict:
+    """Spectral verdict on an ordered spectrum (``eigenvalues``'s tuple).
 
-    The real part of the first column of ``ordered_spectra``, so each value
-    equals ``classify(eigenvalues(m)).max_real`` bitwise, sign of zero
-    included.
+    The verdict is ``verdict_codes`` of -max Re, read as ``spectrum[0].real``,
+    with the dead band eps.  It is oscillatory when an eigenvalue attaining
+    the dominant real part (within eps) has |Im| > eps.  An empty spectrum,
+    or a negative, NaN or infinite eps, raises ValueError.
     """
-    return ordered_spectra(stack)[:, 0].real
-
-
-def classify(spectrum: Spectrum, eps: float = DEFAULT_EPS) -> StabilityVerdict:
-    """Spectral verdict: ``verdict_codes`` of -max Re with the dead band eps.
-
-    The verdict is oscillatory when an eigenvalue attaining the dominant
-    real part (within eps) has |Im| > eps.  A negative, NaN or infinite eps
-    raises ValueError.
-    """
+    if not spectrum:
+        raise ValueError("spectrum must be nonempty")
     check_dead_band("eps", eps)
-    mr = spectrum.max_real
-    oscillatory = any(
-        abs(z.real - mr) <= eps and abs(z.imag) > eps for z in spectrum.eigenvalues
-    )
+    mr = spectrum[0].real
+    oscillatory = any(abs(z.real - mr) <= eps and abs(z.imag) > eps for z in spectrum)
     return StabilityVerdict(VERDICTS[verdict_codes(-mr, eps)], oscillatory, mr)

@@ -47,7 +47,6 @@ from cryptoflow.stability import (
     STABLE,
     UNSTABLE,
     VERDICTS,
-    Spectrum,
     _exact_char_poly,
     jacobian_stack,
     verdict_codes,
@@ -423,7 +422,7 @@ def test_the_scalar_routes_reject_a_bad_dead_band(bad, message):
     """classify and the closed forms check their dead band as run_sweep and
     verify_consistency do: unchecked, a NaN or negative band read Marginal."""
     with pytest.raises(ValueError, match=f"^eps {re.escape(message)}$"):
-        classify(Spectrum((-1.0 + 0.0j,)), bad)
+        classify((-1.0 + 0.0j,), bad)
     for criterion in (criterion_2x2, criterion_3x3, criterion_5x5_q2zero, rh_5x5):
         with pytest.raises(ValueError, match=f"^band {re.escape(message)}$"):
             criterion(ModelParams(), bad)
@@ -457,7 +456,7 @@ def test_the_dead_band_edge_is_the_same_on_every_route():
         MARGINAL, MARGINAL, STABLE, UNSTABLE]
     # The spectral route's signed value is -max Re.
     for x, code in zip(signed, expected):
-        assert classify(Spectrum((complex(-x, 0.0),)), eps=band).tag is VERDICTS[code]
+        assert classify((complex(-x, 0.0),), eps=band).tag is VERDICTS[code]
 
     # criterion_3x3 margins 1.5, -1, 0, inf and -inf.
     points = [{"q": 0.5}, {"q": 3.0}, {"q": 2.0},

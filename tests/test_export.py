@@ -322,7 +322,7 @@ def _lattice_map(n):
 
 def test_streaming_a_long_trajectory_holds_a_bounded_chunk():
     rows = 200_001
-    traj = Trajectory(FULL_5X5, ModelParams(), np.arange(rows) * 0.005,
+    traj = Trajectory(FULL_5X5, np.arange(rows) * 0.005,
                       np.random.default_rng(1).standard_normal((rows, 5)))
     assert _peak_bytes(traj.to_csv, _Discard()) < STREAM_PEAK_BYTES
 

@@ -43,7 +43,7 @@ from cryptoflow import (
 from cryptoflow import criteria
 from cryptoflow.criteria import CHUNK, closed_forms
 from cryptoflow.inputs import AXIS_NAMES, PARAM_FIELDS
-from cryptoflow.stability import dominant_real_parts
+from cryptoflow.stability import ordered_spectra
 
 VARIANTS = (LIQUIDITY_2X2, SENTIMENT_3X3, FULL_5X5)
 
@@ -62,7 +62,7 @@ def _reference_cell(spec, v1, v2, eps, band):
         for name in axis.fields(spec.variant):
             cell[name] = value
     try:
-        params = validate_params(ModelParams(**cell), spec.variant)
+        params = validate_params(ModelParams(**cell))
         if spec.method is Method.EIGEN:
             verdict = classify(eigenvalues(jacobian_analytic(spec.variant, params)), eps)
             return verdict.max_real, verdict.tag, None
@@ -256,7 +256,7 @@ def test_dominant_real_part_breaks_ties_like_the_sorted_spectrum(monkeypatch, ma
     expected = np.array([sorted_max_real(m) for m in stack])
     scalar = [classify(eigenvalues(m)) for m in stack]
     assert not np.isnan(expected).any()
-    assert dominant_real_parts(stack).tobytes() == expected.tobytes()
+    assert ordered_spectra(stack)[:, 0].real.tobytes() == expected.tobytes()
     assert np.array([v.max_real for v in scalar]).tobytes() == expected.tobytes()
     batch = spectral_route(monkeypatch, stack)
     assert batch.values.tobytes() == expected.tobytes()

@@ -71,14 +71,14 @@ def test_k_and_q():
 def test_nonpositive_time_scale_rejected(name, bad):
     params = ModelParams(**{name: bad})
     with pytest.raises(NonPositiveTimeScale):
-        validate_params(params, FULL_5X5)
+        validate_params(params)
 
 
 @pytest.mark.parametrize("name", ["q", "q1", "q2"])
 def test_negative_amplitude_rejected(name):
     params = ModelParams(**{name: -0.1})
     with pytest.raises(NegativeAmplitude):
-        validate_params(params, FULL_5X5)
+        validate_params(params)
 
 
 @pytest.mark.parametrize("name", ["q", "q1", "q2", "tau0", "c", "c1", "c2", "c3"])
@@ -88,18 +88,18 @@ def test_non_finite_parameter_rejected_before_other_rules(name, bad):
     # second bad field would otherwise name another error.
     other = {"c3": -1.0} if name != "c3" else {"q": -1.0}
     with pytest.raises(NonFiniteParameter, match=f"^{name} must be finite"):
-        validate_params(ModelParams(**{name: bad}, **other), FULL_5X5)
+        validate_params(ModelParams(**{name: bad}, **other))
 
 
 def test_validation_covers_ignored_fields():
     # the 2x2 variant never reads c3, but a bad c3 is still an error
     with pytest.raises(NonPositiveTimeScale):
-        validate_params(ModelParams(c3=-1.0), LIQUIDITY_2X2)
+        validate_params(ModelParams(c3=-1.0))
 
 
 def test_validate_returns_params():
     p = ModelParams()
-    assert validate_params(p, SENTIMENT_3X3) is p
+    assert validate_params(p) is p
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,7 +248,7 @@ def test_a_variant_reads_none_of_the_fields_it_ignores(params, ignored, prices, 
     p, liq = prices
     for variant, state in ((SENTIMENT_3X3, (p, liq, z1)), (LIQUIDITY_2X2, (p, liq))):
         other = replace(params, **{name: ignored[name] for name in ignored_fields(variant)})
-        validate_params(other, variant)
+        validate_params(other)
         assert (rhs(variant, params, np.array(state)).tobytes()
                 == rhs(variant, other, np.array(state)).tobytes()), variant
         assert (jacobian_stack(variant, params).tobytes()
