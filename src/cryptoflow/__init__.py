@@ -19,13 +19,12 @@ _EXPORTS = {
         "ScalingOutOfScope", "OutOfScope", "ConvergenceFailure",
     ),
     "inputs": (
-        "Variant", "ModelParams",
+        "Variant", "FULL_5X5", "SENTIMENT_3X3", "LIQUIDITY_2X2", "ModelParams",
         "validate_params", "ignored_fields", "DEFAULT_EPS", "DEFAULT_BAND",
         "SimConfig", "default_step", "Axis", "SweepSpec", "Method", "GbmParams",
     ),
     "model": (
-        "FULL_5X5", "SENTIMENT_3X3", "LIQUIDITY_2X2", "P_FLOOR",
-        "rhs", "equilibrium",
+        "P_FLOOR", "rhs", "equilibrium",
     ),
     "stability": (
         "StabilityVerdict", "Verdict", "jacobian_analytic",

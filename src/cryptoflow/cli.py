@@ -43,7 +43,6 @@ from .inputs import (
     Variant,
     check_count,
     check_dead_band,
-    check_exceedance,
     check_positive,
     check_verify,
     default_step,
@@ -278,7 +277,8 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
                         n=merged["n"], seed=merged["seed"])
         check_positive("p0", merged["p0"])
         if merged["drop"] is not None:
-            check_exceedance(gbm.log_step()[1], merged["drop"], "sigma * sqrt(step)")
+            check_positive("sigma * sqrt(step)", gbm.log_step()[1])
+            check_positive("drop", merged["drop"])
         return partial(_run_baseline, gbm, p0=merged["p0"], drop=merged["drop"], out=out)
     except CryptoflowError as exc:
         raise UsageError(str(exc)) from exc

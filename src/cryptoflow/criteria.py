@@ -36,8 +36,8 @@ from .inputs import (
     check_dead_band,
     check_rules,
     check_verify,
+    rule_errors,
 )
-from .model import rule_errors
 from .stability import (
     INVALID,
     JACOBIAN_RULES,

@@ -5,6 +5,8 @@ the asset-flow dynamics are measured against.  Paths are generated by exact
 log-space stepping, so no discretization error enters; normal variates come
 from a deterministic inverse-CDF transform of seeded PCG64 uniforms (no
 rejection sampling), which keeps every path reproducible from its seed.
+``GbmParams`` and every check on a path's or a drop's values live in
+``inputs``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .inputs import GbmParams, check_exceedance, check_positive
+from .inputs import GbmParams, check_positive
 
 # Importing scipy.special imports numpy.f2py, which parses SOURCE_DATE_EPOCH
 # and raises on a value that is not an integer.  Only sweep metadata reads
@@ -110,8 +112,12 @@ def exceedance_report(sigma_daily: float, drop: float) -> ExceedanceReport:
 
     k = drop/sigma_daily is the move in daily standard deviations; the
     recurrence time is the reciprocal probability in days.
+
+    Raises:
+        ValueError: sigma_daily or drop is not positive and finite.
     """
-    check_exceedance(sigma_daily, drop)
+    check_positive("sigma_daily", sigma_daily)
+    check_positive("drop", drop)
     k = drop / sigma_daily
     probability = normal_tail(k)
     recurrence = math.inf if probability == 0.0 else 1.0 / probability

@@ -1,8 +1,9 @@
 """The values a run is built from, and every check on them, without numpy.
 
-Model variants and parameters, integration controls and the derived step,
-sweep axes and specs, baseline parameters, the checks of counts, positive
-quantities, dead bands and the verify and baseline options, and the
+Model variants and their names (``FULL_5X5``, ``SENTIMENT_3X3``,
+``LIQUIDITY_2X2``), parameters and the rules on them, integration controls
+and the derived step, sweep axes and specs, baseline parameters, the checks
+of counts, positive quantities, dead bands and the verify options, and the
 SOURCE_DATE_EPOCH timestamp all live here, and this module imports neither
 numpy nor scipy.  So the command line builds and checks a whole invocation
 before any numeric module loads: a rejected invocation, --help and --version
@@ -10,7 +11,8 @@ never load them.
 
 Each parameter rule is written once for a point and for a batch: a rule's
 test answers with a bool for float fields and with a bool array for array
-fields (``model.rule_errors`` reads the batch answer).
+fields.  :func:`check_rules` reads the point answer and :func:`rule_errors`
+the batch answer; numpy loads only when a batch is checked.
 """
 
 from __future__ import annotations
@@ -112,6 +114,11 @@ class Variant(str, Enum):
                      if name not in ignored_fields(self))
 
 
+FULL_5X5 = Variant.FULL_5X5
+SENTIMENT_3X3 = Variant.SENTIMENT_3X3
+LIQUIDITY_2X2 = Variant.LIQUIDITY_2X2
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: reaction amplitudes and time scales.
@@ -166,6 +173,22 @@ def check_rules(rules, params: ModelParams) -> None:
     for rule in rules:
         if not rule.holds(params):
             raise rule.error(rule.message.format(p=params))
+
+
+def rule_errors(rules, params: ModelParams) -> np.ndarray:
+    """Per point of a batch, the error class of the first rule it breaks.
+
+    Returns an object array with None where every rule holds.
+    """
+    import numpy as np
+
+    errors = np.full(len(params.q), None, dtype=object)
+    unbroken = np.ones(len(errors), dtype=bool)
+    for rule in rules:
+        broken = unbroken & ~rule.holds(params)
+        errors[broken] = rule.error
+        unbroken &= ~broken
+    return errors
 
 
 def _field_rules(error, names, test, requirement) -> tuple[Rule, ...]:
@@ -359,7 +382,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class GbmParams:
-    """Drift mu and volatility sigma per unit time, step dt, n steps."""
+    """Drift mu and volatility sigma per unit time, step dt, n steps.
+
+    The path's end time n * dt must be finite, so every time it writes is.
+    """
 
     mu: float = 0.0
     sigma: float = 0.0075
@@ -385,20 +411,18 @@ class GbmParams:
                 f"log-step drift (mu - sigma^2/2) dt and volatility sigma sqrt(dt) "
                 f"must be finite, got mu={self.mu}, sigma={self.sigma}, dt={self.dt}"
             )
+        try:
+            end = self.n * self.dt
+        except OverflowError:  # n beyond the float range
+            end = math.inf
+        if not math.isfinite(end):
+            raise ValueError(f"path time n * dt = {self.n} * {self.dt} is not finite")
         # numpy's generators need seed >= 0
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
     def log_step(self) -> tuple[float, float]:
         """Drift and volatility of log P over one step."""
         return (self.mu - 0.5 * self.sigma**2) * self.dt, self.sigma * math.sqrt(self.dt)
-
-
-def check_exceedance(sigma_daily: float, drop: float,
-                     volatility_name: str = "sigma_daily") -> None:
-    """A drop's exceedance needs a positive, finite volatility per step and
-    drop; ``volatility_name`` names the volatility in the message."""
-    check_positive(volatility_name, sigma_daily)
-    check_positive("drop", drop)
 
 
 # Fields verify_consistency samples per variant; only these can be pinned.

@@ -6,7 +6,7 @@ of the price against an anchored (slowly adjusting) price Pa.  All prices are
 measured in units of the equilibrium liquidity value, so the flat equilibrium
 is P = Pa = L = 1, zeta1 = zeta2 = 0.
 
-Three nested variants are exposed:
+Three nested variants are modelled, the members of ``inputs.Variant``:
 
 * ``FULL_5X5``      -- (P, Pa, L, zeta1, zeta2), the complete model
 * ``SENTIMENT_3X3`` -- (P, L, zeta1), value sentiment switched off
@@ -24,6 +24,10 @@ The smaller variants keep their own rows of it, with the dropped states
 frozen at equilibrium.  These equations are written once, in
 :func:`_derivative`: the integrator runs them, and ``stability.jacobian_stack``
 differentiates them exactly by running them on a :class:`Dual` number.
+
+This module holds the model alone: the price floor, the equilibrium, the
+equations and the Dual number.  The variants, the parameters and every rule
+on them live in ``inputs``.
 """
 
 from __future__ import annotations
@@ -35,24 +39,6 @@ from .inputs import ModelParams, Variant
 
 # Prices below this floor are treated as a domain exit, not clamped.
 P_FLOOR = 1e-9
-
-FULL_5X5 = Variant.FULL_5X5
-SENTIMENT_3X3 = Variant.SENTIMENT_3X3
-LIQUIDITY_2X2 = Variant.LIQUIDITY_2X2
-
-
-def rule_errors(rules, params: ModelParams) -> np.ndarray:
-    """Per point of a batch, the error class of the first rule it breaks.
-
-    Returns an object array with None where every rule holds.
-    """
-    errors = np.full(len(params.q), None, dtype=object)
-    unbroken = np.ones(len(errors), dtype=bool)
-    for rule in rules:
-        broken = unbroken & ~rule.holds(params)
-        errors[broken] = rule.error
-        unbroken &= ~broken
-    return errors
 
 
 def equilibrium(variant: Variant) -> np.ndarray:

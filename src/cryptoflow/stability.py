@@ -32,6 +32,7 @@ from .inputs import (
     Variant,
     check_dead_band,
     check_rules,
+    validate_params,
 )
 from .model import Dual, _derivative, equilibrium, rhs
 
@@ -132,7 +133,7 @@ def jacobian_numeric(variant: Variant, params: ModelParams) -> np.ndarray:
     a zero clock raises NonPositiveTimeScale.  No scope rule is: the central
     difference holds at any clocks, which keeps it an independent route.
     """
-    check_rules(PARAM_RULES, params)
+    validate_params(params)
     h = NUMERIC_H
     x0 = equilibrium(variant)
     n = variant.dim

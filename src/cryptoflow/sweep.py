@@ -261,8 +261,8 @@ def map_from_json(text: str) -> StabilityMap:
     which carry one more key, still load.  A document that is not a JSON
     object of type "stability_map" raises ValueError, and so does a map
     document that lacks a key the map needs or holds a malformed one (a
-    value of the wrong type, or a lattice not of the axes' shape), naming
-    the key.
+    value of the wrong type, a number that does not convert to a float, or
+    a lattice not of the axes' shape), naming the key.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("type") != "stability_map":
@@ -273,7 +273,7 @@ def map_from_json(text: str) -> StabilityMap:
             raise ValueError(f"stability map document has no {key!r} key")
         try:
             return parse(doc[key], *args)
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(
                 f"stability map document has a malformed {key!r} key: {exc}") from None
 
@@ -301,7 +301,8 @@ def _number(v) -> float:
     v = _NON_FINITE.get(v, v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {v!r}")
-    return v
+    float(v)  # an int beyond the float range raises OverflowError
+    return v  # an int stays an int, so the map writes it back as read
 
 
 def _reason(cell: list) -> str | None:

@@ -9,7 +9,6 @@ dominant mode is unobservable from a price kick or whose window is too
 short carry no rate information and are reported, not asserted.
 """
 
-import json
 import math
 import os
 import subprocess

@@ -374,6 +374,8 @@ REJECTED = [
      "volatility sigma sqrt(dt) must be finite, got mu=0.0, sigma=1e+200, dt=1.0"),
     (("baseline", "--step", "0"), "dt must be positive, got 0.0"),
     (("baseline", "--step", "inf"), "dt must be finite, got inf"),
+    (("baseline", "--sigma", "0", "--step", "1e308", "-n", "3", "--out", "{dir}/p.csv"),
+     "path time n * dt = 3 * 1e+308 is not finite"),
     (("baseline", "-n", "0"), "n must be >= 1, got 0"),
     (("baseline", "--p0", "0"), "p0 must be positive, got 0.0"),
     (("baseline", "--p0", "inf"), "p0 must be finite, got inf"),

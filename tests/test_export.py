@@ -195,14 +195,17 @@ _MAP_DOC = {
 MALFORMED = {
     "fixed_list": ("fixed", []),
     "fixed_string_field": ("fixed", {**_MAP_DOC["fixed"], "q": "x"}),
+    "fixed_huge_integer": ("fixed", {**_MAP_DOC["fixed"], "q": 10**400}),
     "metadata_list": ("metadata", []),
     "axis_without_fields": ("axis1", {}),
     "axis_with_extra_field": ("axis2", {**_MAP_DOC["axis2"], "extra": 1}),
     "axis_float_steps": ("axis1", {**_MAP_DOC["axis1"], "steps": 2.0}),
+    "axis_huge_integer": ("axis1", {**_MAP_DOC["axis1"], "min": 10**400}),
     "values_number": ("values", 5),
     "values_row_short": ("values", [[-1.0, -0.5, None], [0.5, 1.0]]),
     "values_row_missing": ("values", [[-1.0, -0.5, None]]),
     "values_string_cell": ("values", [[-1.0, -0.5, None], [0.5, 1.0, "x"]]),
+    "values_huge_integer": ("values", [[-1.0, -0.5, None], [0.5, 1.0, 10**400]]),
     "verdicts_row_short": ("verdicts", [["stable", "stable", "invalid"], ["unstable"] * 2]),
     "verdicts_unknown": ("verdicts", [["stable", "stable", "invalid"], ["stable", "x", "x"]]),
     "flags_row_short": ("flags", [[[], [], ["NonPositiveTimeScale"]], [[], []]]),

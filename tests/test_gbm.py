@@ -57,6 +57,9 @@ def test_params_validation():
         GbmParams(dt=0.0)
     with pytest.raises(ValueError):
         GbmParams(n=0)
+    # an n beyond the float range, not only n * dt beyond it
+    with pytest.raises(ValueError, match=r"^path time n \* dt = 10{400} \* 1\.0 is not finite$"):
+        GbmParams(n=10**400)
     with pytest.raises(ValueError):
         gbm_simulate(GbmParams(), p0=0.0)
 

@@ -1,4 +1,4 @@
-"""Checks on the package's source text rather than its behaviour."""
+"""Checks on the source text of the package and its tests rather than their behaviour."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import cryptoflow
 
 SOURCES = sorted(Path(cryptoflow.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unread_parameters(tree):
@@ -28,4 +29,40 @@ def test_every_parameter_is_read():
     unread = [f"{path.name}:{line} {function}({param})"
               for path in SOURCES
               for line, function, param in _unread_parameters(ast.parse(path.read_text()))]
+    assert unread == []
+
+
+def _unread_imports(text):
+    """(line, name) for each name a module imports and never reads.
+
+    ``from __future__`` imports, names listed in a literal ``__all__`` and
+    imports on a line marked ``# noqa: F401`` are exempt.
+    """
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {element.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))
+                for element in node.value.elts if isinstance(element, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            # ``import a.b`` binds a
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and name not in exported:
+                yield node.lineno, name
+
+
+def test_every_import_is_read():
+    assert SOURCES and TESTS
+    unread = [f"{path.parent.name}/{path.name}:{line} {name}"
+              for path in (*SOURCES, *TESTS)
+              for line, name in _unread_imports(path.read_text())]
     assert unread == []

@@ -261,12 +261,6 @@ def test_svg_smoke():
     assert "#2166ac" in svg and "#b2182b" in svg
 
 
-def test_export_rejects_unknown_format():
-    result = run_sweep(liq_spec(q=(0.5, 1.0, 2), ratio=(1.0, 2.0, 2)))
-    with pytest.raises(ValueError):
-        export_map(result, "yaml")
-
-
 def test_metadata_records_tolerances():
     result = run_sweep(liq_spec(q=(0.5, 1.0, 2), ratio=(1.0, 2.0, 2)),
                        eps=1e-7, band=1e-5)
