@@ -67,11 +67,7 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class Option:
-    """One option: config key, value type, default, help and flags.
-
-    ``check``, where set, runs on every verb, so every verb rejects a bad
-    value of the option, also a verb that does not read it.
-    """
+    """One option: config key, value type, default, help and flags."""
 
     name: str
     type: type
@@ -79,7 +75,6 @@ class Option:
     help: str
     choices: tuple[str, ...] | None = None
     flags: tuple[str, ...] = ()
-    check: Callable[[str, object], None] | None = None
 
     @property
     def option_strings(self) -> tuple[str, ...]:
@@ -91,8 +86,8 @@ OPTIONS = (
            choices=tuple(v.value for v in Variant)),
     *(Option(name, float, getattr(ModelParams, name), f"model parameter {name}")
       for name in PARAM_FIELDS),
-    Option("eps", float, DEFAULT_EPS, "spectral dead band", check=check_dead_band),
-    Option("band", float, DEFAULT_BAND, "criterion dead band", check=check_dead_band),
+    Option("eps", float, DEFAULT_EPS, "spectral dead band"),
+    Option("band", float, DEFAULT_BAND, "criterion dead band"),
     Option("seed", int, 0, "random seed"),
     Option("n", int, 10_000, "sample / step count", flags=("-n", "--samples")),
     Option("step", float, SimConfig.step, "integration or path step (default: derived)"),
@@ -105,8 +100,7 @@ OPTIONS = (
     Option("out", str, None, "output file path"),
     Option("format", str, None, "sweep export format (default csv, or from --out suffix)",
            choices=FORMATS),
-    Option("threads", int, 1, "validated (>= 1) but has no effect",
-           check=partial(check_count, least=1)),
+    Option("threads", int, 1, "validated (>= 1) but has no effect"),
     Option("mu", float, GbmParams.mu, "baseline drift per unit time"),
     Option("sigma", float, GbmParams.sigma, "baseline volatility per unit time"),
     Option("p0", float, 1.0, "baseline initial price"),
@@ -236,9 +230,10 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
     flags = {opt.name: getattr(args, opt.name) for opt in OPTIONS
              if getattr(args, opt.name) is not None}
     merged = {opt.name: opt.default for opt in OPTIONS} | config | flags
-    for opt in OPTIONS:
-        if opt.check is not None:
-            opt.check(opt.name, merged[opt.name])
+    # every verb rejects a bad value of these, also a verb that does not read it
+    check_dead_band("eps", merged["eps"])
+    check_dead_band("band", merged["band"])
+    check_count("threads", merged["threads"], 1)
 
     verb, out = args.verb, merged["out"]
     variant = Variant(merged["variant"])

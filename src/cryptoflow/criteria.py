@@ -14,9 +14,7 @@ exact Hurwitz test of a polynomial is ``stability.hurwitz_stable``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Mapping
 
 import numpy as np
@@ -31,11 +29,12 @@ from .inputs import (
     SAMPLED_FIELDS,
     TIME_SCALES,
     ModelParams,
-    Rule,
     Variant,
     check_dead_band,
     check_rules,
     check_verify,
+    equal_rule,
+    finite,
     rule_errors,
 )
 from .stability import (
@@ -95,39 +94,28 @@ def _margin_rh_5x5(p):
             np.where(a2_binds, "a2_positive", "a2a1_exceeds_a0"))
 
 
-def _tied_clocks(name: str, variant: Variant) -> Rule:
-    """The variant's tied clocks are equal (``Variant.tied_clocks``)."""
-    clocks = variant.tied_clocks
-    pairs = list(zip(clocks, clocks[1:]))
-    return Rule(ScalingOutOfScope,
-                lambda p: reduce(operator.and_, (getattr(p, a) == getattr(p, b)
-                                                 for a, b in pairs), True),
-                f"{name} is derived for {' = '.join(clocks)}, got "
-                + ", ".join(f"{clock}={{p.{clock}}}" for clock in clocks))
-
-
 # Each criterion: its rules in order (the parameter rules, then the scope it
-# is derived for), which the scalar criterion and the batch kernel both check,
-# and its margin with the name of the binding inequality.  At q2 = 0 the full
-# variant's zeta2 and Pa decouple (eigenvalues -1/c2 and -1/c3), leaving the
-# 3x3 block.
+# is derived for, built from ``Variant.tied_clocks``), which the scalar
+# criterion and the batch kernel both check, and its margin with the name of
+# the binding inequality.  At q2 = 0 the full variant's zeta2 and Pa decouple
+# (eigenvalues -1/c2 and -1/c3), leaving the 3x3 block.
 _CRITERIA = {
     "criterion_2x2": (PARAM_RULES, _margin_2x2),
-    "criterion_3x3": ((*PARAM_RULES,
-                       _tied_clocks("criterion_3x3", Variant.SENTIMENT_3X3)),
-                      _margin_3x3),
-    "criterion_5x5_q2zero": ((*PARAM_RULES,
-                              Rule(OutOfScope, lambda p: p.q2 == 0.0,
-                                   "criterion_5x5_q2zero requires q2 = 0, got q2={p.q2}"),
-                              _tied_clocks("criterion_5x5_q2zero", Variant.FULL_5X5)),
-                             _margin_3x3),
-    "rh_5x5": ((*PARAM_RULES, _tied_clocks("rh_5x5", Variant.FULL_5X5)), _margin_rh_5x5),
+    "criterion_3x3": (
+        (*PARAM_RULES, equal_rule(ScalingOutOfScope, Variant.SENTIMENT_3X3.tied_clocks,
+                                  "criterion_3x3 is derived for")),
+        _margin_3x3),
+    "criterion_5x5_q2zero": (
+        (*PARAM_RULES, equal_rule(OutOfScope, ("q2",), "criterion_5x5_q2zero requires", 0),
+         equal_rule(ScalingOutOfScope, Variant.FULL_5X5.tied_clocks,
+                    "criterion_5x5_q2zero is derived for")),
+        _margin_3x3),
+    "rh_5x5": ((*PARAM_RULES, equal_rule(ScalingOutOfScope, Variant.FULL_5X5.tied_clocks,
+                                         "rh_5x5 is derived for")), _margin_rh_5x5),
 }
 
-_SUFFICIENT_5X5_RULES = (*PARAM_RULES, Rule(
-    ScalingOutOfScope,
-    lambda p: (p.c == 1.0) & (p.c1 == 1.0) & (p.c2 == 1.0),
-    "sufficient_5x5 is derived for c = c1 = c2 = 1, got c={p.c}, c1={p.c1}, c2={p.c2}"))
+_SUFFICIENT_5X5_RULES = (*PARAM_RULES, equal_rule(
+    ScalingOutOfScope, Variant.FULL_5X5.tied_clocks, "sufficient_5x5 is derived for", 1))
 
 
 def _criterion(name: str, params: ModelParams, band: float) -> CriterionResult:
@@ -345,7 +333,8 @@ def _sample_params(
     drawn = []
     for name in SAMPLED_FIELDS[variant]:
         if name in fixed:
-            columns[name] = np.full(m, float(fixed[name]))
+            value = fixed[name]  # a pin beyond the float range counts as inf
+            columns[name] = np.full(m, float(value) if finite(value) else np.inf)
         else:
             drawn.append(name)
     if drawn:

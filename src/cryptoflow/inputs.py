@@ -9,20 +9,25 @@ numpy nor scipy.  So the command line builds and checks a whole invocation
 before any numeric module loads: a rejected invocation, --help and --version
 never load them.
 
-Each parameter rule is written once for a point and for a batch: a rule's
-test answers with a bool for float fields and with a bool array for array
-fields.  :func:`check_rules` reads the point answer and :func:`rule_errors`
-the batch answer; numpy loads only when a batch is checked.
+Each check is spelled once: :func:`finite` is the finiteness test, which an
+int beyond the float range fails, and :func:`equal_rule` builds every scope
+rule "these fields are equal" (c = c1 = c2, q2 = 0, unit clocks).  Each
+parameter rule is written once for a point and for a batch: a rule's test
+answers with a bool for float fields and with a bool array for array fields.
+:func:`check_rules` reads the point answer and :func:`rule_errors` the batch
+answer; numpy loads only when a batch is checked.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import reduce
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import (
@@ -40,6 +45,11 @@ DEFAULT_BAND = 1e-6
 DELTA_MAX = 1e-2
 
 
+def finite(value):
+    """Within the float range: False for NaN, +-inf and a larger int; elementwise."""
+    return abs(value) <= sys.float_info.max
+
+
 def check_count(name: str, value: int, least: int) -> int:
     """A count (a lattice size, a sample count, a seed) is an integer >= least;
     a numpy integer is one, a bool is not.  Returns it as a Python int, which
@@ -55,7 +65,7 @@ def check_positive(name: str, value: float) -> None:
     """A run quantity (a step, a horizon, a price, a drop) is positive and finite."""
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
-    if not math.isfinite(value):
+    if not finite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -63,7 +73,7 @@ def check_dead_band(name: str, value: float) -> None:
     """A dead band (``eps`` or ``band``) is nonnegative and finite."""
     if not value >= 0.0:
         raise ValueError(f"{name} must be >= 0, got {value}")
-    if not math.isfinite(value):
+    if not finite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -199,11 +209,22 @@ def _field_rules(error, names, test, requirement) -> tuple[Rule, ...]:
     )
 
 
-# Checked in this order; the first broken rule names the error.  NaN and
-# +-inf both fail abs(v) < inf, for a float and elementwise for an array.
+def equal_rule(error, names, lead, value=None) -> Rule:
+    """The rule that the named fields are equal, and equal ``value`` when it
+    is given; its message reads "{lead} c = c1 = c2, got c=..., c1=..., c2=..."."""
+    pinned = () if value is None else (value,)
+
+    def holds(p):
+        sides = [*(getattr(p, name) for name in names), *pinned]
+        return reduce(operator.and_, (a == b for a, b in zip(sides, sides[1:])))
+
+    return Rule(error, holds, f"{lead} {' = '.join(map(str, (*names, *pinned)))}, got "
+                + ", ".join(f"{name}={{p.{name}}}" for name in names))
+
+
+# Checked in this order; the first broken rule names the error.
 PARAM_RULES = (
-    *_field_rules(NonFiniteParameter, PARAM_FIELDS, lambda v: abs(v) < math.inf,
-                  "must be finite"),
+    *_field_rules(NonFiniteParameter, PARAM_FIELDS, finite, "must be finite"),
     *_field_rules(NonPositiveTimeScale, TIME_SCALES, lambda v: v > 0.0,
                   "must be positive"),
     *_field_rules(NegativeAmplitude, AMPLITUDES, lambda v: v >= 0.0,
@@ -280,7 +301,7 @@ class SimConfig:
                 sys.maxsize, or the horizon holds no step at all.
         """
         count = self.horizon / h
-        if not math.isfinite(count):
+        if not finite(count):
             raise ValueError(
                 f"step count horizon / step = {self.horizon} / {h} is not finite"
             )
@@ -323,11 +344,11 @@ class Axis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+        if not (finite(self.min) and finite(self.max)):
             raise ValueError(
                 f"axis {self.name}: bounds must be finite, got {self.min}, {self.max}"
             )
-        if not math.isfinite(self.max - self.min):
+        if not finite(self.max - self.min):
             raise ValueError(
                 f"axis {self.name}: span {self.min} to {self.max} overflows"
             )
@@ -339,7 +360,8 @@ class Axis:
     def values(self) -> np.ndarray:
         import numpy as np
 
-        return np.linspace(self.min, self.max, self.steps)
+        # an int bound beyond int64 would make an object array
+        return np.linspace(float(self.min), float(self.max), self.steps)
 
     def fields(self, variant: Variant) -> tuple[str, ...]:
         """Parameter fields this axis writes on the given variant.
@@ -400,13 +422,13 @@ class GbmParams:
             raise ValueError(f"dt must be positive, got {self.dt}")
         object.__setattr__(self, "n", check_count("n", self.n, 1))
         for name in ("mu", "sigma", "dt"):
-            if not math.isfinite(getattr(self, name)):
+            if not finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         try:
             drift, volatility = self.log_step()
         except OverflowError:  # sigma**2 beyond the float range
             drift = volatility = math.inf
-        if not (math.isfinite(drift) and math.isfinite(volatility)):
+        if not (finite(drift) and finite(volatility)):
             raise ValueError(
                 f"log-step drift (mu - sigma^2/2) dt and volatility sigma sqrt(dt) "
                 f"must be finite, got mu={self.mu}, sigma={self.sigma}, dt={self.dt}"
@@ -415,7 +437,7 @@ class GbmParams:
             end = self.n * self.dt
         except OverflowError:  # n beyond the float range
             end = math.inf
-        if not math.isfinite(end):
+        if not finite(end):
             raise ValueError(f"path time n * dt = {self.n} * {self.dt} is not finite")
         # numpy's generators need seed >= 0
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))

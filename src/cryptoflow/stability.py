@@ -28,10 +28,10 @@ from .inputs import (
     PARAM_FIELDS,
     PARAM_RULES,
     ModelParams,
-    Rule,
     Variant,
     check_dead_band,
     check_rules,
+    equal_rule,
     validate_params,
 )
 from .model import Dual, _derivative, equilibrium, rhs
@@ -71,16 +71,13 @@ class StabilityVerdict:
 
 
 # The rules jacobian_analytic checks, in order: the parameter rules, then on the
-# full variant c = c1 = c2.  The exact derivative holds at any clocks; the
-# c = c1 = c2 rule is a refusal, kept only because the benchmark's `point`
-# workload pins its exit 3 (ROADMAP item 3).
+# full variant its tied clocks c = c1 = c2, a refusal kept only because the
+# benchmark's `point` workload pins its exit 3 (ROADMAP item 3).
 JACOBIAN_RULES = {
     **dict.fromkeys(Variant, PARAM_RULES),
-    Variant.FULL_5X5: (*PARAM_RULES, Rule(
-        UnsupportedScaling,
-        lambda p: (p.c == p.c1) & (p.c1 == p.c2),
-        "full variant Jacobian requires c = c1 = c2, got c={p.c}, c1={p.c1}, c2={p.c2}",
-    )),
+    Variant.FULL_5X5: (*PARAM_RULES, equal_rule(
+        UnsupportedScaling, Variant.FULL_5X5.tied_clocks,
+        "full variant Jacobian requires")),
 }
 
 

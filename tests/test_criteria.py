@@ -139,7 +139,8 @@ def test_q2zero_boundary_is_marginal():
 
 
 def test_q2zero_scope_errors():
-    with pytest.raises(OutOfScope):
+    with pytest.raises(OutOfScope, match=re.escape(
+            "criterion_5x5_q2zero requires q2 = 0, got q2=0.5")):
         criterion_5x5_q2zero(unit_scaled(q2=0.5))
     with pytest.raises(ScalingOutOfScope, match=re.escape(
             "criterion_5x5_q2zero is derived for c = c1 = c2, got c=1.0, c1=2.0, c2=1.0")):
@@ -215,6 +216,10 @@ def test_sufficient_examples():
     witness = unit_scaled(q=1.5, q1=0.5, q2=1.0)
     assert not sufficient_5x5(witness)
     assert rh_5x5(witness).verdict is Verdict.STABLE
+    # tied clocks are not enough: the conditions are derived at c = 1
+    with pytest.raises(ScalingOutOfScope, match=re.escape(
+            "sufficient_5x5 is derived for c = c1 = c2 = 1, got c=2.0, c1=2.0, c2=2.0")):
+        sufficient_5x5(ModelParams(c=2.0, c1=2.0, c2=2.0))
 
 
 def test_sufficient_implies_rh_stable_sampled():
@@ -416,8 +421,9 @@ def test_numpy_integer_counts_give_the_report_of_python_ints():
 
 @pytest.mark.parametrize("bad,message", [(-1.0, "must be >= 0, got -1.0"),
                                          (math.nan, "must be >= 0, got nan"),
-                                         (math.inf, "must be finite, got inf")],
-                         ids=["negative", "nan", "inf"])
+                                         (math.inf, "must be finite, got inf"),
+                                         (10**400, f"must be finite, got {10**400}")],
+                         ids=["negative", "nan", "inf", "huge_int"])
 def test_the_scalar_routes_reject_a_bad_dead_band(bad, message):
     """classify and the closed forms check their dead band as run_sweep and
     verify_consistency do: unchecked, a NaN or negative band read Marginal."""

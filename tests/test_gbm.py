@@ -60,6 +60,8 @@ def test_params_validation():
     # an n beyond the float range, not only n * dt beyond it
     with pytest.raises(ValueError, match=r"^path time n \* dt = 10{400} \* 1\.0 is not finite$"):
         GbmParams(n=10**400)
+    with pytest.raises(ValueError, match=r"^mu must be finite, got 10{400}$"):
+        GbmParams(mu=10**400)
     with pytest.raises(ValueError):
         gbm_simulate(GbmParams(), p0=0.0)
 

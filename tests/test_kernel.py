@@ -30,6 +30,7 @@ from cryptoflow import (
     Mismatch,
     ModelParams,
     NegativeAmplitude,
+    NonFiniteParameter,
     SweepSpec,
     Verdict,
     classify,
@@ -331,6 +332,9 @@ def test_verify_raises_for_a_sample_it_cannot_evaluate():
         verify_consistency(LIQUIDITY_2X2, n=5, fixed={"tau0": 1e-310})
     with pytest.raises(NegativeAmplitude):
         verify_consistency(SENTIMENT_3X3, n=5, fixed={"q": -1.0})
+    # a pin beyond the float range is refused as a pin of inf is
+    with pytest.raises(NonFiniteParameter):
+        verify_consistency(LIQUIDITY_2X2, n=5, fixed={"q": 10**400})
 
 
 @pytest.mark.parametrize("variant,criterion,point", [

@@ -82,10 +82,13 @@ def test_negative_amplitude_rejected(name):
 
 
 @pytest.mark.parametrize("name", ["q", "q1", "q2", "tau0", "c", "c1", "c2", "c3"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10**400, id="huge_int"),
+                                 pytest.param(-10**400, id="-huge_int")])
 def test_non_finite_parameter_rejected_before_other_rules(name, bad):
     # NaN slips past the sign checks, so finiteness is checked first; the
-    # second bad field would otherwise name another error.
+    # second bad field would otherwise name another error.  An int beyond the
+    # float range is refused as inf is.
     other = {"c3": -1.0} if name != "c3" else {"q": -1.0}
     with pytest.raises(NonFiniteParameter, match=f"^{name} must be finite"):
         validate_params(ModelParams(**{name: bad}, **other))

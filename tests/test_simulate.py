@@ -466,6 +466,7 @@ def test_perturb_rejects_oversized_kick():
     {"step": math.inf},
     {"horizon": math.inf},
     {"step": 1e-300, "horizon": 1e300},
+    {"horizon": 10**400},
 ])
 def test_sim_config_rejects_non_finite_values(kwargs):
     with pytest.raises(ValueError, match="finite"):

@@ -66,3 +66,35 @@ def test_every_import_is_read():
               for path in (*SOURCES, *TESTS)
               for line, name in _unread_imports(path.read_text())]
     assert unread == []
+
+
+def _private_definitions(tree):
+    """(line, name) for each module-level function, class or constant whose
+    name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_every_private_name_is_read():
+    """A private helper no module reads is dead code, such as a retired
+    helper's twin left behind."""
+    assert SOURCES
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{line} {name}"
+              for path, tree in trees.items()
+              for line, name in _private_definitions(tree) if name not in read]
+    assert unread == []

@@ -49,7 +49,8 @@ def test_jacobian_full_at_zero_amplitudes():
 
 
 def test_jacobian_full_requires_equal_reaction_scales():
-    with pytest.raises(UnsupportedScaling):
+    with pytest.raises(UnsupportedScaling, match=re.escape(
+            "full variant Jacobian requires c = c1 = c2, got c=1.0, c1=2.0, c2=1.0")):
         jacobian_analytic(FULL_5X5, ModelParams(c=1.0, c1=2.0, c2=1.0))
 
 

@@ -56,10 +56,25 @@ def test_a_numpy_integer_steps_gives_the_map_of_a_python_int(monkeypatch):
 
 
 @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
-                                   (0.0, math.nan), (-1e308, 1e308)])
+                                   (0.0, math.nan), (-1e308, 1e308),
+                                   pytest.param(0, 10**400, id="0-huge_int")])
 def test_axis_rejects_non_finite_bounds_and_overflowing_spans(lo, hi):
     with pytest.raises(ValueError, match="finite|overflows"):
         Axis("q", lo, hi, 3)
+
+
+def test_an_int_bound_beyond_int64_gives_the_csv_of_its_float(monkeypatch):
+    # numpy holds 10**20 in no integer type, so a linspace over it was an
+    # object array that the cell arithmetic could not subtract
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1609459200")
+    spec = liq_spec(q=(0.0, 1e20, 2), ratio=(0.5, 1.5, 2))
+    doc = json.loads(run_sweep(spec).to_json())
+    doc["axis1"]["max"] = 10**20
+    loaded = map_from_json(json.dumps(doc))
+    assert loaded.spec.axis1.max == 10**20 and type(loaded.spec.axis1.max) is int
+    assert loaded.to_csv() == run_sweep(spec).to_csv()
+    int_spec = liq_spec(q=(0, 10**20, 2), ratio=(0.5, 1.5, 2))
+    assert run_sweep(int_spec).to_csv() == run_sweep(spec).to_csv()
 
 
 def test_overflowing_cells_are_invalid_not_finite():
