@@ -33,6 +33,7 @@ from .errors import CryptoflowError
 from .inputs import (
     DEFAULT_BAND,
     DEFAULT_EPS,
+    FORMATS,
     PARAM_FIELDS,
     Axis,
     GbmParams,
@@ -58,7 +59,6 @@ VERBS = {
     "verify": "cross-validate closed forms against eigenvalues",
     "baseline": "log-normal baseline path and tail exceedance",
 }
-FORMATS = ("csv", "json", "svg")
 
 
 class UsageError(ValueError):
@@ -89,7 +89,7 @@ OPTIONS = (
     Option("eps", float, DEFAULT_EPS, "spectral dead band"),
     Option("band", float, DEFAULT_BAND, "criterion dead band"),
     Option("seed", int, 0, "random seed"),
-    Option("n", int, 10_000, "sample / step count", flags=("-n", "--samples")),
+    Option("n", int, 10_000, "sample / step count", flags=("-n",)),
     Option("step", float, SimConfig.step, "integration or path step (default: derived)"),
     Option("horizon", float, SimConfig.horizon, "integration horizon"),
     Option("delta", float, SimConfig.perturbation, "perturbation size for simulate"),
@@ -170,7 +170,7 @@ def _load_config(path: str) -> dict:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an int too long to read
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")

@@ -191,24 +191,22 @@ def simple_condition_5x5(params: ModelParams) -> bool:
 
 
 def closed_forms(
-    variant: Variant, q2_zero: bool = False
+    variant: Variant,
 ) -> list[tuple[str, Callable[[ModelParams, float], CriterionResult | bool]]]:
     """The closed forms that apply to a variant, by name; the first gives its verdict.
 
     Each function takes params and a dead band.  On the full variant the
-    verdict comes from Routh--Hurwitz, or from the exact K threshold when q2
-    is held at 0 (``q2_zero``); the sufficient condition is reported as a
-    bool and never gives a verdict.  The criteria are looked up when this is
-    called, so wrappers installed on this module's names are used.
+    verdict comes from Routh--Hurwitz; the exact K threshold, verify's route
+    at q2 = 0, and the sufficient condition (a bool) are reported beside it.
+    The criteria are looked up when this is called, so wrappers installed on
+    this module's names are used.
     """
     if variant is Variant.LIQUIDITY_2X2:
         return [("criterion_2x2", criterion_2x2)]
     if variant is Variant.SENTIMENT_3X3:
         return [("criterion_3x3", criterion_3x3)]
-    exact = [("rh_5x5", rh_5x5), ("criterion_5x5_q2zero", criterion_5x5_q2zero)]
-    if q2_zero:
-        exact.reverse()
-    return [*exact, ("sufficient_5x5", lambda params, band: sufficient_5x5(params))]
+    return [("rh_5x5", rh_5x5), ("criterion_5x5_q2zero", criterion_5x5_q2zero),
+            ("sufficient_5x5", lambda params, band: sufficient_5x5(params))]
 
 
 @dataclass(frozen=True)
@@ -369,9 +367,10 @@ def verify_consistency(
     evaluated (a pinned value breaks a parameter rule, or its spectrum cannot
     be solved) raises that error.
 
-    ``fixed`` pins sampled fields to given values (e.g. {"q2": 0.0} on the
-    full variant selects the q2 = 0 criterion and additionally reports the
-    agreement rate of the 1/c3 + 1/tau0 > K shortcut for the record).
+    ``fixed`` pins sampled fields to given values.  The closed form is the
+    variant's verdict form (the first of :func:`closed_forms`), or
+    ``criterion_5x5_q2zero`` when q2 is pinned at 0, which also reports the
+    agreement rate of the 1/c3 + 1/tau0 > K shortcut for the record.
 
     Raises:
         ValueError: ``eps`` or ``band`` is negative, NaN or infinite, or
@@ -384,7 +383,8 @@ def verify_consistency(
 
     # only the full variant samples q2
     q2_pinned_zero = fixed.get("q2") == 0.0
-    criterion_name, _ = closed_forms(variant, q2_pinned_zero)[0]
+    criterion_name = ("criterion_5x5_q2zero" if q2_pinned_zero
+                      else closed_forms(variant)[0][0])
 
     rng = np.random.default_rng(seed)
     mismatches: list[Mismatch] = []

@@ -2,12 +2,12 @@
 
 Model variants and their names (``FULL_5X5``, ``SENTIMENT_3X3``,
 ``LIQUIDITY_2X2``), parameters and the rules on them, integration controls
-and the derived step, sweep axes and specs, baseline parameters, the checks
-of counts, positive quantities, dead bands and the verify options, and the
-SOURCE_DATE_EPOCH timestamp all live here, and this module imports neither
-numpy nor scipy.  So the command line builds and checks a whole invocation
-before any numeric module loads: a rejected invocation, --help and --version
-never load them.
+and the derived step, sweep axes, specs and export formats, baseline
+parameters, the checks of counts, positive quantities, dead bands and the
+verify options, and the SOURCE_DATE_EPOCH timestamp all live here, and this
+module imports neither numpy nor scipy.  So the command line builds and
+checks a whole invocation before any numeric module loads: a rejected
+invocation, --help and --version never load them.
 
 Each check is spelled once: :func:`finite` is the finiteness test, which an
 int beyond the float range fails, and :func:`equal_rule` builds every scope
@@ -50,6 +50,19 @@ def finite(value):
     return abs(value) <= sys.float_info.max
 
 
+def shown(value) -> str:
+    """A value as a refusal prints it: as ``format`` writes it, but an int too
+    long for Python to write in decimal (``sys.set_int_max_str_digits``) by
+    its sign and number of digits."""
+    try:
+        return format(value)
+    except ValueError:
+        size = abs(value)
+        digits = int(math.log10(size)) + 1  # log10 rounds, so settle the count
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def check_count(name: str, value: int, least: int) -> int:
     """A count (a lattice size, a sample count, a seed) is an integer >= least;
     a numpy integer is one, a bool is not.  Returns it as a Python int, which
@@ -57,24 +70,24 @@ def check_count(name: str, value: int, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be >= {least}, got {shown(value)}")
     return int(value)
 
 
 def check_positive(name: str, value: float) -> None:
     """A run quantity (a step, a horizon, a price, a drop) is positive and finite."""
     if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise ValueError(f"{name} must be positive, got {shown(value)}")
     if not finite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {shown(value)}")
 
 
 def check_dead_band(name: str, value: float) -> None:
     """A dead band (``eps`` or ``band``) is nonnegative and finite."""
     if not value >= 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+        raise ValueError(f"{name} must be >= 0, got {shown(value)}")
     if not finite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {shown(value)}")
 
 
 # The parameter fields each state's equation reads (see ``model``).
@@ -170,7 +183,8 @@ class Rule:
     """A condition on the parameters and the error that reports a breach.
 
     ``holds`` answers for one point (a bool) or for a batch (a bool array).
-    ``message`` is a ``str.format`` template over the params, named ``p``.
+    ``message`` is a ``str.format`` template over the field names, which
+    :func:`check_rules` fills with the point's values as :func:`shown` writes them.
     """
 
     error: type[CryptoflowError]
@@ -182,7 +196,8 @@ def check_rules(rules, params: ModelParams) -> None:
     """Raise the error of the first rule the point breaks."""
     for rule in rules:
         if not rule.holds(params):
-            raise rule.error(rule.message.format(p=params))
+            raise rule.error(rule.message.format(
+                **{name: shown(getattr(params, name)) for name in PARAM_FIELDS}))
 
 
 def rule_errors(rules, params: ModelParams) -> np.ndarray:
@@ -204,7 +219,7 @@ def rule_errors(rules, params: ModelParams) -> np.ndarray:
 def _field_rules(error, names, test, requirement) -> tuple[Rule, ...]:
     return tuple(
         Rule(error, lambda p, name=name: test(getattr(p, name)),
-             f"{name} {requirement}, got {{p.{name}}}")
+             f"{name} {requirement}, got {{{name}}}")
         for name in names
     )
 
@@ -219,7 +234,7 @@ def equal_rule(error, names, lead, value=None) -> Rule:
         return reduce(operator.and_, (a == b for a, b in zip(sides, sides[1:])))
 
     return Rule(error, holds, f"{lead} {' = '.join(map(str, (*names, *pinned)))}, got "
-                + ", ".join(f"{name}={{p.{name}}}" for name in names))
+                + ", ".join(f"{name}={{{name}}}" for name in names))
 
 
 # Checked in this order; the first broken rule names the error.
@@ -278,17 +293,17 @@ class SimConfig:
         check_positive("horizon", self.horizon)
         if self.step is not None and self.step > self.horizon:
             raise ValueError(
-                f"step {self.step} must not exceed horizon {self.horizon}"
+                f"step {shown(self.step)} must not exceed horizon {shown(self.horizon)}"
             )
         if self.step is not None:
             self.grid(self.step)
         if not 0.0 < self.perturbation <= DELTA_MAX:
             raise ValueError(
-                f"perturbation must lie in (0, {DELTA_MAX}], got {self.perturbation}"
+                f"perturbation must lie in (0, {DELTA_MAX}], got {shown(self.perturbation)}"
             )
         if 1.0 + self.perturbation == 1.0:  # every equilibrium price is 1
             raise ValueError(
-                f"perturbation {self.perturbation} is too small to move P off 1.0"
+                f"perturbation {shown(self.perturbation)} is too small to move P off 1.0"
             )
 
     def grid(self, h: float) -> tuple[int, float]:
@@ -303,24 +318,29 @@ class SimConfig:
         count = self.horizon / h
         if not finite(count):
             raise ValueError(
-                f"step count horizon / step = {self.horizon} / {h} is not finite"
+                f"step count horizon / step = {shown(self.horizon)} / {shown(h)} "
+                "is not finite"
             )
         if count > sys.maxsize:
             raise ValueError(
-                f"step count horizon / step = {self.horizon} / {h} exceeds {sys.maxsize}"
+                f"step count horizon / step = {shown(self.horizon)} / {shown(h)} "
+                f"exceeds {sys.maxsize}"
             )
         n_full = int(math.floor(count + 1e-9))
         last_partial = self.horizon - n_full * h
         if last_partial < 1e-9 * h:
             last_partial = 0.0
         if n_full == 0 and last_partial == 0.0:
-            raise ValueError(f"horizon {self.horizon} holds no step of size {h}")
+            raise ValueError(
+                f"horizon {shown(self.horizon)} holds no step of size {shown(h)}")
         return n_full, last_partial
 
 
 AXIS_NAMES = ("q", "q1", "q2", "K", "tau0", "c3", "c_over_tau0")
 # The field each derived axis holds at its fixed value.
 _HELD = {"K": "q1", "c_over_tau0": "tau0"}
+# Sweep export formats, each written by ``StabilityMap.to_{format}``.
+FORMATS = ("csv", "json", "svg")
 
 
 class Method(str, Enum):
@@ -346,14 +366,16 @@ class Axis:
             raise ValueError(f"unknown axis {self.name!r}; choose from {AXIS_NAMES}")
         if not (finite(self.min) and finite(self.max)):
             raise ValueError(
-                f"axis {self.name}: bounds must be finite, got {self.min}, {self.max}"
+                f"axis {self.name}: bounds must be finite, "
+                f"got {shown(self.min)}, {shown(self.max)}"
             )
         if not finite(self.max - self.min):
             raise ValueError(
-                f"axis {self.name}: span {self.min} to {self.max} overflows"
+                f"axis {self.name}: span {shown(self.min)} to {shown(self.max)} overflows"
             )
         if not self.min < self.max:
-            raise ValueError(f"axis {self.name}: min {self.min} must be < max {self.max}")
+            raise ValueError(f"axis {self.name}: min {shown(self.min)} "
+                             f"must be < max {shown(self.max)}")
         object.__setattr__(self, "steps",
                            check_count(f"axis {self.name}: steps", self.steps, 2))
 
@@ -417,13 +439,13 @@ class GbmParams:
 
     def __post_init__(self):
         if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+            raise ValueError(f"sigma must be nonnegative, got {shown(self.sigma)}")
         if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError(f"dt must be positive, got {shown(self.dt)}")
         object.__setattr__(self, "n", check_count("n", self.n, 1))
         for name in ("mu", "sigma", "dt"):
             if not finite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be finite, got {shown(getattr(self, name))}")
         try:
             drift, volatility = self.log_step()
         except OverflowError:  # sigma**2 beyond the float range
@@ -431,14 +453,16 @@ class GbmParams:
         if not (finite(drift) and finite(volatility)):
             raise ValueError(
                 f"log-step drift (mu - sigma^2/2) dt and volatility sigma sqrt(dt) "
-                f"must be finite, got mu={self.mu}, sigma={self.sigma}, dt={self.dt}"
+                f"must be finite, got mu={shown(self.mu)}, sigma={shown(self.sigma)}, "
+                f"dt={shown(self.dt)}"
             )
         try:
             end = self.n * self.dt
         except OverflowError:  # n beyond the float range
             end = math.inf
         if not finite(end):
-            raise ValueError(f"path time n * dt = {self.n} * {self.dt} is not finite")
+            raise ValueError(
+                f"path time n * dt = {shown(self.n)} * {shown(self.dt)} is not finite")
         # numpy's generators need seed >= 0
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 

@@ -23,6 +23,7 @@ from .criteria import closed_forms, evaluate_points
 from .inputs import (
     DEFAULT_BAND,
     DEFAULT_EPS,
+    FORMATS,
     Axis,
     Method,
     ModelParams,
@@ -243,15 +244,11 @@ def boundary_cells(stability_map: StabilityMap) -> list[tuple[int, int]]:
 
 def export_map(stability_map: StabilityMap, fmt: str,
                stream: TextIO | None = None) -> str | None:
-    """Serialize a map as 'csv', 'json', or 'svg': to ``stream`` when given
-    (returning None), else as the returned text."""
-    if fmt == "csv":
-        return stability_map.to_csv(stream)
-    if fmt == "json":
-        return stability_map.to_json(stream)
-    if fmt == "svg":
-        return stability_map.to_svg(stream)
-    raise ValueError(f"unknown format {fmt!r}; choose csv, json, or svg")
+    """Serialize a map in a format of ``FORMATS`` by its ``to_{fmt}`` method:
+    to ``stream`` when given (returning None), else as the returned text."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
+    return getattr(stability_map, f"to_{fmt}")(stream)
 
 
 def map_from_json(text: str) -> StabilityMap:

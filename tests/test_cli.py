@@ -118,10 +118,11 @@ def test_verbs_read_one_closed_form_table(capsys, variant):
     assert set(json.loads(out)["closed_form"]) == {name for name, _ in forms}
 
     pin = ["--q2", "0"] if variant is FULL_5X5 else ["--q", "0.3"]
-    for extra, q2_zero in (([], False), (pin, pin[0] == "--q2")):
+    q2_route = "criterion_5x5_q2zero" if variant is FULL_5X5 else forms[0][0]
+    for extra, route in (([], forms[0][0]), (pin, q2_route)):
         code, out, _ = run_cli(capsys, "verify", "--variant", tag, "-n", "50", *extra)
         assert code == 0
-        assert json.loads(out)["criterion"] == closed_forms(variant, q2_zero)[0][0]
+        assert json.loads(out)["criterion"] == route
 
     code, out, _ = run_cli(capsys, "sweep", "--variant", tag, "--method", "closed_form",
                            "--tau0", "1", "--axis1", "q:0:2:3", "--axis2", "q1:0:1:2",

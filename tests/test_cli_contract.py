@@ -12,6 +12,8 @@ version, are matched here by substring.
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -202,12 +204,44 @@ def test_horizon_below_the_derived_step_runs_one_partial_step(tmp_path):
     (("analyze", "--q", "-nan"), "argument --q: expected one argument"),
     (("analyze", "--variant", "-1e-4"), "argument --variant: invalid choice: '-1e-4'"),
     (("baseline", "--s", "-1e-4"), "ambiguous option: --s could match"),
+    (("analyze", "--samples", "3"), "unrecognized arguments: --samples 3"),
 ])
 def test_argparse_errors_are_one_json_object(argv, text):
     code, _, doc = _run(*argv)
     assert code == 2
     assert doc["error"] == "UsageError"
     assert text in doc["message"]
+
+
+# Config files Python cannot read as JSON text, and the words Python's own
+# reason holds; the version words the rest.
+UNREADABLE_CONFIGS = {
+    "not_utf8": (b"\xff\xfe{", "can't decode byte 0xff"),
+    "long_int": (b'{"seed": 1' + b"0" * 5000 + b"}", "integer string conversion"),
+}
+# Runs main on argv in a fresh interpreter; prints its exit code and which of
+# numpy and scipy it loaded.
+_MAIN_LOADED = """
+import json, sys
+from cryptoflow.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("numpy", "scipy") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("content,reason", UNREADABLE_CONFIGS.values(),
+                         ids=UNREADABLE_CONFIGS)
+def test_an_unreadable_config_is_refused_by_name_before_numpy_loads(tmp_path, content,
+                                                                     reason):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    proc = subprocess.run([sys.executable, "-c", _MAIN_LOADED, "analyze", "--config",
+                           str(path)], capture_output=True, text=True, timeout=120)
+    assert json.loads(proc.stdout) == [2, []]
+    doc = json.loads(proc.stderr)
+    assert doc["error"] == "UsageError"
+    assert doc["message"].startswith(f"config {path} is not valid JSON: ")
+    assert reason in doc["message"]
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("analyze", "--help"),

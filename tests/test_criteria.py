@@ -422,8 +422,10 @@ def test_numpy_integer_counts_give_the_report_of_python_ints():
 @pytest.mark.parametrize("bad,message", [(-1.0, "must be >= 0, got -1.0"),
                                          (math.nan, "must be >= 0, got nan"),
                                          (math.inf, "must be finite, got inf"),
-                                         (10**400, f"must be finite, got {10**400}")],
-                         ids=["negative", "nan", "inf", "huge_int"])
+                                         (10**400, f"must be finite, got {10**400}"),
+                                         (10**5000, "must be finite, "
+                                                    "got an int of 5001 digits")],
+                         ids=["negative", "nan", "inf", "huge_int", "int_5001_digits"])
 def test_the_scalar_routes_reject_a_bad_dead_band(bad, message):
     """classify and the closed forms check their dead band as run_sweep and
     verify_consistency do: unchecked, a NaN or negative band read Marginal."""

@@ -62,6 +62,15 @@ def test_params_validation():
         GbmParams(n=10**400)
     with pytest.raises(ValueError, match=r"^mu must be finite, got 10{400}$"):
         GbmParams(mu=10**400)
+    # ints too long for Python to write in decimal are named by their size
+    with pytest.raises(ValueError, match=r"^path time n \* dt = an int of 5001 digits "
+                                         r"\* 1\.0 is not finite$"):
+        GbmParams(n=10**5000)
+    with pytest.raises(ValueError, match="^mu must be finite, got an int of 5001 digits$"):
+        GbmParams(mu=10**5000)
+    with pytest.raises(ValueError, match="^seed must be >= 0, "
+                                         "got a negative int of 5001 digits$"):
+        GbmParams(seed=-10**5000)
     with pytest.raises(ValueError):
         gbm_simulate(GbmParams(), p0=0.0)
 

@@ -104,7 +104,8 @@ def reference_verify(variant, n, seed=0, band=1e-6, eps=1e-8, fixed=None):
     """verify_consistency drawing and evaluating one sample at a time."""
     fixed = dict(fixed or {})
     q2_zero = fixed.get("q2") == 0.0
-    name, criterion = closed_forms(variant, q2_zero)[0]
+    name, criterion = (("criterion_5x5_q2zero", criteria.criterion_5x5_q2zero) if q2_zero
+                       else closed_forms(variant)[0])
     rng = np.random.default_rng(seed)
     mismatches, excluded, compared, simple_agree = [], 0, 0, 0
     for _ in range(n):

@@ -467,10 +467,13 @@ def test_perturb_rejects_oversized_kick():
     {"horizon": math.inf},
     {"step": 1e-300, "horizon": 1e300},
     {"horizon": 10**400},
+    {"step": 10**5000},
 ])
 def test_sim_config_rejects_non_finite_values(kwargs):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite") as refusal:
         SimConfig(**kwargs)
+    if kwargs == {"step": 10**5000}:  # too long for Python to write in decimal
+        assert str(refusal.value) == "step must be finite, got an int of 5001 digits"
 
 
 def test_integrate_rejects_non_finite_step_count_of_derived_step():

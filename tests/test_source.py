@@ -1,12 +1,15 @@
 """Checks on the source text of the package and its tests rather than their behaviour."""
 
 import ast
+import re
 from pathlib import Path
 
 import cryptoflow
+from cryptoflow.cli import OPTIONS
 
 SOURCES = sorted(Path(cryptoflow.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+README = Path(__file__).parent.parent / "README.md"
 
 
 def _unread_parameters(tree):
@@ -98,3 +101,13 @@ def test_every_private_name_is_read():
               for path, tree in trees.items()
               for line, name in _private_definitions(tree) if name not in read]
     assert unread == []
+
+
+def test_every_cli_flag_is_in_the_readme():
+    """Each flag a verb accepts is documented: it occurs as a whole token, so
+    ``--q1`` does not count for ``--q``."""
+    text = README.read_text()
+    flags = ["--config", *(flag for opt in OPTIONS for flag in opt.option_strings)]
+    missing = [flag for flag in flags
+               if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)]
+    assert missing == []

@@ -57,10 +57,14 @@ def test_a_numpy_integer_steps_gives_the_map_of_a_python_int(monkeypatch):
 
 @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
                                    (0.0, math.nan), (-1e308, 1e308),
-                                   pytest.param(0, 10**400, id="0-huge_int")])
+                                   pytest.param(0, 10**400, id="0-huge_int"),
+                                   pytest.param(0, 10**5000, id="0-int_5001_digits")])
 def test_axis_rejects_non_finite_bounds_and_overflowing_spans(lo, hi):
-    with pytest.raises(ValueError, match="finite|overflows"):
+    with pytest.raises(ValueError, match="finite|overflows") as refusal:
         Axis("q", lo, hi, 3)
+    if hi == 10**5000:  # too long for Python to write in decimal
+        assert str(refusal.value) == \
+            "axis q: bounds must be finite, got 0, an int of 5001 digits"
 
 
 def test_an_int_bound_beyond_int64_gives_the_csv_of_its_float(monkeypatch):
