@@ -12,7 +12,7 @@ nor scipy; only ``execute`` loads the numeric modules, once the run is built,
 so a rejected invocation, --help and --version never load them.  Exit codes: 0
 success, 1 verification found mismatches, 2 usage error, 3 runtime failure
 such as an --out file that cannot be written (2 and 3 are reported as a
-single JSON object on stderr).
+single JSON object on stderr); ``inputs.write_json`` writes a verb's result.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .inputs import (
     ignored_fields,
     timestamp,
     validate_params,
+    write_json,
 )
 
 VERBS = {
@@ -279,23 +280,6 @@ def parse_config(argv: list[str]) -> Callable[[], int]:
         raise UsageError(str(exc)) from exc
 
 
-def _finite(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-    return x
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return _finite(obj)
-
-
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
     """The stream a verb writes its result to: the file ``path``, or stdout.
@@ -321,12 +305,11 @@ def _output(path: str | None) -> Iterator[TextIO]:
 
 def _emit(doc: dict, out: str | None) -> None:
     """Write the verb's JSON document, stamped with the package version, to
-    the --out file, if any, then stdout."""
-    doc = _sanitize({**doc, "version": __version__})
+    the --out file, if any, then stdout; a NaN is written as ``"nan"``."""
+    doc = {**doc, "version": __version__}
     for path in (out, None) if out else (None,):
         with _output(path) as stream:
-            json.dump(doc, stream, sort_keys=True, indent=2)
-            stream.write("\n")
+            write_json(doc, stream, "nan")
 
 
 def _closed_form_doc(variant: Variant, params: ModelParams, band: float) -> dict:

@@ -4,10 +4,10 @@ Model variants and their names (``FULL_5X5``, ``SENTIMENT_3X3``,
 ``LIQUIDITY_2X2``), parameters and the rules on them, integration controls
 and the derived step, sweep axes, specs and export formats, baseline
 parameters, the checks of counts, positive quantities, dead bands and the
-verify options, and the SOURCE_DATE_EPOCH timestamp all live here, and this
-module imports neither numpy nor scipy.  So the command line builds and
-checks a whole invocation before any numeric module loads: a rejected
-invocation, --help and --version never load them.
+verify options, the SOURCE_DATE_EPOCH timestamp and the JSON writer all
+live here, and this module imports neither numpy nor scipy.  So the command
+line builds and checks a whole invocation before any numeric module loads: a
+rejected invocation, --help and --version never load them.
 
 Each check is spelled once: :func:`finite` is the finiteness test, which an
 int beyond the float range fails, and :func:`equal_rule` builds every scope
@@ -20,6 +20,7 @@ answer; numpy loads only when a batch is checked.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import operator
@@ -28,7 +29,7 @@ import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import reduce
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, TextIO
 
 from .errors import (
     CryptoflowError,
@@ -312,9 +313,11 @@ class SimConfig:
         The partial step is 0.0 when the full steps end on the horizon.
 
         Raises:
-            ValueError: the step count horizon / h is not finite or exceeds
-                sys.maxsize, or the horizon holds no step at all.
+            ValueError: h is not positive and finite (a derived step can
+                underflow to 0.0), the step count horizon / h is not finite
+                or exceeds sys.maxsize, or the horizon holds no step at all.
         """
+        check_positive("step", h)
         count = self.horizon / h
         if not finite(count):
             raise ValueError(
@@ -513,3 +516,22 @@ def timestamp() -> str:
             f"SOURCE_DATE_EPOCH must be an integer number of seconds, got {epoch!r}"
         ) from exc
     return stamp.isoformat(timespec="seconds")
+
+
+def write_json(doc, stream: TextIO, nan: str | None) -> None:
+    """Write ``doc`` to ``stream`` in ``json.dump``'s chunks as RFC 8259 JSON:
+    sorted keys, indent 2, a newline at the end.  In its dicts, lists and
+    tuples (JSON lists) a NaN float is written as ``nan`` (a verb writes
+    "nan", a map null) and an infinite one as "inf" or "-inf"."""
+    def spelled(value):
+        if isinstance(value, float):
+            return value if finite(value) else (
+                nan if value != value else "inf" if value > 0 else "-inf")
+        if isinstance(value, dict):
+            return {key: spelled(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [spelled(item) for item in value]
+        return value
+
+    json.dump(spelled(doc), stream, sort_keys=True, indent=2, allow_nan=False)
+    stream.write("\n")

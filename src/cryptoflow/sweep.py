@@ -31,6 +31,7 @@ from .inputs import (
     Variant,
     check_dead_band,
     timestamp,
+    write_json,
 )
 from .stability import INVALID, VERDICTS, Verdict
 
@@ -89,8 +90,8 @@ class StabilityMap:
     def to_json(self, stream: TextIO | None = None) -> str | None:
         """RFC 8259 JSON of the whole map, which ``map_from_json`` reads back.
 
-        Writes to ``stream`` in ``json.dump``'s chunks and returns None;
-        without a stream, returns the text.
+        ``write_json`` writes a NaN (an invalid cell's value) as null.  Writes
+        to ``stream`` in its chunks and returns None; else returns the text.
         """
         doc = {
             "type": "stability_map",
@@ -98,17 +99,15 @@ class StabilityMap:
             "method": self.spec.method.value,
             "axis1": asdict(self.spec.axis1),
             "axis2": asdict(self.spec.axis2),
-            "fixed": {k: _json_number(v) for k, v in asdict(self.spec.fixed).items()},
-            "values": [[_json_number(v) for v in row] for row in self.values.tolist()],
+            "fixed": asdict(self.spec.fixed),
+            "values": self.values.tolist(),
             "verdicts": [[_NAMES[code] for code in row] for row in self.codes.tolist()],
             "flags": [[[] if reason is None else [reason] for reason in row]
                       for row in self.reasons.tolist()],
-            "metadata": {k: _json_number(v) if isinstance(v, float) else v
-                         for k, v in self.metadata.items()},
+            "metadata": self.metadata,
         }
         out = io.StringIO() if stream is None else stream
-        json.dump(doc, out, sort_keys=True, indent=2, allow_nan=False)
-        out.write("\n")
+        write_json(doc, out, None)
         return out.getvalue() if stream is None else None
 
     def to_svg(self, stream: TextIO | None = None) -> str | None:
@@ -141,17 +140,8 @@ class StabilityMap:
 _NAMES = tuple(verdict.value for verdict in VERDICTS)
 _COLORS = ("#2166ac", "#fee08b", "#b2182b", "#bdbdbd")
 
-# RFC 8259 JSON has no NaN or infinity: a map writes NaN as null and +-inf as
-# the strings the other verbs use, and map_from_json reads them back.
+# The tokens write_json spells a map's NaN (null) and +-inf with, read back.
 _NON_FINITE = {None: math.nan, "inf": math.inf, "-inf": -math.inf}
-
-
-def _json_number(x: float) -> float | str | None:
-    if math.isnan(x):
-        return None
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
 
 
 def _cell_params(spec: SweepSpec) -> tuple[ModelParams, np.ndarray]:
@@ -294,7 +284,7 @@ def map_from_json(text: str) -> StabilityMap:
 
 
 def _number(v) -> float:
-    """A JSON number, or the token ``_json_number`` writes for NaN or +-inf."""
+    """A JSON number, or the token ``write_json`` writes for NaN or +-inf."""
     v = _NON_FINITE.get(v, v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {v!r}")

@@ -347,6 +347,8 @@ REJECTED = [
     # the derived step is 5e-302
     (("simulate", *L2, "--tau0", "1e-300", "--c", "1e-300", "--horizon", "1e300"),
      "step count horizon / step = 1e+300 / 5e-302 is not finite"),
+    # the derived step 5e-324 / 20 underflows to 0.0
+    (("simulate", *L2, "--tau0", "5e-324"), "step must be positive, got 0.0"),
     (("simulate", "--delta", "1"), "perturbation must lie in (0, 0.01], got 1.0"),
     (("simulate", "--variant", "full5x5", "--delta", "1e-300"),
      "perturbation 1e-300 is too small to move P off 1.0"),

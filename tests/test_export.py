@@ -1,6 +1,7 @@
 """Streamed exports: every exporter writes the bytes of its string form to a
 stream, in bounded chunks, and streaming holds no whole-text buffer."""
 
+import io
 import json
 import math
 import tracemalloc
@@ -31,6 +32,7 @@ from cryptoflow import (
     run_sweep,
 )
 from cryptoflow.gbm import CSV_ROWS_PER_WRITE as PATH_ROWS_PER_WRITE
+from cryptoflow.inputs import write_json
 from cryptoflow.simulate import CSV_ROWS_PER_WRITE
 from cryptoflow.stability import INVALID, MARGINAL, STABLE, UNSTABLE
 
@@ -349,3 +351,18 @@ def test_streaming_json_holds_no_copy_of_the_text():
     text = lattice.to_json()
     streamed = _peak_bytes(lattice.to_json, _Discard())
     assert streamed + len(text) <= _peak_bytes(lattice.to_json)
+
+
+def test_write_json_spells_nan_and_inf_as_the_verbs_and_maps_did():
+    doc = {"b": {"t": (1.5, math.nan, -math.inf), "z": -0.0}, "a": [math.inf, 3, "s"]}
+
+    def refuse(token):
+        raise ValueError(f"non-standard token {token}")
+
+    for nan in ("nan", None):
+        sanitized = {"b": {"t": [1.5, nan, "-inf"], "z": -0.0}, "a": ["inf", 3, "s"]}
+        stream = io.StringIO()
+        write_json(doc, stream, nan)
+        text = stream.getvalue()
+        assert text == json.dumps(sanitized, sort_keys=True, indent=2) + "\n"
+        assert json.loads(text, parse_constant=refuse) == sanitized

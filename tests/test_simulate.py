@@ -507,6 +507,17 @@ def test_grid_rejects_a_step_count_outside_one_to_maxsize(horizon, h, message):
         SimConfig(horizon=horizon).grid(h)
 
 
+@pytest.mark.parametrize("h,message", [
+    (-1.0, "step must be positive, got -1.0"),
+    (0.0, "step must be positive, got 0.0"),  # a derived step that underflowed
+    (10**400, "step must be finite, got 1" + "0" * 400),
+], ids=["negative", "zero", "beyond_float"])
+def test_grid_rejects_a_step_that_is_not_positive_and_finite(h, message):
+    with pytest.raises(ValueError) as info:
+        SimConfig().grid(h)
+    assert str(info.value) == message
+
+
 def test_grid_keeps_a_lone_partial_step():
     assert SimConfig(horizon=0.001).grid(0.005) == (0, 0.001)
     assert SimConfig(horizon=1e-8).grid(0.005) == (0, 1e-8)

@@ -71,6 +71,27 @@ def test_every_import_is_read():
     assert unread == []
 
 
+def _json_dump_calls(node, scope):
+    """The scope of each ``json.dump`` call under node: the module's name and
+    the names of the classes and functions around the call, dotted."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+              and child.func.attr == "dump" and isinstance(child.func.value, ast.Name)
+              and child.func.value.id == "json"):
+            yield scope
+        yield from _json_dump_calls(child, inner)
+
+
+def test_one_json_writer():
+    """Every JSON document is laid out, and its NaN and inf spelled, in one place."""
+    calls = [scope for path in SOURCES
+             for scope in _json_dump_calls(ast.parse(path.read_text()), path.stem)]
+    assert calls == ["inputs.write_json"]
+
+
 def _private_definitions(tree):
     """(line, name) for each module-level function, class or constant whose
     name starts with one underscore."""
