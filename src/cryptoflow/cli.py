@@ -171,7 +171,8 @@ def _load_config(path: str) -> dict:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, not UTF-8, or an int too long to read
+    # not JSON, not UTF-8, an int too long to read, or nested too deep to read
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a JSON object")

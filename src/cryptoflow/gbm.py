@@ -11,7 +11,6 @@ rejection sampling), which keeps every path reproducible from its seed.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .inputs import GbmParams, check_positive
+from .inputs import CSV_ROWS_PER_WRITE, GbmParams, check_positive, write_csv
 
 # Importing scipy.special imports numpy.f2py, which parses SOURCE_DATE_EPOCH
 # and raises on a value that is not an integer.  Only sweep metadata reads
@@ -32,9 +31,6 @@ finally:
     if _epoch is not None:
         os.environ["SOURCE_DATE_EPOCH"] = _epoch
 del _epoch
-
-# A streamed path CSV holds this many rows' text at a time, whatever its length.
-CSV_ROWS_PER_WRITE = 1024
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -73,18 +69,12 @@ def gbm_simulate(params: GbmParams, p0: float = 1.0) -> np.ndarray:
 
 def gbm_path_csv(params: GbmParams, path: np.ndarray,
                  stream: TextIO | None = None) -> str | None:
-    """CSV with time and price columns, 17 significant digits.
-
-    Writes to ``stream``, at most CSV_ROWS_PER_WRITE rows per write, and
-    returns None; without a stream, returns the text.
-    """
-    out = io.StringIO() if stream is None else stream
-    out.write("t,P\n")
-    for start in range(0, len(path), CSV_ROWS_PER_WRITE):
-        prices = path[start:start + CSV_ROWS_PER_WRITE].tolist()
-        out.write("".join([f"{i * params.dt:.17g},{p:.17g}\n"
-                           for i, p in enumerate(prices, start)]))
-    return out.getvalue() if stream is None else None
+    """``write_csv``'s CSV of time and price columns: to ``stream``, at most
+    CSV_ROWS_PER_WRITE rows per write, returning None; else the text."""
+    rows, n = CSV_ROWS_PER_WRITE, len(path)
+    return write_csv("t,P", (
+        zip([k * params.dt for k in range(i, min(i + rows, n))], path[i:i + rows].tolist())
+        for i in range(0, n, rows)), stream)
 
 
 def normal_tail(k: float) -> float:

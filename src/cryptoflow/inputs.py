@@ -4,10 +4,11 @@ Model variants and their names (``FULL_5X5``, ``SENTIMENT_3X3``,
 ``LIQUIDITY_2X2``), parameters and the rules on them, integration controls
 and the derived step, sweep axes, specs and export formats, baseline
 parameters, the checks of counts, positive quantities, dead bands and the
-verify options, the SOURCE_DATE_EPOCH timestamp and the JSON writer all
-live here, and this module imports neither numpy nor scipy.  So the command
-line builds and checks a whole invocation before any numeric module loads: a
-rejected invocation, --help and --version never load them.
+verify options, the SOURCE_DATE_EPOCH timestamp and the program's two
+writers, of CSV and of JSON, live here, and this module imports neither numpy
+nor scipy.  So the command line builds and checks a whole invocation before
+any numeric module loads: a rejected invocation, --help and --version never
+load them.
 
 Each check is spelled once: :func:`finite` is the finiteness test, which an
 int beyond the float range fails, and :func:`equal_rule` builds every scope
@@ -20,6 +21,7 @@ answer; numpy loads only when a batch is checked.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
@@ -518,11 +520,32 @@ def timestamp() -> str:
     return stamp.isoformat(timespec="seconds")
 
 
-def write_json(doc, stream: TextIO, nan: str | None) -> None:
-    """Write ``doc`` to ``stream`` in ``json.dump``'s chunks as RFC 8259 JSON:
-    sorted keys, indent 2, a newline at the end.  In its dicts, lists and
-    tuples (JSON lists) a NaN float is written as ``nan`` (a verb writes
-    "nan", a map null) and an infinite one as "inf" or "-inf"."""
+# Rows per write of a trajectory or price path CSV, whatever its length.
+CSV_ROWS_PER_WRITE = 1024
+
+
+def write_csv(header: str, blocks, stream: TextIO | None) -> str | None:
+    """Write the ``header`` line, then each block (an iterable of rows) in one
+    write, a number to 17 significant digits (``%.17g``) and a string
+    unchanged, to ``stream`` and return None; without a stream, return the
+    text.  A block's first row sets the format, so each of its rows holds
+    numbers and strings in the same places."""
+    out = io.StringIO() if stream is None else stream
+    out.write(header + "\n")
+    for block in blocks:
+        rows = list(block)
+        row_format = ",".join(["%s" if isinstance(value, str) else "%.17g"
+                               for value in rows[0]]) + "\n"
+        out.write("".join([row_format % row for row in rows]))
+    return out.getvalue() if stream is None else None
+
+
+def write_json(doc, stream: TextIO | None, nan: str | None) -> str | None:
+    """Write ``doc`` as RFC 8259 JSON, sorted keys, indent 2 and a newline at
+    the end, to ``stream`` in ``json.dump``'s chunks and return None; without
+    a stream, return the text.  In its dicts, lists and tuples (JSON lists) a
+    NaN float is written as ``nan`` (a verb writes "nan", a map null) and an
+    infinite one as "inf" or "-inf"."""
     def spelled(value):
         if isinstance(value, float):
             return value if finite(value) else (
@@ -533,5 +556,7 @@ def write_json(doc, stream: TextIO, nan: str | None) -> None:
             return [spelled(item) for item in value]
         return value
 
-    json.dump(spelled(doc), stream, sort_keys=True, indent=2, allow_nan=False)
-    stream.write("\n")
+    out = io.StringIO() if stream is None else stream
+    json.dump(spelled(doc), out, sort_keys=True, indent=2, allow_nan=False)
+    out.write("\n")
+    return out.getvalue() if stream is None else None

@@ -8,7 +8,6 @@ the partial trajectory on the exception.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO
@@ -17,12 +16,14 @@ import numpy as np
 
 from .errors import BlowUp, StateOutOfDomain
 from .inputs import (
+    CSV_ROWS_PER_WRITE,
     DEFAULT_EPS,
     ModelParams,
     Variant,
     SimConfig,
     default_step,
     validate_params,
+    write_csv,
 )
 from .model import _derivative, equilibrium
 from .stability import STABLE, UNSTABLE, jacobian_stack, ordered_spectra, verdict_codes
@@ -38,10 +39,6 @@ SMALL_SIGNAL_CAP = 1e-2
 # RK4 multiplies a linear mode e^(lambda t) by R(h lambda) per step, with
 # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (coefficients leading-first).
 RK4_AMPLIFICATION = (1.0 / 24.0, 1.0 / 6.0, 0.5, 1.0, 1.0)
-
-# A streamed trajectory CSV holds this many rows' text at a time, whatever
-# the length of the run.
-CSV_ROWS_PER_WRITE = 1024
 
 
 @dataclass(frozen=True)
@@ -61,19 +58,13 @@ class Trajectory:
         return self.states[-1]
 
     def to_csv(self, stream: TextIO | None = None) -> str | None:
-        """CSV with a time column and one column per state label.
-
-        Writes to ``stream``, at most CSV_ROWS_PER_WRITE rows per write, and
-        returns None; without a stream, returns the text.
-        """
-        out = io.StringIO() if stream is None else stream
-        out.write("t," + ",".join(self.variant.labels) + "\n")
-        row_format = ",".join(["%.17g"] * (1 + len(self.variant.labels))) + "\n"
-        for start in range(0, len(self.times), CSV_ROWS_PER_WRITE):
-            rows = slice(start, start + CSV_ROWS_PER_WRITE)
-            out.write("".join([row_format % (t, *state) for t, state in
-                               zip(self.times[rows].tolist(), self.states[rows].tolist())]))
-        return out.getvalue() if stream is None else None
+        """``write_csv``'s CSV of a time column and one column per state label:
+        to ``stream``, at most CSV_ROWS_PER_WRITE rows per write, returning
+        None; else the text."""
+        rows = CSV_ROWS_PER_WRITE
+        return write_csv("t," + ",".join(self.variant.labels), (
+            zip(self.times[i:i + rows].tolist(), *self.states[i:i + rows].T.tolist())
+            for i in range(0, len(self.times), rows)), stream)
 
 
 class EmpiricalVerdict(str, Enum):

@@ -145,7 +145,10 @@ def jacobian_numeric(variant: Variant, params: ModelParams) -> np.ndarray:
 
 
 def _square(m: np.ndarray) -> np.ndarray:
-    """m as a float array, refused unless it is a nonempty square matrix."""
+    """m as a float array, refused unless it is a real, nonempty square matrix."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise ValueError(f"matrix must be real, got dtype {m.dtype}")
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"matrix must be square and nonempty, got shape {m.shape}")
@@ -187,7 +190,8 @@ def char_poly(m: np.ndarray) -> tuple[float, ...]:
     """Monic det(lambda*I - m), leading-first: ``_exact_char_poly`` rounded once.
 
     A coefficient beyond the float range rounds to +-inf.  A matrix that is
-    not square and nonempty, or has a NaN or infinite entry, raises ValueError.
+    not real, square and nonempty, or has a NaN or infinite entry, raises
+    ValueError.
     """
     coeffs = []
     for c in _exact_char_poly(m):
@@ -249,8 +253,9 @@ def ordered_spectra(stack: np.ndarray) -> np.ndarray:
 def eigenvalues(m: np.ndarray) -> tuple[complex, ...]:
     """Eigenvalues of a real square matrix: ``ordered_spectra``'s row as a tuple.
 
-    A matrix with a NaN or infinite entry raises ConvergenceFailure before
-    any iteration runs, as does a failed iteration or a NaN eigenvalue.
+    A complex matrix, or one not square and nonempty, raises ValueError.  A
+    matrix with a NaN or infinite entry raises ConvergenceFailure before any
+    iteration runs, as does a failed iteration or a NaN eigenvalue.
     """
     m = _square(m)
     if not np.isfinite(m).all():

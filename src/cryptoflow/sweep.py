@@ -31,6 +31,7 @@ from .inputs import (
     Variant,
     check_dead_band,
     timestamp,
+    write_csv,
     write_json,
 )
 from .stability import INVALID, VERDICTS, Verdict
@@ -73,19 +74,13 @@ class StabilityMap:
         )
 
     def to_csv(self, stream: TextIO | None = None) -> str | None:
-        """Row-major CSV, one line per cell, 17 significant digits.
-
-        Writes to ``stream``, one axis1 row of the lattice per write, and
-        returns None; without a stream, returns the text.
-        """
-        out = io.StringIO() if stream is None else stream
-        out.write("axis1,axis2,max_real_or_margin,verdict\n")
-        a2 = [f"{y:.17g}" for y in self.spec.axis2.values().tolist()]
-        for x, values, codes in zip(self.spec.axis1.values().tolist(), self.values,
-                                    self.codes):
-            out.write("".join([f"{x:.17g},{y},{v:.17g},{_NAMES[code]}\n"
-                               for y, v, code in zip(a2, values.tolist(), codes.tolist())]))
-        return out.getvalue() if stream is None else None
+        """``write_csv``'s row-major CSV, one line per cell: to ``stream``, one
+        axis1 row of the lattice per write, returning None; else the text."""
+        a2 = self.spec.axis2.values().tolist()
+        return write_csv("axis1,axis2,max_real_or_margin,verdict", (
+            zip([x] * len(a2), a2, values.tolist(), [_NAMES[code] for code in codes.tolist()])
+            for x, values, codes in zip(self.spec.axis1.values().tolist(), self.values,
+                                        self.codes)), stream)
 
     def to_json(self, stream: TextIO | None = None) -> str | None:
         """RFC 8259 JSON of the whole map, which ``map_from_json`` reads back.
@@ -93,7 +88,7 @@ class StabilityMap:
         ``write_json`` writes a NaN (an invalid cell's value) as null.  Writes
         to ``stream`` in its chunks and returns None; else returns the text.
         """
-        doc = {
+        return write_json({
             "type": "stability_map",
             "variant": self.spec.variant.value,
             "method": self.spec.method.value,
@@ -105,10 +100,7 @@ class StabilityMap:
             "flags": [[[] if reason is None else [reason] for reason in row]
                       for row in self.reasons.tolist()],
             "metadata": self.metadata,
-        }
-        out = io.StringIO() if stream is None else stream
-        write_json(doc, out, None)
-        return out.getvalue() if stream is None else None
+        }, stream, None)
 
     def to_svg(self, stream: TextIO | None = None) -> str | None:
         """Minimal heat-map rendering of the verdict lattice.
@@ -251,7 +243,10 @@ def map_from_json(text: str) -> StabilityMap:
     value of the wrong type, a number that does not convert to a float, or
     a lattice not of the axes' shape), naming the key.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nested too deep to read
+        raise ValueError(f"not a stability map document: {exc}") from None
     if not isinstance(doc, dict) or doc.get("type") != "stability_map":
         raise ValueError("not a stability map document")
 

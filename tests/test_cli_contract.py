@@ -218,6 +218,7 @@ def test_argparse_errors_are_one_json_object(argv, text):
 UNREADABLE_CONFIGS = {
     "not_utf8": (b"\xff\xfe{", "can't decode byte 0xff"),
     "long_int": (b'{"seed": 1' + b"0" * 5000 + b"}", "integer string conversion"),
+    "too_deep": (b"[" * 100_000 + b"]" * 100_000, "recursion"),
 }
 # Runs main on argv in a fresh interpreter; prints its exit code and which of
 # numpy and scipy it loaded.

@@ -223,10 +223,11 @@ MALFORMED = {
     ('"x"', "^not a stability map document$"),
     ('{"type": "trajectory"}', "^not a stability map document$"),
     ('{"type": "stability_map"}', "^stability map document has no 'variant' key$"),
+    ("[" * 100_000 + "]" * 100_000, "^not a stability map document: maximum recursion"),
     *((json.dumps(_MAP_DOC | {key: value}),
        f"^stability map document has a malformed {key!r} key: ")
       for key, value in MALFORMED.values()),
-], ids=["list", "null", "string", "other_type", "missing_key", *MALFORMED])
+], ids=["list", "null", "string", "other_type", "missing_key", "too_deep", *MALFORMED])
 def test_map_from_json_rejects_a_non_map_document(text, message):
     assert map_from_json(json.dumps(_MAP_DOC)).shape == (2, 3)
     with pytest.raises(ValueError, match=message):

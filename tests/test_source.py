@@ -71,25 +71,42 @@ def test_every_import_is_read():
     assert unread == []
 
 
-def _json_dump_calls(node, scope):
-    """The scope of each ``json.dump`` call under node: the module's name and
-    the names of the classes and functions around the call, dotted."""
+def _scopes(node, scope, match):
+    """The scope of each node under node that ``match`` accepts: the module's
+    name and the names of the classes and functions around the node, dotted."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-              and child.func.attr == "dump" and isinstance(child.func.value, ast.Name)
-              and child.func.value.id == "json"):
+        elif match(child):
             yield scope
-        yield from _json_dump_calls(child, inner)
+        yield from _scopes(child, inner, match)
+
+
+def _sources_scopes(match):
+    return [scope for path in SOURCES
+            for scope in _scopes(ast.parse(path.read_text()), path.stem, match)]
+
+
+def _is_json_dump(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dump" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json")
 
 
 def test_one_json_writer():
     """Every JSON document is laid out, and its NaN and inf spelled, in one place."""
-    calls = [scope for path in SOURCES
-             for scope in _json_dump_calls(ast.parse(path.read_text()), path.stem)]
-    assert calls == ["inputs.write_json"]
+    assert _sources_scopes(_is_json_dump) == ["inputs.write_json"]
+
+
+def _spells_17g(node):
+    # a %-format, a format spec in an f-string, or a docstring that names one
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and "17g" in node.value
+
+
+def test_one_csv_layout():
+    """Every CSV is laid out, and its numbers spelled, in one place."""
+    assert set(_sources_scopes(_spells_17g)) == {"inputs.write_csv"}
 
 
 def _private_definitions(tree):

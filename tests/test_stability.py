@@ -182,6 +182,13 @@ def test_an_empty_matrix_is_refused_by_its_shape(route):
         route(np.empty((0, 0)))
 
 
+@pytest.mark.parametrize("route", [eigenvalues, char_poly])
+def test_a_complex_matrix_is_refused_not_read_as_its_real_part(route):
+    # its eigenvalues are 1 and -1+3i, its real part's 1 and -1
+    with pytest.raises(ValueError, match=r"^matrix must be real, got dtype complex128$"):
+        route(np.array([[1, 2j], [0, -1 + 3j]]))
+
+
 @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
 def test_eigenvalues_names_a_non_finite_entry(entry):
     m = np.diag([-1.0, -2.0])
